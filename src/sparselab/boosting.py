@@ -10,7 +10,7 @@ invariant under positive rescaling of individual columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,10 +113,22 @@ def select_index(rho) -> int:
     if rho.ndim != 1 or rho.size == 0:
         raise ValueError("rho must be a non-empty vector")
     mags = np.abs(rho)
-    peak = float(np.max(mags))
+    peak = float(mags.max())
     if peak == 0.0:
         return 0
-    return int(np.flatnonzero(mags >= peak - TIE_RTOL * peak)[0])
+    return int((mags >= peak - TIE_RTOL * peak).nonzero()[0][0])
+
+
+def _advance(X, norms, nu: float, beta, residual, rho):
+    """One iteration into new arrays: (j, applied, beta, residual, rho)."""
+    j = select_index(rho)
+    if float(np.abs(rho[j])) == 0.0:
+        return j, 0.0, beta.copy(), residual.copy(), rho.copy()
+    applied = nu * (float(rho[j]) / float(norms[j]))
+    beta = beta.copy()
+    beta[j] += applied
+    residual = residual - applied * X[:, j]
+    return j, applied, beta, residual, (X.T @ residual) / norms
 
 
 def step(state: BoostingState, X, config: BoostingConfig) -> BoostingState:
@@ -126,32 +138,43 @@ def step(state: BoostingState, X, config: BoostingConfig) -> BoostingState:
     trajectories keep uniform length when the residual is exhausted.
     """
     X = np.asarray(X, dtype=float)
-    norms = _column_norms(X)
-    R = state.residual
-    rho = state.rho if state.rho is not None else correlations(X, R)
-    j = select_index(rho)
-    if float(np.abs(rho[j])) == 0.0:
-        return BoostingState(
-            k=state.k + 1,
-            beta=state.beta.copy(),
-            residual=R.copy(),
-            rho=rho.copy(),
-            history=state.history + (j,),
-            history_steps=state.history_steps + (0.0,),
-        )
-    bhat = float(rho[j]) / float(norms[j])
-    applied = config.nu * bhat
-    beta = state.beta.copy()
-    beta[j] += applied
-    residual = R - applied * X[:, j]
+    rho = state.rho if state.rho is not None else correlations(X, state.residual)
+    j, applied, beta, residual, rho = _advance(
+        X, _column_norms(X), config.nu, state.beta, state.residual, rho
+    )
     return BoostingState(
         k=state.k + 1,
         beta=beta,
         residual=residual,
-        rho=correlations(X, residual),
+        rho=rho,
         history=state.history + (j,),
         history_steps=state.history_steps + (applied,),
     )
+
+
+def _iterate(X, Y, config: BoostingConfig):
+    """The boosting engine: yield (k, j, applied, beta, residual, rho) from
+    the k = 0 start (j None) to the stopping point ``run`` documents.
+
+    An iteration costs O(n p) at any k: the column norms are computed
+    once and no history is carried.  Yielded arrays are never written to.
+    """
+    X = np.asarray(X, dtype=float)
+    start = init(Y, X.shape[1])
+    k, j, applied = 0, None, 0.0
+    beta, residual = start.beta, start.residual
+    rho = correlations(X, residual)
+    norms = _column_norms(X)
+    yield k, j, applied, beta, residual, rho
+    while k < config.max_iterations and (
+        config.residual_stop == 0.0
+        or lq_norm(residual, 2) > config.residual_stop
+    ):
+        k += 1
+        j, applied, beta, residual, rho = _advance(
+            X, norms, config.nu, beta, residual, rho
+        )
+        yield k, j, applied, beta, residual, rho
 
 
 def run(
@@ -170,17 +193,19 @@ def run(
     to zero the remaining iterations are recorded as no-ops, so
     trajectories keep a uniform length.
     """
-    X = np.asarray(X, dtype=float)
-    state = init(Y, X.shape[1])
-    state = replace(state, rho=correlations(X, state.residual))
-    snapshots = [state]
-    while state.k < config.max_iterations and (
-        config.residual_stop == 0.0
-        or lq_norm(state.residual, 2) > config.residual_stop
-    ):
-        state = step(state, X, config)
-        if state.k <= snapshot_dense_limit or state.k % snapshot_stride == 0:
-            snapshots.append(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
+    history: list[int] = []
+    steps: list[float] = []
+    snapshots: list[BoostingState] = []
+
+    def snapshot() -> BoostingState:
+        return BoostingState(k, beta, residual, rho, tuple(history), tuple(steps))
+
+    for k, j, applied, beta, residual, rho in _iterate(X, Y, config):
+        if k:
+            history.append(j)
+            steps.append(applied)
+        if k <= snapshot_dense_limit or k % snapshot_stride == 0:
+            snapshots.append(snapshot())
+    if snapshots[-1].k != k:
+        snapshots.append(snapshot())
     return snapshots

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,21 +26,26 @@ from .lasso import LassoPathConfig, lasso_path
 from .linalg import nullspace
 
 
-def _write_report_files(out_dir: str, rep: report.RecoveryReport) -> list[str]:
+def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
+    """boosting_trajectory.csv (thinned) and lasso_path.csv; their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    inst = construct(rep.c_target)
-    written = list(files.write_instance(out_dir, inst).values())
     trajectory_path = os.path.join(out_dir, "boosting_trajectory.csv")
     files.write_csv(
         trajectory_path,
         report.TRAJECTORY_HEADER,
-        report.trajectory_csv_rows(report.thin_rows(rep.rows)),
+        report.trajectory_csv_rows(report.thin_rows(rows)),
     )
     path_path = os.path.join(out_dir, "lasso_path.csv")
-    files.write_csv(path_path, report.PATH_HEADER, report.path_csv_rows(rep.path_rows))
+    files.write_csv(path_path, report.PATH_HEADER, report.path_csv_rows(path_rows))
+    return [trajectory_path, path_path]
+
+
+def _write_report_files(out_dir: str, rep: report.RecoveryReport) -> list[str]:
+    written = list(files.write_instance(out_dir, rep.instance).values())
+    written += _write_curves(out_dir, rep.rows, rep.path_rows)
     summary_path = os.path.join(out_dir, "report.json")
     files.write_json(summary_path, report.report_summary(rep))
-    return written + [trajectory_path, path_path, summary_path]
+    return written + [summary_path]
 
 
 def cmd_construct(args) -> int:
@@ -90,13 +96,21 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+def _read_response(path: str, X):
+    Y = files.read_vector(path)
+    if Y.size != X.shape[0]:
+        raise ValueError(
+            f"Y has length {Y.size} but the matrix has {X.shape[0]} rows"
+        )
+    return Y
+
+
 def _certificate(args) -> dict:
     X = files.read_matrix(args.matrix)
     name = args.property
     params: dict = {"matrix": args.matrix}
-    if name in ("rn", "rn_uniform", "re"):
-        if args.t is None:
-            raise ValueError(f"property {name} requires --t")
+    if name in ("rn", "rn_uniform", "re", "rip") and args.t is None:
+        raise ValueError(f"property {name} requires --t")
     if name == "rn":
         ns = nullspace(X)
         spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
@@ -137,8 +151,6 @@ def _certificate(args) -> dict:
             "witness": estimate.witness,
         }
     if name == "rip":
-        if args.t is None:
-            raise ValueError("property rip requires --t")
         result = properties.rip_constant(X, args.t, args.budget)
         params.update({"t": args.t})
         return {
@@ -163,7 +175,7 @@ def _certificate(args) -> dict:
     if name == "unique_sparsest":
         if args.y is None or args.s is None:
             raise ValueError("property unique_sparsest requires --y and --s")
-        Y = files.read_vector(args.y)
+        Y = _read_response(args.y, X)
         fit = properties.unique_sparsest(X, Y, args.s, args.budget)
         params.update({"y": args.y, "s": args.s})
         return {
@@ -189,32 +201,33 @@ def cmd_certify(args) -> int:
 
 def cmd_compare(args) -> int:
     X = files.read_matrix(args.matrix)
-    Y = files.read_vector(args.y)
-    if Y.size != X.shape[0]:
-        raise ValueError(
-            f"Y has length {Y.size} but the matrix has {X.shape[0]} rows"
-        )
+    Y = _read_response(args.y, X)
     config = BoostingConfig(nu=args.nu, max_iterations=args.iters, residual_stop=0.0)
     rows = report.boosting_trajectory(X, Y, config)
     points = lasso_path(X, Y, LassoPathConfig(lambda_min=args.lambda_min))
     path_rows = report.path_rows_from_points(points, None, ())
-    os.makedirs(args.out, exist_ok=True)
-    trajectory_path = os.path.join(args.out, "boosting_trajectory.csv")
-    files.write_csv(
-        trajectory_path,
-        report.TRAJECTORY_HEADER,
-        report.trajectory_csv_rows(report.thin_rows(rows)),
-    )
-    path_path = os.path.join(args.out, "lasso_path.csv")
-    files.write_csv(path_path, report.PATH_HEADER, report.path_csv_rows(path_rows))
+    written = _write_curves(args.out, rows, path_rows)
     print(f"boosting: {len(rows) - 1} iterations, final resid_l2 {rows[-1].resid_l2:.6g}")
     print(
         f"lasso: {len(path_rows)} path points, terminal l1 norm "
         f"{path_rows[-1].l1_norm:.6g}"
     )
-    print(f"wrote {trajectory_path}")
-    print(f"wrote {path_path}")
+    for path in written:
+        print(f"wrote {path}")
     return 0
+
+
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None, help="directory for CSV/JSON artifacts")
     p_rep.add_argument(
         "--lambda-min-factor",
-        type=float,
+        type=_positive(float),
         default=report.LAMBDA_MIN_FACTOR,
         help="terminal path penalty as a fraction of lambda_max",
     )
-    p_rep.add_argument("--window", type=int, default=report.CONE_WINDOW)
-    p_rep.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
+    p_rep.add_argument("--window", type=_positive(int), default=report.CONE_WINDOW)
+    p_rep.add_argument("--budget", type=_positive(int), default=properties.ENUMERATION_BUDGET)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_cert = sub.add_parser("certify", help="run one property certifier")
@@ -256,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--c", type=float, default=1.0)
     p_cert.add_argument("--s", type=int, default=None)
     p_cert.add_argument("--y", default=None, help="response vector file")
-    p_cert.add_argument("--samples", type=int, default=10_000)
+    p_cert.add_argument("--samples", type=_positive(int), default=10_000)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
+    p_cert.add_argument("--budget", type=_positive(int), default=properties.ENUMERATION_BUDGET)
     p_cert.add_argument("--out", default=None, help="certificate JSON path")
     p_cert.set_defaults(func=cmd_certify)
 
@@ -266,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--matrix", required=True)
     p_cmp.add_argument("--y", required=True)
     p_cmp.add_argument("--nu", type=float, default=1.0)
-    p_cmp.add_argument("--lambda-min", type=float, required=True)
+    p_cmp.add_argument("--lambda-min", type=_positive(float), required=True)
     p_cmp.add_argument("--iters", type=int, default=1000)
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)

@@ -132,7 +132,7 @@ def analytic_rho(state: AnalyticState, inst: SparseInstance) -> np.ndarray:
     rho[:s] = g * (1.0 - state.c_p)
     rho[s:n] = state.c_mid - state.c_p
     rho[n] = (
-        s * g * g * (1.0 - state.c_p) + float(np.sum(state.c_mid - state.c_p))
+        s * g * g * (1.0 - state.c_p) + float((state.c_mid - state.c_p).sum())
     ) / math.sqrt((g * g - 1.0) * s + n)
     return rho
 
@@ -150,7 +150,7 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
     rho = analytic_rho(state, inst)
-    if float(np.max(np.abs(rho))) == 0.0:
+    if float(np.abs(rho).max()) == 0.0:
         return AnalyticState(c_mid=state.c_mid.copy(), c_p=state.c_p, k=state.k + 1)
     j = boosting.select_index(rho)
     g, s, n = inst.gamma, inst.s, inst.n
@@ -162,7 +162,7 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
         denom = (g * g - 1.0) * s + n
         delta = (
             s * g * g * (1.0 - state.c_p)
-            + float(np.sum(state.c_mid - state.c_p))
+            + float((state.c_mid - state.c_p).sum())
         ) / denom
         c_mid = state.c_mid.copy()
         c_p = state.c_p + nu * delta
@@ -170,8 +170,8 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
         c_mid = state.c_mid.copy()
         c_mid[j - s] = (1.0 - nu) * state.c_mid[j - s] + nu * state.c_p
         c_p = state.c_p
-    lo = c_p if c_mid.size == 0 else min(float(np.min(c_mid)), c_p)
-    hi = c_p if c_mid.size == 0 else max(float(np.max(c_mid)), c_p)
+    lo = c_p if c_mid.size == 0 else min(float(c_mid.min()), c_p)
+    hi = c_p if c_mid.size == 0 else max(float(c_mid.max()), c_p)
     if lo < -COORD_SLACK or hi > 1.0 + COORD_SLACK:
         raise InvariantViolation(
             f"reduced coordinate left [0, 1] at iteration {state.k + 1}: "
@@ -198,21 +198,23 @@ def equivalence_check(
     config = boosting.BoostingConfig(
         nu=nu, max_iterations=iterations, residual_stop=residual_stop
     )
-    mstate = boosting.init(inst.Y, inst.p)
     astate = initial_analytic_state(inst)
     deviation = 0.0
-    while mstate.k < iterations and lq_norm(mstate.residual, 2) > residual_stop:
-        ja = boosting.select_index(analytic_rho(astate, inst))
-        mstate = boosting.step(mstate, inst.X, config)
-        astate = analytic_step(astate, inst, nu)
-        jm = mstate.history[-1]
-        if jm != ja:
-            raise RuntimeError(
-                f"selection mismatch at iteration {mstate.k}: "
-                f"matrix picked {jm}, recursion picked {ja}"
+    for k, jm, _, beta, residual, _ in boosting._iterate(inst.X, inst.Y, config):
+        if k:
+            ja = boosting.select_index(analytic_rho(astate, inst))
+            astate = analytic_step(astate, inst, nu)
+            if jm != ja:
+                raise RuntimeError(
+                    f"selection mismatch at iteration {k}: "
+                    f"matrix picked {jm}, recursion picked {ja}"
+                )
+            deviation = max(
+                deviation,
+                float(np.abs(analytic_beta(astate, inst) - beta).max()),
             )
-        deviation = max(
-            deviation,
-            float(np.max(np.abs(analytic_beta(astate, inst) - mstate.beta))),
-        )
+        # the engine stops at a positive floor by itself; a zero floor
+        # must still end the comparison at an exactly zero residual
+        if not lq_norm(residual, 2) > residual_stop:
+            break
     return deviation

@@ -46,11 +46,19 @@ def write_matrix(path: str, X) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite(path: str, values: np.ndarray) -> np.ndarray:
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite entry at index {bad[0].tolist()}")
+    return values
+
+
 def read_matrix(path: str) -> np.ndarray:
+    """Inverse of write_matrix; malformed or non-finite input is a ValueError."""
     with open(path, "r") as handle:
         header = handle.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'n p', got {header!r}")
+        if len(header) != 2 or not all(tok.isdigit() and int(tok) > 0 for tok in header):
+            raise ValueError(f"{path}: first line must be 'n p' with n, p >= 1, got {header!r}")
         n, p = int(header[0]), int(header[1])
         values = [float(tok) for tok in handle.read().split()]
     if len(values) != n * p:
@@ -58,7 +66,7 @@ def read_matrix(path: str) -> np.ndarray:
             f"{path}: expected {n * p} entries for a {n} x {p} matrix, "
             f"got {len(values)}"
         )
-    return np.array(values).reshape(n, p)
+    return _finite(path, np.array(values).reshape(n, p))
 
 
 def write_vector(path: str, v) -> None:
@@ -70,8 +78,12 @@ def write_vector(path: str, v) -> None:
 
 
 def read_vector(path: str) -> np.ndarray:
+    """Inverse of write_vector; empty or non-finite input is a ValueError."""
     with open(path, "r") as handle:
-        return np.array([float(tok) for tok in handle.read().split()])
+        values = np.array([float(tok) for tok in handle.read().split()])
+    if values.size == 0:
+        raise ValueError(f"{path}: the vector has no entries")
+    return _finite(path, values)
 
 
 def _cell(value) -> str:

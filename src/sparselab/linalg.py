@@ -34,7 +34,7 @@ def lq_norm(v, q) -> float:
     if v.size == 0:
         return 0.0
     if q == 1:
-        return float(np.sum(np.abs(v)))
+        return float(np.abs(v).sum())
     if q == 2:
         return float(math.sqrt(np.dot(v, v)))
     if q == math.inf:

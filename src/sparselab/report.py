@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boosting, properties
-from .counterexample import construct
+from .counterexample import SparseInstance, construct
 from .lasso import LassoPathConfig, lambda_max, lasso_path
 from .linalg import lq_norm, nullspace
 
@@ -77,6 +77,8 @@ class RecoveryReport:
     limit_cone_ratio: float
     lambda_max: float
     lambda_min: float
+    # the constructed design, kept for the artifact writer; not in the summary
+    instance: SparseInstance = field(repr=False, compare=False)
     rows: list[TrajectoryRow] = field(repr=False, default_factory=list)
     path_rows: list[PathRow] = field(repr=False, default_factory=list)
     verdicts: dict = field(default_factory=dict)
@@ -88,11 +90,21 @@ def cone_split(delta, S) -> tuple[float, float, float]:
     delta = np.asarray(delta, dtype=float)
     mask = np.zeros(delta.size, dtype=bool)
     mask[list(S)] = True
-    on = float(np.sum(np.abs(delta[mask])))
-    off = float(np.sum(np.abs(delta[~mask])))
+    mags = np.abs(delta)
+    on = float(mags[mask].sum())
+    off = float(mags[~mask].sum())
     if on == 0.0:
         return on, off, math.nan if off == 0.0 else math.inf
     return on, off, off / on
+
+
+def _error_split(beta, truth, S) -> tuple[float, float, float, float]:
+    """(l1 distance, on-mass, off-mass, cone ratio) of beta - truth; all
+    nan without a truth vector."""
+    if truth is None:
+        return math.nan, math.nan, math.nan, math.nan
+    delta = beta - np.asarray(truth, dtype=float)
+    return (lq_norm(delta, 1), *cone_split(delta, S))
 
 
 def boosting_trajectory(
@@ -107,50 +119,28 @@ def boosting_trajectory(
     Without a truth vector the distance and cone columns are nan; the
     k = 0 row has no selected index.
     """
-    X = np.asarray(X, dtype=float)
-    state = boosting.init(Y, X.shape[1])
     rows: list[TrajectoryRow] = []
-
-    def make_row(st: boosting.BoostingState) -> TrajectoryRow:
-        rho = st.rho if st.rho is not None else boosting.correlations(X, st.residual)
-        if truth is None:
-            dist = on = off = ratio = math.nan
-        else:
-            delta = st.beta - np.asarray(truth, dtype=float)
-            dist = lq_norm(delta, 1)
-            on, off, ratio = cone_split(delta, S)
-        return TrajectoryRow(
-            k=st.k,
-            j=st.history[-1] if st.history else None,
-            rho_max=float(np.max(np.abs(rho))),
-            resid_l2=lq_norm(st.residual, 2),
-            dist_l1=dist,
-            on_l1=on,
-            off_l1=off,
-            cone_ratio=ratio,
+    for k, j, _, beta, residual, rho in boosting._iterate(X, Y, config):
+        dist, on, off, ratio = _error_split(beta, truth, S)
+        rows.append(
+            TrajectoryRow(
+                k=k,
+                j=j,
+                rho_max=float(np.abs(rho).max()),
+                resid_l2=lq_norm(residual, 2),
+                dist_l1=dist,
+                on_l1=on,
+                off_l1=off,
+                cone_ratio=ratio,
+            )
         )
-
-    rows.append(make_row(state))
-    # same early-stop semantics as the engine: a zero floor means the
-    # full iteration budget, padded with no-ops once the residual dies
-    while state.k < config.max_iterations and (
-        config.residual_stop == 0.0
-        or lq_norm(state.residual, 2) > config.residual_stop
-    ):
-        state = boosting.step(state, X, config)
-        rows.append(make_row(state))
     return rows
 
 
 def path_rows_from_points(points, truth, S) -> list[PathRow]:
     rows = []
     for point in points:
-        if truth is None:
-            dist = on = off = ratio = math.nan
-        else:
-            delta = point.beta - np.asarray(truth, dtype=float)
-            dist = lq_norm(delta, 1)
-            on, off, ratio = cone_split(delta, S)
+        dist, on, off, ratio = _error_split(point.beta, truth, S)
         rows.append(
             PathRow(
                 lam=point.lam,
@@ -300,6 +290,7 @@ def reproduce(
         limit_cone_ratio=rows[-1].cone_ratio,
         lambda_max=lam_max,
         lambda_min=lam_min,
+        instance=inst,
         rows=rows,
         path_rows=path_rows,
         verdicts=verdicts,

@@ -10,6 +10,7 @@ from sparselab import (
     select_index,
     step,
 )
+from sparselab.report import boosting_trajectory
 
 
 def _random_problem(rng, n, p):
@@ -127,3 +128,22 @@ def test_run_snapshot_thinning():
     snaps = run(X, Y, config, snapshot_dense_limit=10, snapshot_stride=5)
     ks = [s.k for s in snaps]
     assert ks == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 25, 30, 35, 37]
+
+
+def test_run_snapshots_agree_with_trajectory(inst25):
+    # run and the report trajectory consume one engine: at every kept
+    # snapshot they must agree bit for bit, and every snapshot's history
+    # must be a prefix of the final one
+    config = BoostingConfig(nu=0.1, max_iterations=5000, residual_stop=0.0)
+    snaps = run(inst25.X, inst25.Y, config)
+    rows = boosting_trajectory(inst25.X, inst25.Y, config, truth=inst25.beta, S=inst25.S)
+    final = snaps[-1]
+    assert final.k == 5000 and len(rows) == 5001
+    assert len(final.history) == len(final.history_steps) == 5000
+    for snap in snaps:
+        row = rows[snap.k]
+        assert row.k == snap.k
+        assert lq_norm(snap.residual, 2) == row.resid_l2
+        assert snap.history == final.history[: snap.k]
+        assert snap.history_steps == final.history_steps[: snap.k]
+        assert row.j == (snap.history[-1] if snap.k else None)

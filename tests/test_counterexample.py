@@ -121,3 +121,10 @@ def test_analytic_saturation_is_a_noop(inst9):
 @pytest.mark.parametrize("nu", [0.1, 1.0])
 def test_equivalence_short_run(inst9, nu):
     assert equivalence_check(inst9, nu=nu, iterations=50) <= 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.1, 1.0])
+def test_equivalence_deep_run(inst25, nu):
+    # 5000 lockstep iterations on n=25; the nu=0.1 run mismatches on
+    # roundoff only at k=5836, once the residual is about 3e-12
+    assert equivalence_check(inst25, nu=nu, iterations=5000) <= 1e-10

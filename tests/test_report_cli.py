@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparselab
 from sparselab import (
     BoostingConfig,
     read_matrix,
@@ -200,6 +205,38 @@ def test_cli_reproduce_grid_is_clean(c, nu, capsys):
     assert "CONTRADICTIONS" not in capsys.readouterr().err
 
 
+# sha256 of every `reproduce --c 1.0 --out` artifact at the default
+# --iters 2000; a change that moves a byte must update these and say why
+REPRODUCE_C1_DIGESTS = {
+    "0.1": {
+        "X.txt": "f90e781ffc3188ec8d88892d2db17840f9993e6f80408d3c3f113d3be8c9b792",
+        "boosting_trajectory.csv": "caf363aa123913fd84bccfb0f1a60175434590f5689be5636f8c9f8c6d6f2d60",
+        "instance.json": "7ba232fa5b1c71630f818ac012562779bf62580ef13f5ef2e94ac4215bd55b41",
+        "lasso_path.csv": "dbb3420e65cc8c9bc831cfdab53e55be7edd3aee8d92953eacfce7868251054b",
+        "report.json": "916551777932ddab97353095984421f708225c6511404778e33d4d929633a1f9",
+    },
+    "1.0": {
+        "X.txt": "f90e781ffc3188ec8d88892d2db17840f9993e6f80408d3c3f113d3be8c9b792",
+        "boosting_trajectory.csv": "6abe4dbe606fdadc92fca4a02891c2467966bd23217cd627df64af038a953b45",
+        "instance.json": "7ba232fa5b1c71630f818ac012562779bf62580ef13f5ef2e94ac4215bd55b41",
+        "lasso_path.csv": "dbb3420e65cc8c9bc831cfdab53e55be7edd3aee8d92953eacfce7868251054b",
+        "report.json": "e4fa73b3e4b9b5c83a9633880990e617d9cef8e9a0bde00d5188d74dea513c1e",
+    },
+}
+
+
+@pytest.mark.parametrize("nu", sorted(REPRODUCE_C1_DIGESTS))
+def test_cli_reproduce_artifact_digests(tmp_path, capsys, nu):
+    out = tmp_path / "out"
+    assert main(["reproduce", "--c", "1.0", "--nu", nu, "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+    }
+    assert digests == REPRODUCE_C1_DIGESTS[nu]
+
+
 def test_cli_certify_rn_uniform(tmp_path, capsys, inst9):
     matrix = str(tmp_path / "X.txt")
     write_matrix(matrix, inst9.X)
@@ -303,3 +340,100 @@ def test_cli_compare_validates_lengths(tmp_path, capsys, inst9):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+# --- input boundary -----------------------------------------------------------
+
+BOUNDARY_FILES = {
+    "X.txt": "2 3\n1 0 1\n0 1 1\n",
+    "y.txt": "1\n2\n",
+    "nan.txt": "2 3\n1 nan 1\n0 1 1\n",
+    "inf.txt": "2 3\n1 inf 1\n0 1 1\n",
+    "y_inf.txt": "1\n-inf\n",
+    "y_short.txt": "1\n",
+    "header_one.txt": "2\n1 0\n0 1\n",
+    "header_text.txt": "two three\n1 0 1\n0 1 1\n",
+    "header_float.txt": "2.0 3\n1 0 1\n0 1 1\n",
+    "count.txt": "2 3\n1 0 1\n",
+    "token.txt": "2 3\n1 0 x\n0 1 1\n",
+    "zero_cols.txt": "2 0\n",
+    "empty.txt": "",
+}
+
+CERTIFY = ["certify", "--matrix"]
+COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (COMPARE + ["nan.txt", "--y", "y.txt"], 2),
+        (CERTIFY + ["inf.txt", "--property", "rip", "--t", "1"], 2),
+        (CERTIFY + ["nan.txt", "--property", "rn", "--t", "1"], 2),
+        (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
+        (COMPARE + ["X.txt", "--y", "empty.txt"], 2),
+        (COMPARE + ["X.txt", "--y", "y_short.txt"], 2),
+        (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_short.txt", "--s", "1"], 2),
+        (CERTIFY + ["header_one.txt", "--property", "spark"], 2),
+        (CERTIFY + ["header_text.txt", "--property", "spark"], 2),
+        (CERTIFY + ["header_float.txt", "--property", "spark"], 2),
+        (CERTIFY + ["count.txt", "--property", "spark"], 2),
+        (CERTIFY + ["token.txt", "--property", "spark"], 2),
+        (CERTIFY + ["zero_cols.txt", "--property", "spark"], 2),
+        (CERTIFY + ["empty.txt", "--property", "spark"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--budget", "0"], 2),
+        (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--samples", "0"], 2),
+        (CERTIFY + ["X.txt", "--property", "rip", "--t", "2", "--budget", "1"], 3),
+        (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "0"], 2),
+        (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "-1e-4"], 2),
+        (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "nan"], 2),
+        (["reproduce", "--c", "1", "--window", "0"], 2),
+        (["reproduce", "--c", "1", "--window", "-3"], 2),
+        (["reproduce", "--c", "1", "--budget", "0"], 2),
+        (["reproduce", "--c", "1", "--lambda-min-factor", "0"], 2),
+        (["reproduce", "--c", "1", "--lambda-min-factor", "-1e-8"], 2),
+    ],
+    ids=[
+        "compare-nan-matrix",
+        "rip-inf-matrix",
+        "rn-nan-matrix",
+        "compare-inf-y",
+        "compare-empty-y",
+        "compare-short-y",
+        "unique-short-y",
+        "header-one-token",
+        "header-text",
+        "header-float",
+        "entry-count",
+        "entry-token",
+        "zero-columns",
+        "empty-matrix",
+        "certify-budget-0",
+        "re-samples-0",
+        "rip-budget-refusal",
+        "lambda-min-0",
+        "lambda-min-negative",
+        "lambda-min-nan",
+        "window-0",
+        "window-negative",
+        "reproduce-budget-0",
+        "lambda-min-factor-0",
+        "lambda-min-factor-negative",
+    ],
+)
+def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
+    for name, text in BOUNDARY_FILES.items():
+        (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(sparselab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparselab.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip(), "a refusal must say why on stderr"
