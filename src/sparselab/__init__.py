@@ -60,8 +60,6 @@ from .linalg import (
     least_squares_on_support,
     lq_norm,
     nullspace,
-    row_echelon_rank,
-    symmetric_eigenvalues,
 )
 from .properties import (
     BudgetExceeded,
@@ -134,13 +132,11 @@ __all__ = [
     "rip_implies_rn_test",
     "rn_check",
     "rn_uniform",
-    "row_echelon_rank",
     "run",
     "select_index",
     "spark",
     "spark_from_nullspace",
     "step",
-    "symmetric_eigenvalues",
     "unique_sparsest",
     "verdict_failures",
     "write_csv",

@@ -94,6 +94,16 @@ def objective_value(X, Y, b, lam: float) -> float:
     return float(r @ r + lam * np.sum(np.abs(b)))
 
 
+def _kkt(g: np.ndarray, b: np.ndarray, half: float) -> float:
+    """Largest stationarity violation of b given the correlations g = X'r."""
+    slack = np.where(
+        b == 0.0,
+        np.maximum(np.abs(g) - half, 0.0),
+        np.abs(g - half * np.sign(b)),
+    )
+    return float(np.max(slack))
+
+
 def kkt_residual(X, Y, b, lam: float) -> float:
     """Distance to stationarity for the penalized objective.
 
@@ -104,14 +114,7 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     X = np.asarray(X, dtype=float)
     b = np.asarray(b, dtype=float)
     r = np.asarray(Y, dtype=float) - X @ b
-    g = X.T @ r
-    half = 0.5 * lam
-    slack = np.where(
-        b == 0.0,
-        np.maximum(np.abs(g) - half, 0.0),
-        np.abs(g - half * np.sign(b)),
-    )
-    return float(np.max(slack))
+    return _kkt(X.T @ r, b, 0.5 * lam)
 
 
 def lambda_max(X, Y) -> float:
@@ -127,8 +130,9 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
     Coordinates sweep in fixed order 0..p-1.  The run stops when the
     stationarity residual reaches ``kkt_tolerance``; hitting max_sweeps
     first returns the current iterate with ``converged=False`` rather
-    than raising.  A sweep that increases the objective beyond roundoff
-    raises RuntimeError since the update rule forbids it.
+    than raising.  A sweep whose objective overflows to inf or nan raises
+    ValueError; one that increases the objective beyond roundoff raises
+    RuntimeError since the update rule forbids it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -163,19 +167,18 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
                 r += (old - new) * X[:, j]
                 b[j] = new
         obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
+                "rescale X and Y"
+            )
         if obj > prev_obj + _OBJECTIVE_SLACK * (1.0 + abs(prev_obj)):
             raise RuntimeError(
                 f"coordinate sweep {sweep} increased the objective "
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
-        g = X.T @ r
-        slack = np.where(
-            b == 0.0,
-            np.maximum(np.abs(g) - half, 0.0),
-            np.abs(g - half * np.sign(b)),
-        )
-        kkt = float(np.max(slack))
+        kkt = _kkt(X.T @ r, b, half)
         if kkt <= config.kkt_tolerance:
             return LassoFit(beta=b, objective=obj, sweeps=sweep, converged=True, kkt=kkt)
     return LassoFit(beta=b, objective=prev_obj, sweeps=config.max_sweeps, converged=False, kkt=kkt)

@@ -1,11 +1,11 @@
-"""Dense linear algebra kernels shared by the recovery experiments.
+"""Dense linear algebra shared by the recovery experiments.
 
-Everything operates on float64 numpy arrays and is sized for small, dense
-problems where deterministic, inspectable behaviour matters more than raw
-speed: nullspaces come from row reduction with partial pivoting, least
-squares goes through the normal equations, and symmetric eigenvalues are
-computed with cyclic Jacobi rotations.  numpy's own factorizations are used
-in the test suite as independent cross-checks, not here.
+Everything operates on small float64 numpy arrays.  The nullspace comes
+from a hand-written reduced row echelon form with partial pivoting,
+because on the constructed family its integer pivots make ``X @ z == 0``
+hold exactly.  Least squares on a support solves the normal equations
+with numpy and falls back to the minimum-norm solution when they are
+numerically singular.
 """
 
 import math
@@ -17,13 +17,6 @@ import numpy as np
 # Rank decisions are made relative to the largest absolute entry of the
 # matrix being examined.
 DEFAULT_RANK_TOL = 1e-10
-
-# Jacobi sweeps stop once the off-diagonal Frobenius mass is below this
-# fraction of ||A||_F.
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-_SYMMETRY_RTOL = 1e-12
 
 
 def lq_norm(v, q) -> float:
@@ -84,13 +77,6 @@ def _rref(X: np.ndarray, rank_tolerance: float):
         pivot_cols.append(col)
         row += 1
     return R, pivot_cols
-
-
-def row_echelon_rank(X, rank_tolerance: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of X by the same elimination that backs :func:`nullspace`."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    _, pivot_cols = _rref(X, rank_tolerance)
-    return len(pivot_cols)
 
 
 @dataclass
@@ -160,34 +146,6 @@ class LeastSquaresFit(NamedTuple):
     rank_deficient: bool
 
 
-def _solve_normal_equations(G: np.ndarray, rhs: np.ndarray, rank_tolerance: float):
-    """Gaussian elimination with partial pivoting on the normal equations.
-
-    Returns (solution, rank_deficient).  A pivot below
-    ``rank_tolerance * max|G|`` flags the system as rank-deficient.
-    """
-    m = G.shape[0]
-    A = np.array(G, dtype=float, copy=True)
-    b = np.array(rhs, dtype=float, copy=True)
-    tol_abs = rank_tolerance * max(float(np.max(np.abs(A))), 1e-300)
-    for col in range(m):
-        k = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[k, col]) <= tol_abs:
-            return None, True
-        if k != col:
-            A[[col, k]] = A[[k, col]]
-            b[[col, k]] = b[[k, col]]
-        for i in range(col + 1, m):
-            f = A[i, col] / A[col, col]
-            if f != 0.0:
-                A[i, col:] -= f * A[col, col:]
-                b[i] -= f * b[col]
-    x = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        x[i] = (b[i] - np.dot(A[i, i + 1 :], x[i + 1 :])) / A[i, i]
-    return x, False
-
-
 def least_squares_on_support(
     X, Y, support, rank_tolerance: float = DEFAULT_RANK_TOL
 ) -> LeastSquaresFit:
@@ -204,8 +162,10 @@ def least_squares_on_support(
     -------
     LeastSquaresFit
         Coefficients on the support in index order, the residual norm, and
-        a flag that is True when the normal equations were rank-deficient.
-        In the deficient case the minimum-norm solution is returned.
+        a flag that is True when the normal equations are rank-deficient:
+        the smallest eigenvalue of X_T' X_T is at most ``rank_tolerance``
+        times its largest absolute entry.  In the deficient case the
+        minimum-norm solution is returned.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
@@ -220,59 +180,12 @@ def least_squares_on_support(
     if not T:
         return LeastSquaresFit(np.zeros(0), lq_norm(Y, 2), False)
     A = X[:, list(T)]
-    coeffs, deficient = _solve_normal_equations(A.T @ A, A.T @ Y, rank_tolerance)
+    G = A.T @ A
+    deficient = bool(np.linalg.eigvalsh(G)[0] <= rank_tolerance * np.abs(G).max())
     if deficient:
         # Minimum-norm least squares; flagged so callers can tell.
         coeffs = np.linalg.lstsq(A, Y, rcond=None)[0]
+    else:
+        coeffs = np.linalg.solve(G, A.T @ Y)
     resid = lq_norm(Y - A @ coeffs, 2)
     return LeastSquaresFit(np.asarray(coeffs, dtype=float), resid, deficient)
-
-
-def symmetric_eigenvalues(A) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * ||A||_F.  The input must be symmetric to 1e-12 relative to its
-    largest absolute entry.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, m2 = A.shape
-    if m != m2:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if m == 0:
-        return np.zeros(0)
-    scale = float(np.max(np.abs(A)))
-    if scale > 0.0 and float(np.max(np.abs(A - A.T))) > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
-    B = np.array(A, dtype=float, copy=True)
-    if m == 1:
-        return B[0].copy()
-    fro = float(np.linalg.norm(B))
-    target = _JACOBI_OFF_TOL * fro
-    upper = np.triu_indices(m, 1)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Summing the strict upper triangle directly; the subtraction trick
-        # (||B||_F^2 minus the diagonal mass) cancels catastrophically once
-        # the off-diagonal part is small and would stall the sweep loop.
-        off = math.sqrt(2.0) * float(np.linalg.norm(B[upper]))
-        if off <= target:
-            break
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                if B[i, j] == 0.0:
-                    continue
-                tau = (float(B[j, j]) - float(B[i, i])) / (2.0 * float(B[i, j]))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                rot = np.array([[cth, sth], [-sth, cth]])
-                idx = [i, j]
-                B[idx, :] = rot.T @ B[idx, :]
-                B[:, idx] = B[:, idx] @ rot
-                B[i, j] = 0.0
-                B[j, i] = 0.0
-    else:
-        off = math.sqrt(2.0) * float(np.linalg.norm(B[upper]))
-        if off > target:
-            raise RuntimeError("Jacobi iteration failed to reach the off-diagonal target")
-    return np.sort(np.diag(B))

@@ -23,8 +23,6 @@ from .linalg import (
     least_squares_on_support,
     lq_norm,
     nullspace,
-    row_echelon_rank,
-    symmetric_eigenvalues,
 )
 
 ENUMERATION_BUDGET = 10_000_000
@@ -108,27 +106,35 @@ class REEstimate(NamedTuple):
     witness: np.ndarray
 
 
-def _mask(p: int, T: tuple[int, ...]) -> np.ndarray:
-    if T and max(T) >= p:
-        raise ValueError(f"index {max(T)} out of range for dimension {p}")
+def _mask(p: int, T) -> np.ndarray:
     mask = np.zeros(p, dtype=bool)
-    mask[list(T)] = True
+    try:
+        mask[list(T)] = True
+    except IndexError:
+        raise ValueError(f"indices {tuple(T)} out of range for dimension {p}") from None
     return mask
+
+
+def cone_split(delta, T) -> tuple[float, float, float]:
+    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T.
+
+    The ratio is off / on; with zero on-mass it is inf, or nan when the
+    off-mass is zero too.
+    """
+    delta = np.asarray(delta, dtype=float)
+    mask = _mask(delta.size, T)
+    mags = np.abs(delta)
+    on = float(mags[mask].sum())
+    off = float(mags[~mask].sum())
+    if on == 0.0:
+        return on, off, math.nan if off == 0.0 else math.inf
+    return on, off, off / on
 
 
 def in_cone(b, spec: ConeSpec) -> bool:
     """Exact membership test, no tolerance: off-mass <= c * on-mass."""
-    b = np.asarray(b, dtype=float)
-    mask = _mask(b.size, spec.T)
-    on = float(np.sum(np.abs(b[mask])))
-    off = float(np.sum(np.abs(b[~mask])))
+    on, off, _ = cone_split(b, spec.T)
     return off <= spec.c * on
-
-
-def _split_l1(z: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    a = np.abs(z)
-    on = float(np.sum(a[mask]))
-    return on, float(np.sum(a)) - on
 
 
 def _heuristic_cone_search(
@@ -196,9 +202,8 @@ def rn_check(
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=math.inf)
     if ns.dim == 1:
         z = ns.basis[0]
-        on, off = _split_l1(z, mask)
-        critical = math.inf if on == 0.0 else off / on
-        if in_cone(z, spec):
+        on, off, critical = cone_split(z, spec.T)
+        if off <= spec.c * on:
             return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
     B = ns.matrix()
@@ -236,8 +241,7 @@ def rn_uniform(
         z = ns.basis[0]
         order = np.argsort(-np.abs(z), kind="stable")
         worst_T = tuple(sorted(int(j) for j in order[:t]))
-        on, off = _split_l1(z, _mask(p, worst_T))
-        critical = math.inf if on == 0.0 else off / on
+        critical = cone_split(z, worst_T)[2]
         return c < critical, worst_T, critical
     total = math.comb(p, t)
     if total > enumeration_budget:
@@ -247,13 +251,10 @@ def rn_uniform(
         )
     if ns.dim == 1:
         z = ns.basis[0]
-        a = np.abs(z)
-        full = float(np.sum(a))
         critical = math.inf
         worst_T: tuple[int, ...] = ()
         for T in itertools.combinations(range(p), t):
-            on = float(np.sum(a[list(T)]))
-            ratio = math.inf if on == 0.0 else (full - on) / on
+            ratio = cone_split(z, T)[2]
             if ratio < critical:
                 critical = ratio
                 worst_T = T
@@ -294,14 +295,13 @@ def re_lower_bound(
     candidates: list[np.ndarray] = []
     if ns is not None:
         for v in ns.basis:
-            if in_cone(v, spec):
+            on, off, _ = cone_split(v, spec.T)
+            if off <= spec.c * on:
                 candidates.append(v.copy())
-            else:
-                on, off = _split_l1(v, mask)
-                if on > 0.0 and off > 0.0:
-                    projected = v.copy()
-                    projected[~mask] *= spec.c * on / off
-                    candidates.append(projected)
+            elif on > 0.0 and off > 0.0:
+                projected = v.copy()
+                projected[~mask] *= spec.c * on / off
+                candidates.append(projected)
     while len(candidates) < samples:
         g = rng.standard_normal(p)
         b = np.zeros(p)
@@ -342,11 +342,13 @@ def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIP
             f"restricted isometry scan over {total} subsets of size {t} "
             f"exceeds the budget of {enumeration_budget}"
         )
+    if not np.isfinite(X.T @ X).all():
+        raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
     delta = 0.0
     extremal: tuple[int, ...] = ()
     for T in itertools.combinations(range(p), t):
         A = X[:, list(T)]
-        eigenvalues = symmetric_eigenvalues(A.T @ A)
+        eigenvalues = np.linalg.eigvalsh(A.T @ A)
         local = max(float(eigenvalues[-1]) - 1.0, 1.0 - float(eigenvalues[0]), 0.0)
         if local > delta or not extremal:
             delta = local
@@ -447,7 +449,8 @@ def spark(
             )
         for T in itertools.combinations(range(p), size):
             tested += 1
-            if row_echelon_rank(X[:, list(T)], rank_tolerance) < size:
+            A = X[:, list(T)]
+            if np.linalg.matrix_rank(A, tol=rank_tolerance * np.abs(A).max()) < size:
                 return SparsityCertificate(
                     spark=size,
                     witness_columns=T,

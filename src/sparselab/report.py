@@ -21,6 +21,7 @@ from . import boosting, properties
 from .counterexample import SparseInstance, construct
 from .lasso import LassoPathConfig, lambda_max, lasso_path
 from .linalg import lq_norm, nullspace
+from .properties import cone_split
 
 # l1 distance at or below this counts as recovery, for both solvers; it
 # sits far below the stall floor s so the two verdicts cannot blur.
@@ -83,19 +84,6 @@ class RecoveryReport:
     path_rows: list[PathRow] = field(repr=False, default_factory=list)
     verdicts: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
-
-
-def cone_split(delta, S) -> tuple[float, float, float]:
-    """(on-mass, off-mass, ratio); ratio is inf/nan when the on-mass is 0."""
-    delta = np.asarray(delta, dtype=float)
-    mask = np.zeros(delta.size, dtype=bool)
-    mask[list(S)] = True
-    mags = np.abs(delta)
-    on = float(mags[mask].sum())
-    off = float(mags[~mask].sum())
-    if on == 0.0:
-        return on, off, math.nan if off == 0.0 else math.inf
-    return on, off, off / on
 
 
 def _error_split(beta, truth, S) -> tuple[float, float, float, float]:

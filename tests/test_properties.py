@@ -186,9 +186,11 @@ def test_rip_pairs_match_dense_eigensolver(inst9):
     result = rip_constant(inst9.X, 2)
     worst = 0.0
     for T in itertools.combinations(range(inst9.p), 2):
-        G = inst9.X[:, list(T)].T @ inst9.X[:, list(T)]
-        eigs = np.linalg.eigvalsh(G)
-        worst = max(worst, eigs[-1] - 1.0, 1.0 - eigs[0])
+        (a, b), (_, d) = inst9.X[:, list(T)].T @ inst9.X[:, list(T)]
+        # eigenvalues of the symmetric 2 x 2 matrix [[a, b], [b, d]]
+        radius = math.hypot((a - d) / 2.0, b)
+        lo, hi = (a + d) / 2.0 - radius, (a + d) / 2.0 + radius
+        worst = max(worst, hi - 1.0, 1.0 - lo)
     assert result.delta_t == pytest.approx(worst, rel=1e-12)
     assert result.delta_t >= rip_constant(inst9.X, 1).delta_t
 
@@ -231,6 +233,17 @@ def test_spark_full_rank_square():
     assert cert.lower_bound == 4
     assert not cert.budget_exhausted
     assert cert.subsets_tested == 7
+
+
+def test_spark_is_scale_invariant(inst9):
+    # rank decisions are relative to the largest entry of each subset
+    outer = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
+    assert spark(outer).witness_columns == (0, 1)
+    assert spark(np.zeros((3, 5))).spark == 1
+    assert spark(np.eye(4)).lower_bound == 5
+    for X in (outer, X_DUP_PAIRS, inst9.X):
+        assert spark(1e12 * X) == spark(X)
+        assert spark(1e-12 * X) == spark(X)
 
 
 def test_spark_budget_partial_certificate(inst9):

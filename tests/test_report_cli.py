@@ -237,6 +237,28 @@ def test_cli_reproduce_artifact_digests(tmp_path, capsys, nu):
     assert digests == REPRODUCE_C1_DIGESTS[nu]
 
 
+# sha256 of `certify --out` on the n=9 instance (files X.txt and Y.txt in
+# the working directory); the certificate echoes the relative paths
+CERTIFY_C1_DIGESTS = {
+    "spark": "af0b16405ee7deba10597fb9acedafd5160961886d92a11b74dfb6688d8fae6a",
+    "unique_sparsest": "293523dbc9f944322ebbac9cf84087be924fc777ddf6fbf8c53b4258ee8dd003",
+}
+
+
+@pytest.mark.parametrize("prop", sorted(CERTIFY_C1_DIGESTS))
+def test_cli_certify_digests(tmp_path, monkeypatch, capsys, inst9, prop):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("X.txt", inst9.X)
+    write_vector("Y.txt", inst9.Y)
+    argv = ["certify", "--matrix", "X.txt", "--property", prop, "--out", f"{prop}.json"]
+    if prop == "unique_sparsest":
+        argv += ["--y", "Y.txt", "--s", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / f"{prop}.json").read_bytes()).hexdigest()
+    assert digest == CERTIFY_C1_DIGESTS[prop]
+
+
 def test_cli_certify_rn_uniform(tmp_path, capsys, inst9):
     matrix = str(tmp_path / "X.txt")
     write_matrix(matrix, inst9.X)
@@ -350,6 +372,8 @@ BOUNDARY_FILES = {
     "nan.txt": "2 3\n1 nan 1\n0 1 1\n",
     "inf.txt": "2 3\n1 inf 1\n0 1 1\n",
     "y_inf.txt": "1\n-inf\n",
+    "y_huge.txt": "1e300\n2\n",
+    "huge.txt": "2 3\n1 0 1e200\n0 1 1\n",
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
     "header_text.txt": "two three\n1 0 1\n0 1 1\n",
@@ -370,6 +394,9 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         (COMPARE + ["nan.txt", "--y", "y.txt"], 2),
         (CERTIFY + ["inf.txt", "--property", "rip", "--t", "1"], 2),
         (CERTIFY + ["nan.txt", "--property", "rn", "--t", "1"], 2),
+        (COMPARE + ["huge.txt", "--y", "y.txt"], 2),
+        (COMPARE + ["X.txt", "--y", "y_huge.txt"], 2),
+        (CERTIFY + ["huge.txt", "--property", "rip", "--t", "2"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
         (COMPARE + ["X.txt", "--y", "empty.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_short.txt"], 2),
@@ -397,6 +424,9 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         "compare-nan-matrix",
         "rip-inf-matrix",
         "rn-nan-matrix",
+        "compare-overflow-matrix",
+        "compare-overflow-y",
+        "rip-overflow-matrix",
         "compare-inf-y",
         "compare-empty-y",
         "compare-short-y",
