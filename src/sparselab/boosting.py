@@ -107,7 +107,9 @@ def select_index(rho) -> int:
 
     Magnitudes within TIE_RTOL relative of the maximum count as tied and
     the smallest tied index wins.  An all-zero vector selects index 0; the
-    caller is expected to apply a zero step in that case.
+    caller is expected to apply a zero step in that case.  A vector with
+    an infinite or NaN magnitude, the mark of overflowing data, is
+    refused with a ValueError.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size == 0:
@@ -116,7 +118,11 @@ def select_index(rho) -> int:
     peak = float(mags.max())
     if peak == 0.0:
         return 0
-    return int((mags >= peak - TIE_RTOL * peak).nonzero()[0][0])
+    try:
+        return int((mags >= peak - TIE_RTOL * peak).nonzero()[0][0])
+    except IndexError:
+        # only an infinite or NaN peak leaves no magnitude in the window
+        raise ValueError("the correlations overflow; rescale X or Y") from None
 
 
 def _advance(X, norms, nu: float, beta, residual, rho):

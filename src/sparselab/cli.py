@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import io as files
 from . import properties, report
 from .boosting import BoostingConfig
@@ -290,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflowing input is refused by the program's own finiteness
+        # checks, in one line; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except properties.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,9 @@
 Everything operates on small float64 numpy arrays.  The nullspace comes
 from a hand-written reduced row echelon form with partial pivoting,
 because on the constructed family its integer pivots make ``X @ z == 0``
-hold exactly.  Least squares on a support solves the normal equations
-with numpy and falls back to the minimum-norm solution when they are
-numerically singular.
+hold exactly.  Least squares solves a whole block of equal-size supports
+in stacked numpy calls: the normal equations where they are well posed,
+the minimum-norm solution where they are numerically singular.
 """
 
 import math
@@ -146,6 +146,61 @@ class LeastSquaresFit(NamedTuple):
     rank_deficient: bool
 
 
+def submatrices(X: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """The column submatrices X[:, T] for each row T of ``supports``, stacked.
+
+    Returns an (m, n, k) view whose matrices are Fortran-ordered.  Stacked
+    numpy kernels on that layout give, matrix by matrix, the same bits as
+    the one-support expressions on ``X[:, list(T)]`` (``A.T @ A``,
+    ``A.T @ Y``, ``A @ b``), which a C-ordered copy does not.
+    """
+    return X.T[supports].swapaxes(1, 2)
+
+
+def least_squares_batch(
+    X, Y, supports, rank_tolerance: float = DEFAULT_RANK_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares on a block of equal-size supports in stacked numpy calls.
+
+    Parameters
+    ----------
+    X : array_like, shape (n, p)
+    Y : array_like, shape (n,)
+    supports : integer array, shape (m, k)
+        One support per row; the caller guarantees valid, unique indices.
+
+    Returns
+    -------
+    (coeffs, residual_norms, rank_deficient)
+        Arrays of shapes (m, k), (m,) and (m,).  A support is
+        rank-deficient when the smallest eigenvalue of its Gram matrix
+        X_T' X_T is at most ``rank_tolerance`` times the Gram matrix's
+        largest absolute entry; it gets the minimum-norm solution, every
+        other support the solution of its normal equations.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.asarray(Y, dtype=float)
+    supports = np.asarray(supports, dtype=np.intp)
+    n = X.shape[0]
+    m, k = supports.shape
+    if k > n:
+        raise ValueError(f"support size {k} exceeds the number of rows {n}")
+    if k == 0:
+        return np.zeros((m, 0)), np.full(m, lq_norm(Y, 2)), np.zeros(m, dtype=bool)
+    A = submatrices(X, supports)
+    At = A.swapaxes(1, 2)
+    G = At @ A
+    deficient = np.linalg.eigvalsh(G)[:, 0] <= rank_tolerance * np.abs(G).max(axis=(1, 2))
+    full = ~deficient
+    coeffs = np.empty((m, k))
+    coeffs[full] = np.linalg.solve(G[full], (At[full] @ Y)[:, :, None])[:, :, 0]
+    for i in deficient.nonzero()[0]:
+        coeffs[i] = np.linalg.lstsq(A[i], Y, rcond=None)[0]
+    R = Y - (A @ coeffs[:, :, None])[:, :, 0]
+    residual_norms = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+    return coeffs, residual_norms, deficient
+
+
 def least_squares_on_support(
     X, Y, support, rank_tolerance: float = DEFAULT_RANK_TOL
 ) -> LeastSquaresFit:
@@ -162,30 +217,18 @@ def least_squares_on_support(
     -------
     LeastSquaresFit
         Coefficients on the support in index order, the residual norm, and
-        a flag that is True when the normal equations are rank-deficient:
-        the smallest eigenvalue of X_T' X_T is at most ``rank_tolerance``
-        times its largest absolute entry.  In the deficient case the
-        minimum-norm solution is returned.
+        the rank-deficiency flag of ``least_squares_batch``, whose
+        one-support case this is.  In the deficient case the minimum-norm
+        solution is returned.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    n, p = X.shape
+    p = X.shape[1]
     T = tuple(int(j) for j in support)
     if len(set(T)) != len(T):
         raise ValueError(f"support contains repeated indices: {T}")
     if any(j < 0 or j >= p for j in T):
         raise ValueError(f"support indices out of range for p = {p}: {T}")
-    if len(T) > n:
-        raise ValueError(f"support size {len(T)} exceeds the number of rows {n}")
-    if not T:
-        return LeastSquaresFit(np.zeros(0), lq_norm(Y, 2), False)
-    A = X[:, list(T)]
-    G = A.T @ A
-    deficient = bool(np.linalg.eigvalsh(G)[0] <= rank_tolerance * np.abs(G).max())
-    if deficient:
-        # Minimum-norm least squares; flagged so callers can tell.
-        coeffs = np.linalg.lstsq(A, Y, rcond=None)[0]
-    else:
-        coeffs = np.linalg.solve(G, A.T @ Y)
-    resid = lq_norm(Y - A @ coeffs, 2)
-    return LeastSquaresFit(np.asarray(coeffs, dtype=float), resid, deficient)
+    coeffs, residual_norms, deficient = least_squares_batch(
+        X, Y, np.array([T], dtype=np.intp), rank_tolerance
+    )
+    return LeastSquaresFit(coeffs[0], float(residual_norms[0]), bool(deficient[0]))

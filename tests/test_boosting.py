@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ def test_select_index_all_zero():
     assert select_index(np.zeros(5)) == 0
     with pytest.raises(ValueError):
         select_index(np.zeros(0))
+
+
+def test_select_index_refuses_non_finite():
+    # overflowing data turns correlations into inf or nan
+    for rho in ([1.0, math.inf], [math.nan, 2.0], [-math.inf]):
+        with pytest.raises(ValueError, match="overflow"):
+            select_index(rho)
 
 
 def test_step_zero_residual_is_a_noop():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from sparselab import (
     lq_norm,
     nullspace,
 )
+from sparselab.linalg import least_squares_batch
 
 
 def test_lq_norm_values():
@@ -93,3 +95,71 @@ def test_least_squares_nearly_deficient_gets_min_norm_fit():
     assert fit.rank_deficient
     assert fit.residual_norm <= 1e-12 * lq_norm(Y, 2)
     np.testing.assert_allclose(fit.coeffs, [1.0, 1.0], atol=1e-4)
+
+
+def _fit_one_at_a_time(X, Y, T):
+    """The per-support least squares the batched kernel replaced: the
+    reference its flags, decisions and coefficients must reproduce."""
+    A = X[:, list(T)]
+    G = A.T @ A
+    deficient = bool(np.linalg.eigvalsh(G)[0] <= 1e-10 * np.abs(G).max())
+    if deficient:
+        coeffs = np.linalg.lstsq(A, Y, rcond=None)[0]
+    else:
+        coeffs = np.linalg.solve(G, A.T @ Y)
+    return coeffs, lq_norm(Y - A @ coeffs, 2), deficient
+
+
+def _nearly_deficient_design():
+    # columns 1-3 are 2 * column 0 plus 1e-9, 1e-4 u and 1e-3 u: the pair
+    # {0, 1} is far below the deficiency threshold, {0, 2} just below it
+    # (smallest eigenvalue 3.2e-11 of the largest Gram entry) and {0, 3}
+    # above it (3.2e-9), so flagged supports take the minimum-norm fallback
+    # and the rest the normal equations
+    rng = np.random.default_rng(11)
+    a = np.arange(1.0, 7.0)
+    u = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    near = [2.0 * a + 1e-9, 2.0 * a + 1e-4 * u, 2.0 * a + 1e-3 * u]
+    X = np.column_stack([a, *near, rng.standard_normal((6, 2))])
+    return X, X @ np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def _seeded_gaussian_design():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 14))
+    return X, X[:, [1, 4, 9]] @ np.array([1.0, -2.0, 0.5])
+
+
+@pytest.mark.parametrize("design", ["n9", "gaussian", "nearly-deficient"])
+def test_least_squares_batch_matches_one_support_at_a_time(design, inst9):
+    X, Y = {
+        "n9": lambda: (inst9.X, inst9.Y),
+        "gaussian": _seeded_gaussian_design,
+        "nearly-deficient": _nearly_deficient_design,
+    }[design]()
+    tol = 1e-8 * lq_norm(Y, 2)
+    flagged = tested = 0
+    for size in (1, 2, 3):
+        supports = np.array(list(itertools.combinations(range(X.shape[1]), size)))
+        coeffs, residual_norms, deficient = least_squares_batch(X, Y, supports)
+        for i, T in enumerate(map(tuple, supports.tolist())):
+            ref_coeffs, ref_resid, ref_deficient = _fit_one_at_a_time(X, Y, T)
+            fit = least_squares_on_support(X, Y, T)
+            assert deficient[i] == fit.rank_deficient == ref_deficient, T
+            fits = (residual_norms[i] <= tol, fit.residual_norm <= tol, ref_resid <= tol)
+            assert fits[0] == fits[1] == fits[2], T
+            # the same kernels on the same layout: bit-identical arithmetic
+            assert np.array_equal(coeffs[i], ref_coeffs), T
+            assert np.array_equal(fit.coeffs, ref_coeffs), T
+            assert residual_norms[i] == fit.residual_norm == ref_resid, T
+        flagged += int(deficient.sum())
+        tested += len(supports)
+    if design == "nearly-deficient":
+        assert 0 < flagged < tested
+    else:
+        assert flagged == 0
+
+
+def test_least_squares_batch_refuses_oversized_supports():
+    with pytest.raises(ValueError, match="exceeds the number of rows"):
+        least_squares_batch(np.eye(2), np.ones(2), np.array([[0, 1, 2]]))

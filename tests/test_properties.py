@@ -14,10 +14,12 @@ from sparselab import (
     rip_implies_rn_test,
     rn_check,
     rn_uniform,
+    SparsityCertificate,
     spark,
     spark_from_nullspace,
     unique_sparsest,
 )
+from sparselab.properties import ENUMERATION_BLOCK
 
 # two orthogonal pairs of duplicated columns: the nullspace is the
 # two-dimensional span of (1,0,-1,0) and (0,1,0,-1)
@@ -292,3 +294,103 @@ def test_unique_sparsest_no_fit_raises():
 def test_unique_sparsest_budget_refusal(inst9):
     with pytest.raises(BudgetExceeded):
         unique_sparsest(inst9.X, inst9.Y, 3, enumeration_budget=5)
+
+
+# --- batched enumeration against the one-subset-at-a-time scans ---------------
+
+
+def _spark_one_at_a_time(X):
+    """(spark, witness, subsets tested) of the per-subset spark scan."""
+    p = X.shape[1]
+    tested = 0
+    for size in range(1, p + 1):
+        for T in itertools.combinations(range(p), size):
+            tested += 1
+            A = X[:, list(T)]
+            if np.linalg.matrix_rank(A, tol=1e-10 * np.abs(A).max()) < size:
+                return size, T, tested
+    return None, None, tested
+
+
+def _rip_one_at_a_time(X, t):
+    """(delta_t, first extremal subset) of the per-subset eigvalsh scan."""
+    delta, extremal = 0.0, ()
+    for T in itertools.combinations(range(X.shape[1]), t):
+        A = X[:, list(T)]
+        eigenvalues = np.linalg.eigvalsh(A.T @ A)
+        local = max(float(eigenvalues[-1]) - 1.0, 1.0 - float(eigenvalues[0]), 0.0)
+        if local > delta or not extremal:
+            delta, extremal = local, T
+    return delta, extremal
+
+
+@pytest.mark.parametrize(
+    "position",
+    [0, ENUMERATION_BLOCK - 1, ENUMERATION_BLOCK],
+    ids=["first-in-block", "last-in-block", "past-block-boundary"],
+)
+def test_spark_witness_at_block_edges(position):
+    # 24 columns in general position in R^3 give 276 pairs, more than one
+    # block; doubling one column makes exactly the pair at `position` (in
+    # combination order) the first dependent subset
+    p = 24
+    X = np.random.default_rng(position).standard_normal((3, p))
+    a, b = list(itertools.combinations(range(p), 2))[position]
+    X[:, b] = 2.0 * X[:, a]
+    cert = spark(X)
+    found = (cert.spark, cert.witness_columns, cert.subsets_tested)
+    assert found == (2, (a, b), p + position + 1)
+    assert found == _spark_one_at_a_time(X)
+    assert cert.lower_bound == 2 and not cert.budget_exhausted
+
+
+def test_spark_matches_one_at_a_time_scan(inst9):
+    rng = np.random.default_rng(5)
+    gaussian = rng.standard_normal((6, 9))
+    dependent = gaussian.copy()
+    dependent[:, 7] = dependent[:, 2] - dependent[:, 5] + 3.0 * dependent[:, 3]
+    for X in (X_DUP_PAIRS, inst9.X, gaussian, dependent):
+        cert = spark(X)
+        found = (cert.spark, cert.witness_columns, cert.subsets_tested)
+        assert found == _spark_one_at_a_time(X)
+
+
+def test_rip_matches_one_at_a_time_scan_bit_for_bit(inst9):
+    gaussian = np.random.default_rng(5).standard_normal((12, 14))
+    gaussian /= np.sqrt(np.sum(gaussian * gaussian, axis=0))
+    for X, sizes in ((inst9.X, (1, 2, 3)), (gaussian, (2, 5))):
+        for t in sizes:
+            result = rip_constant(X, t)
+            assert (result.delta_t, result.extremal_subset) == _rip_one_at_a_time(X, t)
+
+
+def test_rip_ties_keep_the_first_subset():
+    # all-zero deltas tie everywhere: the first subset wins
+    assert rip_constant(np.eye(4), 2).extremal_subset == (0, 1)
+    # two disjoint pairs with the same Gram matrix, the last pair of the
+    # first block and the next disjoint pair in the second block; every
+    # other pair is orthonormal
+    p = 24
+    pairs = list(itertools.combinations(range(p), 2))
+    first = pairs[ENUMERATION_BLOCK - 1]
+    second = next(T for T in pairs[ENUMERATION_BLOCK:] if not set(T) & set(first))
+    X = np.eye(p)
+    for a, b in (first, second):
+        X[:, b] = 0.6 * X[:, a] + 0.8 * X[:, b]
+    result = rip_constant(X, 2)
+    assert result.extremal_subset == first
+    assert (result.delta_t, result.extremal_subset) == _rip_one_at_a_time(X, 2)
+
+
+def test_budget_cutting_off_a_later_size(inst9):
+    # sizes 1 and 2 (10 + 45 subsets) fit a budget of 60; size 3 does not
+    cert = spark(inst9.X, enumeration_budget=60)
+    assert cert == SparsityCertificate(
+        spark=None,
+        witness_columns=None,
+        subsets_tested=55,
+        lower_bound=3,
+        budget_exhausted=True,
+    )
+    with pytest.raises(BudgetExceeded, match="budget of 60 at size 3"):
+        unique_sparsest(inst9.X, inst9.Y, 3, enumeration_budget=60)

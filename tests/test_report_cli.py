@@ -397,6 +397,8 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         (COMPARE + ["huge.txt", "--y", "y.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_huge.txt"], 2),
         (CERTIFY + ["huge.txt", "--property", "rip", "--t", "2"], 2),
+        (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_huge.txt", "--s", "2"], 2),
+        (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
         (COMPARE + ["X.txt", "--y", "empty.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_short.txt"], 2),
@@ -427,6 +429,8 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         "compare-overflow-matrix",
         "compare-overflow-y",
         "rip-overflow-matrix",
+        "unique-overflow-y",
+        "compare-overflow-both",
         "compare-inf-y",
         "compare-empty-y",
         "compare-short-y",
@@ -467,3 +471,8 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip(), "a refusal must say why on stderr"
+    if any(name in argv for name in ("huge.txt", "y_huge.txt")):
+        # finite input that overflows: the program's own check speaks,
+        # with no numpy warning before it
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
