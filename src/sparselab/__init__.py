@@ -14,10 +14,9 @@ from .boosting import (
     BoostingConfig,
     BoostingState,
     correlations,
-    init,
+    iterate,
     run,
     select_index,
-    step,
 )
 from .counterexample import (
     AnalyticState,
@@ -112,9 +111,9 @@ __all__ = [
     "correlations",
     "equivalence_check",
     "in_cone",
-    "init",
     "initial_analytic_state",
     "inner",
+    "iterate",
     "jsonable",
     "kkt_residual",
     "lambda_max",
@@ -136,7 +135,6 @@ __all__ = [
     "select_index",
     "spark",
     "spark_from_nullspace",
-    "step",
     "unique_sparsest",
     "verdict_failures",
     "write_csv",

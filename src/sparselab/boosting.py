@@ -48,18 +48,18 @@ class BoostingState:
     """Snapshot after ``k`` iterations.
 
     ``rho`` holds the normalized correlations of ``residual`` (the vector
-    the next selection will scan); it is None straight out of ``init``
-    because the design matrix has not been seen yet.  ``history`` records
-    the selected column per iteration, ``history_steps`` the applied
-    increments ``nu * bhat``.
+    the next selection will scan).  ``history`` records the selected
+    column per iteration, ``history_steps`` the applied increments
+    ``nu * bhat``; both are read-only length-k views of one record that
+    every snapshot of a run shares.
     """
 
     k: int
     beta: np.ndarray
     residual: np.ndarray
-    rho: np.ndarray | None
-    history: tuple[int, ...]
-    history_steps: tuple[float, ...]
+    rho: np.ndarray
+    history: np.ndarray
+    history_steps: np.ndarray
 
 
 def _column_norms(X):
@@ -68,25 +68,6 @@ def _column_norms(X):
     if dead.size:
         raise ValueError(f"column {int(dead[0])} has zero norm")
     return norms
-
-
-def init(Y, p: int) -> BoostingState:
-    """Start state: beta = 0, residual = Y, empty history."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 1:
-        raise ValueError(f"Y must be one-dimensional, got shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must be finite")
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    return BoostingState(
-        k=0,
-        beta=np.zeros(p),
-        residual=Y.copy(),
-        rho=None,
-        history=(),
-        history_steps=(),
-    )
 
 
 def correlations(X, R) -> np.ndarray:
@@ -125,51 +106,27 @@ def select_index(rho) -> int:
         raise ValueError("the correlations overflow; rescale X or Y") from None
 
 
-def _advance(X, norms, nu: float, beta, residual, rho):
-    """One iteration into new arrays: (j, applied, beta, residual, rho)."""
-    j = select_index(rho)
-    if float(np.abs(rho[j])) == 0.0:
-        return j, 0.0, beta.copy(), residual.copy(), rho.copy()
-    applied = nu * (float(rho[j]) / float(norms[j]))
-    beta = beta.copy()
-    beta[j] += applied
-    residual = residual - applied * X[:, j]
-    return j, applied, beta, residual, (X.T @ residual) / norms
-
-
-def step(state: BoostingState, X, config: BoostingConfig) -> BoostingState:
-    """One boosting iteration: select, fit bhat, move by nu * bhat.
-
-    A zero correlation vector is a no-op (index 0, zero increment) so
-    trajectories keep uniform length when the residual is exhausted.
-    """
-    X = np.asarray(X, dtype=float)
-    rho = state.rho if state.rho is not None else correlations(X, state.residual)
-    j, applied, beta, residual, rho = _advance(
-        X, _column_norms(X), config.nu, state.beta, state.residual, rho
-    )
-    return BoostingState(
-        k=state.k + 1,
-        beta=beta,
-        residual=residual,
-        rho=rho,
-        history=state.history + (j,),
-        history_steps=state.history_steps + (applied,),
-    )
-
-
-def _iterate(X, Y, config: BoostingConfig):
+def iterate(X, Y, config: BoostingConfig):
     """The boosting engine: yield (k, j, applied, beta, residual, rho) from
     the k = 0 start (j None) to the stopping point ``run`` documents.
 
-    An iteration costs O(n p) at any k: the column norms are computed
-    once and no history is carried.  Yielded arrays are never written to.
+    Each iteration selects j, fits bhat = rho_j / ||X_j|| and moves
+    beta_j by nu * bhat.  A zero correlation vector is a no-op (index 0,
+    zero increment) so trajectories keep uniform length when the
+    residual is exhausted.  An iteration costs O(n p) at any k: the
+    column norms are computed once and no history is carried.  Yielded
+    arrays are never written to.
     """
     X = np.asarray(X, dtype=float)
-    start = init(Y, X.shape[1])
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 1:
+        raise ValueError(f"Y must be one-dimensional, got shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
     k, j, applied = 0, None, 0.0
-    beta, residual = start.beta, start.residual
+    residual = Y.copy()
     rho = correlations(X, residual)
+    beta = np.zeros(X.shape[1])
     norms = _column_norms(X)
     yield k, j, applied, beta, residual, rho
     while k < config.max_iterations and (
@@ -177,10 +134,33 @@ def _iterate(X, Y, config: BoostingConfig):
         or lq_norm(residual, 2) > config.residual_stop
     ):
         k += 1
-        j, applied, beta, residual, rho = _advance(
-            X, norms, config.nu, beta, residual, rho
-        )
+        j = select_index(rho)
+        if float(np.abs(rho[j])) == 0.0:
+            applied = 0.0
+            beta, residual, rho = beta.copy(), residual.copy(), rho.copy()
+        else:
+            applied = config.nu * (float(rho[j]) / float(norms[j]))
+            beta = beta.copy()
+            beta[j] += applied
+            residual = residual - applied * X[:, j]
+            rho = (X.T @ residual) / norms
         yield k, j, applied, beta, residual, rho
+
+
+def thin(items, dense_limit: int = 1000, stride: int = 10):
+    """Lazily keep the items at positions k <= dense_limit, then every
+    stride-th, and the last item always.
+
+    Positions count from 0, so on the stream of ``iterate`` and on the
+    rows built from it the position is the iteration k.
+    """
+    kept = True
+    for k, item in enumerate(items):
+        kept = k <= dense_limit or k % stride == 0
+        if kept:
+            yield item
+    if not kept:
+        yield item
 
 
 def run(
@@ -198,20 +178,32 @@ def run(
     of exactly 0 disables the early stop: once the residual underflows
     to zero the remaining iterations are recorded as no-ops, so
     trajectories keep a uniform length.
+
+    Every iteration's (j, applied) goes into one append-only record that
+    doubles when full; every snapshot's ``history`` and
+    ``history_steps`` are read-only views of its first k entries, so
+    memory is linear in the iteration count.
     """
-    history: list[int] = []
-    steps: list[float] = []
-    snapshots: list[BoostingState] = []
+    record = np.empty(16, dtype=[("j", np.intp), ("applied", float)])
 
-    def snapshot() -> BoostingState:
-        return BoostingState(k, beta, residual, rho, tuple(history), tuple(steps))
+    def recorded():
+        nonlocal record
+        for item in iterate(X, Y, config):
+            k, j, applied = item[:3]
+            if k > record.size:
+                record = np.concatenate((record, np.empty_like(record)))
+            if k:
+                record[k - 1] = j, applied
+            yield item
 
-    for k, j, applied, beta, residual, rho in _iterate(X, Y, config):
-        if k:
-            history.append(j)
-            steps.append(applied)
-        if k <= snapshot_dense_limit or k % snapshot_stride == 0:
-            snapshots.append(snapshot())
-    if snapshots[-1].k != k:
-        snapshots.append(snapshot())
-    return snapshots
+    kept = [
+        (k, beta, residual, rho)
+        for k, _, _, beta, residual, rho in thin(
+            recorded(), snapshot_dense_limit, snapshot_stride
+        )
+    ]
+    record.flags.writeable = False
+    return [
+        BoostingState(k, beta, residual, rho, record["j"][:k], record["applied"][:k])
+        for k, beta, residual, rho in kept
+    ]

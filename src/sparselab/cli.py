@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as files
 from . import properties, report
-from .boosting import BoostingConfig
+from .boosting import BoostingConfig, thin
 from .counterexample import construct
 from .lasso import LassoPathConfig, lasso_path
 from .linalg import nullspace
@@ -35,7 +35,7 @@ def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
     files.write_csv(
         trajectory_path,
         report.TRAJECTORY_HEADER,
-        report.trajectory_csv_rows(report.thin_rows(rows)),
+        report.trajectory_csv_rows(thin(rows)),
     )
     path_path = os.path.join(out_dir, "lasso_path.csv")
     files.write_csv(path_path, report.PATH_HEADER, report.path_csv_rows(path_rows))
@@ -232,8 +232,16 @@ def _positive(kind):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage in one ``error:`` line with exit code 2; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparselab",
         description="Greedy boosting versus l1 minimization on sparse recovery instances.",
     )

@@ -200,7 +200,7 @@ def equivalence_check(
     )
     astate = initial_analytic_state(inst)
     deviation = 0.0
-    for k, jm, _, beta, residual, _ in boosting._iterate(inst.X, inst.Y, config):
+    for k, jm, _, beta, residual, _ in boosting.iterate(inst.X, inst.Y, config):
         if k:
             ja = boosting.select_index(analytic_rho(astate, inst))
             astate = analytic_step(astate, inst, nu)

@@ -23,14 +23,20 @@ from .linalg import least_squares_on_support, lq_norm
 # every sweep; anything beyond roundoff signals a broken update.
 _OBJECTIVE_SLACK = 1e-10
 
+# A solve stops once its stationarity residual is at most KKT_TOLERANCE,
+# or unconverged after MAX_SWEEPS sweeps.
+KKT_TOLERANCE = 1e-10
+MAX_SWEEPS = 100_000
+# Ratio of consecutive penalties on the path grid.
+PATH_DECAY = 0.5
+
 
 @dataclass(frozen=True)
 class LassoConfig:
     """Penalty and convergence control for a single solve."""
 
     lam: float
-    max_sweeps: int = 100_000
-    kkt_tolerance: float = 1e-10
+    max_sweeps: int = MAX_SWEEPS
     warm_start: np.ndarray | None = None
 
     def __post_init__(self):
@@ -38,32 +44,22 @@ class LassoConfig:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.kkt_tolerance <= 0.0:
-            raise ValueError("kkt_tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class LassoPathConfig:
     """Geometric path from lambda_max down to lambda_min.
 
-    The path starts at lambda_max_factor * 2 * max_j |<X_j, Y>|, decays
-    by ``decay`` per point, and the final point is clamped to exactly
+    The path starts at lambda_max = 2 * max_j |<X_j, Y>|, decays by
+    PATH_DECAY per point, and the final point is clamped to exactly
     ``lambda_min`` so callers can rely on the terminal penalty.
     """
 
     lambda_min: float
-    lambda_max_factor: float = 1.0
-    decay: float = 0.5
-    max_sweeps: int = 100_000
-    kkt_tolerance: float = 1e-10
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_min) and self.lambda_min > 0.0):
             raise ValueError("lambda_min must be positive and finite")
-        if self.lambda_max_factor <= 0.0:
-            raise ValueError("lambda_max_factor must be positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
 
 class LassoFit(NamedTuple):
@@ -128,7 +124,7 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
     """Cyclic coordinate descent with an in-place residual.
 
     Coordinates sweep in fixed order 0..p-1.  The run stops when the
-    stationarity residual reaches ``kkt_tolerance``; hitting max_sweeps
+    stationarity residual reaches KKT_TOLERANCE; hitting max_sweeps
     first returns the current iterate with ``converged=False`` rather
     than raising.  A sweep whose objective overflows to inf or nan raises
     ValueError; one that increases the objective beyond roundoff raises
@@ -179,7 +175,7 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
             )
         prev_obj = obj
         kkt = _kkt(X.T @ r, b, half)
-        if kkt <= config.kkt_tolerance:
+        if kkt <= KKT_TOLERANCE:
             return LassoFit(beta=b, objective=obj, sweeps=sweep, converged=True, kkt=kkt)
     return LassoFit(beta=b, objective=prev_obj, sweeps=config.max_sweeps, converged=False, kkt=kkt)
 
@@ -188,7 +184,7 @@ def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
     """Warm-started solves along a geometrically decaying penalty grid."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    start = config.lambda_max_factor * lambda_max(X, Y)
+    start = lambda_max(X, Y)
     if start == 0.0:
         # Y is orthogonal to every column; the whole path is zero.
         return [PathPoint(config.lambda_min, np.zeros(X.shape[1]), True, 0.0, 0)]
@@ -197,22 +193,13 @@ def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
             f"lambda_min {config.lambda_min!r} is not below the path start {start!r}"
         )
     grid = [start]
-    while grid[-1] * config.decay > config.lambda_min:
-        grid.append(grid[-1] * config.decay)
+    while grid[-1] * PATH_DECAY > config.lambda_min:
+        grid.append(grid[-1] * PATH_DECAY)
     grid.append(config.lambda_min)
     points: list[PathPoint] = []
     warm = np.zeros(X.shape[1])
     for lam in grid:
-        fit = lasso(
-            X,
-            Y,
-            LassoConfig(
-                lam=lam,
-                max_sweeps=config.max_sweeps,
-                kkt_tolerance=config.kkt_tolerance,
-                warm_start=warm,
-            ),
-        )
+        fit = lasso(X, Y, LassoConfig(lam=lam, warm_start=warm))
         warm = fit.beta
         points.append(
             PathPoint(lam=lam, beta=fit.beta, converged=fit.converged, kkt=fit.kkt, sweeps=fit.sweeps)

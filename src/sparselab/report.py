@@ -108,7 +108,7 @@ def boosting_trajectory(
     k = 0 row has no selected index.
     """
     rows: list[TrajectoryRow] = []
-    for k, j, _, beta, residual, rho in boosting._iterate(X, Y, config):
+    for k, j, _, beta, residual, rho in boosting.iterate(X, Y, config):
         dist, on, off, ratio = _error_split(beta, truth, S)
         rows.append(
             TrajectoryRow(
@@ -156,19 +156,6 @@ def detect_cone_exit(ratios: list[float], threshold: float, window: int) -> int 
         else:
             run = 0
     return None
-
-
-def thin_rows(rows, dense_limit: int = 1000, stride: int = 10):
-    """Bounded exports: keep every row up to dense_limit, then every
-    stride-th, and the final row always."""
-    kept = [
-        row
-        for row in rows
-        if row.k <= dense_limit or row.k % stride == 0
-    ]
-    if rows and (not kept or kept[-1] is not rows[-1]):
-        kept.append(rows[-1])
-    return kept
 
 
 def reproduce(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,9 @@ import pytest
 from sparselab import (
     BoostingConfig,
     correlations,
-    init,
     lq_norm,
     run,
     select_index,
-    step,
 )
 from sparselab.report import boosting_trajectory
 
@@ -33,13 +32,15 @@ def test_config_validation():
 
 
 def test_init_state():
+    X = np.array([[1.0, 0.0, 2.0, -1.0], [0.0, 3.0, 1.0, 1.0]])
     Y = np.array([1.0, -2.0])
-    state = init(Y, 4)
+    (state,) = run(X, Y, BoostingConfig(max_iterations=0))
     assert state.k == 0
-    assert np.all(state.beta == 0.0)
+    assert state.beta.shape == (4,) and np.all(state.beta == 0.0)
     np.testing.assert_array_equal(state.residual, Y)
-    assert state.rho is None
-    assert state.history == ()
+    np.testing.assert_array_equal(state.rho, correlations(X, Y))
+    assert state.history.tolist() == []
+    assert state.history_steps.tolist() == []
 
 
 def test_correlations_formula():
@@ -78,13 +79,17 @@ def test_select_index_refuses_non_finite():
 
 def test_step_zero_residual_is_a_noop():
     X = np.eye(2)
-    config = BoostingConfig(nu=1.0, max_iterations=5)
-    state = init(np.zeros(2), 2)
-    state = step(state, X, config)
+    # a zero floor keeps iterating on the exhausted residual
+    config = BoostingConfig(nu=1.0, max_iterations=5, residual_stop=0.0)
+    snaps = run(X, np.zeros(2), config)
+    state = snaps[1]
     assert state.k == 1
-    assert state.history == (0,)
-    assert state.history_steps == (0.0,)
+    assert state.history.tolist() == [0]
+    assert state.history_steps.tolist() == [0.0]
     assert np.all(state.beta == 0.0)
+    assert snaps[-1].history.tolist() == [0] * 5
+    assert snaps[-1].history_steps.tolist() == [0.0] * 5
+    assert np.all(snaps[-1].beta == 0.0) and np.all(snaps[-1].residual == 0.0)
 
 
 def test_energy_identity_random():
@@ -117,7 +122,7 @@ def test_selection_invariant_under_column_rescale():
     config = BoostingConfig(nu=0.5, max_iterations=30, residual_stop=0.0)
     hist_a = run(X, Y, config)[-1].history
     hist_b = run(X * scales, Y, config)[-1].history
-    assert hist_a == hist_b
+    assert hist_a.tolist() == hist_b.tolist()
 
 
 def test_run_stops_on_residual_floor():
@@ -153,6 +158,48 @@ def test_run_snapshots_agree_with_trajectory(inst25):
         row = rows[snap.k]
         assert row.k == snap.k
         assert lq_norm(snap.residual, 2) == row.resid_l2
-        assert snap.history == final.history[: snap.k]
-        assert snap.history_steps == final.history_steps[: snap.k]
-        assert row.j == (snap.history[-1] if snap.k else None)
+        assert snap.history.tolist() == final.history[: snap.k].tolist()
+        assert snap.history_steps.tolist() == final.history_steps[: snap.k].tolist()
+        assert row.j == (snap.history.tolist()[-1] if snap.k else None)
+
+
+def test_run_snapshots_share_one_read_only_record(inst25):
+    config = BoostingConfig(nu=0.1, max_iterations=3000, residual_stop=0.0)
+    snaps = run(inst25.X, inst25.Y, config)
+    first, final = snaps[1], snaps[-1]
+    assert np.shares_memory(first.history, final.history)
+    assert np.shares_memory(first.history_steps, final.history_steps)
+    for snap in (first, final):
+        assert len(snap.history) == len(snap.history_steps) == snap.k
+        with pytest.raises(ValueError, match="read-only"):
+            snap.history[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            snap.history_steps[0] = 0.0
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_is_linear_in_iterations(inst25):
+    # 1,401 snapshots over 5,000 iterations: a history copied into every
+    # snapshot would cost tens of MB
+    config = BoostingConfig(nu=0.1, max_iterations=5000, residual_stop=0.0)
+    snaps, peak = _peak_bytes(lambda: run(inst25.X, inst25.Y, config))
+    assert len(snaps) == 1401 and snaps[-1].k == 5000
+    assert peak < 4_000_000, peak
+
+
+def test_run_huge_budget_allocates_only_what_it_uses():
+    config = BoostingConfig(nu=1.0, max_iterations=10**9, residual_stop=1e-12)
+    snaps, peak = _peak_bytes(
+        lambda: run(np.eye(3), np.array([2.0, 1.0, 0.5]), config)
+    )
+    assert snaps[-1].k == 3
+    assert snaps[-1].history.tolist() == [0, 1, 2]
+    assert peak < 100_000, peak

@@ -69,8 +69,8 @@ def test_first_selections_frozen(inst9, inst25):
     hist9 = run(inst9.X, inst9.Y, config)[-1].history
     hist25 = run(inst25.X, inst25.Y, config)[-1].history
     # mixed column first, then a sweep through the middle block
-    assert hist9 == (9, 3, 4, 5, 6, 7, 8, 9, 3, 4, 5, 6)
-    assert hist25 == (25, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+    assert hist9.tolist() == [9, 3, 4, 5, 6, 7, 8, 9, 3, 4, 5, 6]
+    assert hist25.tolist() == [25, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
 
 
 def test_first_analytic_step_closed_form(inst25):

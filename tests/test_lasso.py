@@ -26,8 +26,6 @@ def test_config_validation():
         LassoConfig(lam=1.0, max_sweeps=0)
     with pytest.raises(ValueError):
         LassoPathConfig(lambda_min=0.0)
-    with pytest.raises(ValueError):
-        LassoPathConfig(lambda_min=1.0, decay=1.0)
 
 
 def test_single_column_closed_form():

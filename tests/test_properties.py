@@ -150,6 +150,37 @@ def test_rn_uniform_budget_refusal(inst9):
         rn_uniform(inst9.X, 3, 1.0, ns, enumeration_budget=50, force_enumeration=True)
 
 
+def test_rn_uniform_rejects_bad_cone_constant(inst9):
+    # every nullspace dimension refuses, not only the enumeration branch
+    for X in (inst9.X, np.eye(3), X_DUP_PAIRS):
+        ns = nullspace(X)
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c must be positive"):
+                rn_uniform(X, 1, c, ns)
+
+
+def _rn_uniform_one_at_a_time(X, t, c, ns):
+    for T in itertools.combinations(range(X.shape[1]), t):
+        if not rn_check(X, ConeSpec(T=T, c=c), ns).holds:
+            return False, T, None
+    return True, (), None
+
+
+def test_rn_uniform_matches_one_support_at_a_time_scan():
+    # the enumeration draws its search directions once per call; each
+    # support must still get the verdict of its own rn_check
+    X = np.random.default_rng(11).standard_normal((12, 14))
+    ns = nullspace(X)
+    assert ns.dim == 2
+    verdicts = set()
+    for t in (1, 2):
+        for c in (0.05, 0.2, 0.5, 1.0, 3.0):
+            expected = _rn_uniform_one_at_a_time(X, t, c, ns)
+            assert rn_uniform(X, t, c, ns) == expected
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
 def test_re_lower_bound_identity():
     est = re_lower_bound(np.eye(4), ConeSpec(T=(0, 1), c=1.0), samples=50, seed=0)
     assert est.phi == 1.0
