@@ -35,9 +35,6 @@ ENUMERATION_BUDGET = 10_000_000
 # at a time, 4,096 about 15 MB.
 ENUMERATION_BLOCK = 256
 
-# Random directions that seed the cone search of rn_check by default.
-CONE_SEARCH_SAMPLES = 10_000
-
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would overrun its subset budget; refusing to guess."""
@@ -157,34 +154,29 @@ def in_cone(b, spec: ConeSpec) -> bool:
     return off <= spec.c * on
 
 
-def _directions(B: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random unit directions V for the cone search, and |B V|."""
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((B.shape[1], max(samples, 1)))
-    V /= np.linalg.norm(V, axis=0)
-    return V, np.abs(B @ V)
-
-
 def _heuristic_cone_search(
     B: np.ndarray,
     mask: np.ndarray,
     c: float,
-    V: np.ndarray,
-    BV: np.ndarray,
+    samples: int,
+    seed: int,
 ) -> tuple[float, np.ndarray]:
     """Best-effort maximization of c * ||(Bv)_T||_1 - ||(Bv)_Tc||_1.
 
-    The directions V (with BV = |B V|, from ``_directions``) seed a
-    sign-pattern ascent; steps are only accepted when the objective
-    improves, so the search is monotone but can miss witnesses that sit
-    exactly on the cone boundary.
+    Random unit directions seed a sign-pattern ascent; steps are only
+    accepted when the objective improves, so the search is monotone but
+    can miss witnesses that sit exactly on the cone boundary.
     """
+    rng = np.random.default_rng(seed)
+    d = B.shape[1]
     weights = np.where(mask, c, -1.0)
 
     def score(v: np.ndarray) -> float:
         return float(weights @ np.abs(B @ v))
 
-    scores = weights @ BV
+    V = rng.standard_normal((d, max(samples, 1)))
+    V /= np.linalg.norm(V, axis=0)
+    scores = weights @ np.abs(B @ V)
     order = np.argsort(scores)[::-1]
     best_idx = int(order[0])
     best_v = V[:, best_idx].copy()
@@ -211,7 +203,7 @@ def rn_check(
     X,
     spec: ConeSpec,
     ns: NullspaceBasis,
-    samples: int = CONE_SEARCH_SAMPLES,
+    samples: int = 10_000,
     seed: int = 0,
 ) -> RNVerdict:
     """Does the nullspace meet the cone only at zero?
@@ -232,7 +224,7 @@ def rn_check(
             return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
     B = ns.matrix()
-    best, best_v = _heuristic_cone_search(B, mask, spec.c, *_directions(B, samples, seed))
+    best, best_v = _heuristic_cone_search(B, mask, spec.c, samples, seed)
     if best > 0.0:
         witness = B @ best_v
         return RNVerdict(holds=False, witness=witness, method="heuristic", critical_c=None)
@@ -253,8 +245,7 @@ def rn_uniform(
     harder.  With a one-dimensional nullspace the worst support is the
     set of t largest |z| coordinates and the critical constant is closed
     form; ``force_enumeration`` cross-checks it by full enumeration.
-    Higher dimensions enumerate supports with the heuristic check of
-    ``rn_check`` (its default samples and seed, drawn once per call) and
+    Higher dimensions enumerate supports with the heuristic check and
     refuse beyond the budget.
     """
     X = np.asarray(X, dtype=float)
@@ -287,10 +278,9 @@ def rn_uniform(
                 critical = ratio
                 worst_T = T
         return c < critical, worst_T, critical
-    B = ns.matrix()
-    V, BV = _directions(B, CONE_SEARCH_SAMPLES, 0)
     for T in itertools.combinations(range(p), t):
-        if _heuristic_cone_search(B, _mask(p, T), c, V, BV)[0] > 0.0:
+        verdict = rn_check(X, ConeSpec(T=T, c=c), ns)
+        if not verdict.holds:
             return False, T, None
     return True, (), None
 

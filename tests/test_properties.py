@@ -167,8 +167,8 @@ def _rn_uniform_one_at_a_time(X, t, c, ns):
 
 
 def test_rn_uniform_matches_one_support_at_a_time_scan():
-    # the enumeration draws its search directions once per call; each
-    # support must still get the verdict of its own rn_check
+    # each support gets the verdict of its own rn_check; a search drawn
+    # once per call instead of once per support must keep this
     X = np.random.default_rng(11).standard_normal((12, 14))
     ns = nullspace(X)
     assert ns.dim == 2
