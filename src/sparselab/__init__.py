@@ -42,7 +42,6 @@ from .io import (
 )
 from .lasso import (
     LassoConfig,
-    LassoFit,
     LassoPathConfig,
     PathPoint,
     basis_pursuit,
@@ -50,12 +49,10 @@ from .lasso import (
     lambda_max,
     lasso,
     lasso_path,
-    objective_value,
 )
 from .linalg import (
     LeastSquaresFit,
     NullspaceBasis,
-    inner,
     least_squares_on_support,
     lq_norm,
     nullspace,
@@ -90,7 +87,6 @@ __all__ = [
     "ConeSpec",
     "InvariantViolation",
     "LassoConfig",
-    "LassoFit",
     "LassoPathConfig",
     "LeastSquaresFit",
     "NullspaceBasis",
@@ -112,7 +108,6 @@ __all__ = [
     "equivalence_check",
     "in_cone",
     "initial_analytic_state",
-    "inner",
     "iterate",
     "jsonable",
     "kkt_residual",
@@ -122,7 +117,6 @@ __all__ = [
     "least_squares_on_support",
     "lq_norm",
     "nullspace",
-    "objective_value",
     "re_lower_bound",
     "read_matrix",
     "read_vector",

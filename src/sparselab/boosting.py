@@ -21,6 +21,11 @@ from .linalg import lq_norm
 # without a window the realized order would depend on rounding noise.
 TIE_RTOL = 1e-12
 
+# The one thinning rule for snapshots and exported trajectories: keep
+# every k up to THIN_DENSE_LIMIT, then every THIN_STRIDE-th, and the last.
+THIN_DENSE_LIMIT = 1000
+THIN_STRIDE = 10
+
 
 @dataclass(frozen=True)
 class BoostingConfig:
@@ -147,37 +152,31 @@ def iterate(X, Y, config: BoostingConfig):
         yield k, j, applied, beta, residual, rho
 
 
-def thin(items, dense_limit: int = 1000, stride: int = 10):
-    """Lazily keep the items at positions k <= dense_limit, then every
-    stride-th, and the last item always.
+def thin(items):
+    """Lazily keep the items at positions k <= THIN_DENSE_LIMIT, then
+    every THIN_STRIDE-th, and the last item always.
 
     Positions count from 0, so on the stream of ``iterate`` and on the
     rows built from it the position is the iteration k.
     """
     kept = True
     for k, item in enumerate(items):
-        kept = k <= dense_limit or k % stride == 0
+        kept = k <= THIN_DENSE_LIMIT or k % THIN_STRIDE == 0
         if kept:
             yield item
     if not kept:
         yield item
 
 
-def run(
-    X,
-    Y,
-    config: BoostingConfig,
-    snapshot_dense_limit: int = 1000,
-    snapshot_stride: int = 10,
-) -> list[BoostingState]:
+def run(X, Y, config: BoostingConfig) -> list[BoostingState]:
     """Iterate until max_iterations or the residual floor, with snapshots.
 
-    Every state up to ``snapshot_dense_limit`` is kept, then every
-    ``snapshot_stride``-th, and the final state always.  The k = 0 state
-    opens the list so trajectories start at beta = 0.  A residual_stop
-    of exactly 0 disables the early stop: once the residual underflows
-    to zero the remaining iterations are recorded as no-ops, so
-    trajectories keep a uniform length.
+    The states ``thin`` keeps are returned: every state up to
+    THIN_DENSE_LIMIT, then every THIN_STRIDE-th, and the final state
+    always.  The k = 0 state opens the list so trajectories start at
+    beta = 0.  A residual_stop of exactly 0 disables the early stop:
+    once the residual underflows to zero the remaining iterations are
+    recorded as no-ops, so trajectories keep a uniform length.
 
     Every iteration's (j, applied) goes into one append-only record that
     doubles when full; every snapshot's ``history`` and
@@ -198,9 +197,7 @@ def run(
 
     kept = [
         (k, beta, residual, rho)
-        for k, _, _, beta, residual, rho in thin(
-            recorded(), snapshot_dense_limit, snapshot_stride
-        )
+        for k, _, _, beta, residual, rho in thin(recorded())
     ]
     record.flags.writeable = False
     return [

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .linalg import lq_norm
 
 # Tolerance for the [0, 1] box on reduced coordinates; violations beyond
 # this would falsify the form invariant, not just accumulate roundoff.
@@ -180,27 +179,21 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1)
 
 
-def equivalence_check(
-    inst: SparseInstance,
-    nu: float,
-    iterations: int,
-    residual_stop: float = 1e-12,
-) -> float:
+def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float:
     """Lockstep the full-matrix run against the reduced recursion.
 
     Both sides advance together until ``iterations`` steps or until the
-    matrix residual drops to ``residual_stop`` (past that point every
-    correlation underflows to exact zero on one side but not the other,
-    so comparison stops being meaningful).  Returns the largest l-inf
-    deviation between the two parameter trajectories; a differing
-    selection raises immediately, naming the iteration.
+    matrix residual drops to BoostingConfig's default floor of 1e-12
+    (past that point every correlation underflows to exact zero on one
+    side but not the other, so comparison stops being meaningful).
+    Returns the largest l-inf deviation between the two parameter
+    trajectories; a differing selection raises immediately, naming the
+    iteration.
     """
-    config = boosting.BoostingConfig(
-        nu=nu, max_iterations=iterations, residual_stop=residual_stop
-    )
+    config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
     astate = initial_analytic_state(inst)
     deviation = 0.0
-    for k, jm, _, beta, residual, _ in boosting.iterate(inst.X, inst.Y, config):
+    for k, jm, _, beta, _, _ in boosting.iterate(inst.X, inst.Y, config):
         if k:
             ja = boosting.select_index(analytic_rho(astate, inst))
             astate = analytic_step(astate, inst, nu)
@@ -213,8 +206,4 @@ def equivalence_check(
                 deviation,
                 float(np.abs(analytic_beta(astate, inst) - beta).max()),
             )
-        # the engine stops at a positive floor by itself; a zero floor
-        # must still end the comparison at an exactly zero residual
-        if not lq_norm(residual, 2) > residual_stop:
-            break
     return deviation

@@ -3,9 +3,11 @@
 The objective is ||Y - X b||_2^2 + lam * ||b||_1 with no sample-size
 normalization, so the soft-threshold level is lam / 2 and the smallest
 penalty with an all-zero solution is lambda_max = 2 * max_j |<X_j, Y>|.
-Minimum-l1 interpolation (basis pursuit) is realized as the terminal
-point of a decaying path followed by a least-squares polish on the
-detected support.
+A single solve and every point of the path share one result type,
+``PathPoint``; the solver's limits are module constants.  Minimum-l1
+interpolation (basis pursuit) is realized as the terminal point of a
+decaying path followed by a least-squares polish on the detected
+support.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import least_squares_on_support, lq_norm
+from .linalg import EXACT_FIT_RTOL, least_squares_on_support, lq_norm
 
 # Slack for the per-sweep objective monotonicity guard, relative to the
 # current objective scale.  Exact arithmetic decreases the objective
@@ -29,21 +31,21 @@ KKT_TOLERANCE = 1e-10
 MAX_SWEEPS = 100_000
 # Ratio of consecutive penalties on the path grid.
 PATH_DECAY = 0.5
+# basis_pursuit refits the terminal entries above this fraction of the
+# largest one.
+SUPPORT_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty and convergence control for a single solve."""
+    """Penalty and starting point for a single solve."""
 
     lam: float
-    max_sweeps: int = MAX_SWEEPS
     warm_start: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,9 @@ class LassoPathConfig:
             raise ValueError("lambda_min must be positive and finite")
 
 
-class LassoFit(NamedTuple):
-    beta: np.ndarray
-    objective: float
-    sweeps: int
-    converged: bool
-    kkt: float
-
-
 class PathPoint(NamedTuple):
+    """One solve: its penalty, solution, and how the solver fared."""
+
     lam: float
     beta: np.ndarray
     converged: bool
@@ -83,11 +79,6 @@ def _soft(value: float, threshold: float) -> float:
     if mag <= 0.0:
         return 0.0
     return math.copysign(mag, value)
-
-
-def objective_value(X, Y, b, lam: float) -> float:
-    r = np.asarray(Y, dtype=float) - np.asarray(X, dtype=float) @ np.asarray(b, dtype=float)
-    return float(r @ r + lam * np.sum(np.abs(b)))
 
 
 def _kkt(g: np.ndarray, b: np.ndarray, half: float) -> float:
@@ -120,11 +111,11 @@ def lambda_max(X, Y) -> float:
     return 2.0 * float(np.max(np.abs(X.T @ Y)))
 
 
-def lasso(X, Y, config: LassoConfig) -> LassoFit:
+def lasso(X, Y, config: LassoConfig) -> PathPoint:
     """Cyclic coordinate descent with an in-place residual.
 
     Coordinates sweep in fixed order 0..p-1.  The run stops when the
-    stationarity residual reaches KKT_TOLERANCE; hitting max_sweeps
+    stationarity residual reaches KKT_TOLERANCE; hitting MAX_SWEEPS
     first returns the current iterate with ``converged=False`` rather
     than raising.  A sweep whose objective overflows to inf or nan raises
     ValueError; one that increases the objective beyond roundoff raises
@@ -154,7 +145,7 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
     half = 0.5 * config.lam
     prev_obj = float(r @ r + config.lam * np.sum(np.abs(b)))
     kkt = math.inf
-    for sweep in range(1, config.max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         for j in range(p):
             old = b[j]
             full_corr = float(X[:, j] @ r) + col_sq[j] * old
@@ -176,8 +167,8 @@ def lasso(X, Y, config: LassoConfig) -> LassoFit:
         prev_obj = obj
         kkt = _kkt(X.T @ r, b, half)
         if kkt <= KKT_TOLERANCE:
-            return LassoFit(beta=b, objective=obj, sweeps=sweep, converged=True, kkt=kkt)
-    return LassoFit(beta=b, objective=prev_obj, sweeps=config.max_sweeps, converged=False, kkt=kkt)
+            return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
+    return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
 
 
 def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
@@ -199,26 +190,18 @@ def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
     points: list[PathPoint] = []
     warm = np.zeros(X.shape[1])
     for lam in grid:
-        fit = lasso(X, Y, LassoConfig(lam=lam, warm_start=warm))
-        warm = fit.beta
-        points.append(
-            PathPoint(lam=lam, beta=fit.beta, converged=fit.converged, kkt=fit.kkt, sweeps=fit.sweeps)
-        )
+        points.append(lasso(X, Y, LassoConfig(lam=lam, warm_start=warm)))
+        warm = points[-1].beta
     return points
 
 
-def basis_pursuit(
-    X,
-    Y,
-    config: LassoPathConfig,
-    support_threshold_factor: float = 1e-6,
-) -> np.ndarray:
+def basis_pursuit(X, Y, config: LassoPathConfig) -> np.ndarray:
     """Minimum-l1 interpolation via the terminal path point plus polish.
 
     The terminal solution's support (entries above
-    ``support_threshold_factor * max_j |b_j|``) is refit by least
-    squares; the polished vector must reproduce Y to 1e-8 relative or
-    the path did not get close enough and the caller should lower
+    ``SUPPORT_THRESHOLD * max_j |b_j|``) is refit by least squares; the
+    polished vector must reproduce Y to EXACT_FIT_RTOL relative or the
+    path did not get close enough and the caller should lower
     ``lambda_min``.
     """
     X = np.asarray(X, dtype=float)
@@ -229,12 +212,12 @@ def basis_pursuit(
     terminal = lasso_path(X, Y, config)[-1].beta
     peak = float(np.max(np.abs(terminal)))
     support = tuple(
-        int(j) for j in np.flatnonzero(np.abs(terminal) > support_threshold_factor * peak)
+        int(j) for j in np.flatnonzero(np.abs(terminal) > SUPPORT_THRESHOLD * peak)
     )
     fit = least_squares_on_support(X, Y, support)
     polished = np.zeros(X.shape[1])
     polished[list(support)] = fit.coeffs
-    if lq_norm(Y - X @ polished, 2) > 1e-8 * y_norm:
+    if lq_norm(Y - X @ polished, 2) > EXACT_FIT_RTOL * y_norm:
         raise RuntimeError(
             "terminal path solution did not reach a feasible interpolant; "
             "decrease lambda_min"

@@ -5,7 +5,9 @@ from a hand-written reduced row echelon form with partial pivoting,
 because on the constructed family its integer pivots make ``X @ z == 0``
 hold exactly.  Least squares solves a whole block of equal-size supports
 in stacked numpy calls: the normal equations where they are well posed,
-the minimum-norm solution where they are numerically singular.
+the minimum-norm solution where they are numerically singular.  Every
+rank decision uses the one tolerance DEFAULT_RANK_TOL, and every "exact
+fit" test the one tolerance EXACT_FIT_RTOL.
 """
 
 import math
@@ -17,6 +19,10 @@ import numpy as np
 # Rank decisions are made relative to the largest absolute entry of the
 # matrix being examined.
 DEFAULT_RANK_TOL = 1e-10
+
+# A fit whose residual is at most this fraction of ||Y||_2 reproduces Y
+# exactly, up to roundoff.
+EXACT_FIT_RTOL = 1e-8
 
 
 def lq_norm(v, q) -> float:
@@ -35,27 +41,16 @@ def lq_norm(v, q) -> float:
     raise ValueError(f"unsupported norm order {q!r}; use 1, 2 or math.inf")
 
 
-def inner(v, w) -> float:
-    """Euclidean inner product; the two vectors must have equal length."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape or v.ndim != 1:
-        raise ValueError(
-            f"inner product needs two vectors of equal length, got shapes {v.shape} and {w.shape}"
-        )
-    return float(np.dot(v, w))
-
-
-def _rref(X: np.ndarray, rank_tolerance: float):
+def _rref(X: np.ndarray):
     """Reduced row echelon form with partial pivoting.
 
-    Returns (R, pivot_cols).  Entries below ``rank_tolerance * max|X|`` are
-    treated as zero when choosing pivots.
+    Returns (R, pivot_cols).  Entries below ``DEFAULT_RANK_TOL * max|X|``
+    are treated as zero when choosing pivots.
     """
     R = np.array(X, dtype=float, copy=True)
     n, p = R.shape
     scale = float(np.max(np.abs(R))) if R.size else 0.0
-    tol_abs = rank_tolerance * scale
+    tol_abs = DEFAULT_RANK_TOL * scale
     pivot_cols: list[int] = []
     row = 0
     for col in range(p):
@@ -89,7 +84,6 @@ class NullspaceBasis:
 
     dim: int
     basis: list[np.ndarray] = field(default_factory=list)
-    rank_tolerance: float = DEFAULT_RANK_TOL
 
     def matrix(self) -> np.ndarray:
         """Basis vectors stacked as the columns of a (p, dim) array."""
@@ -98,25 +92,24 @@ class NullspaceBasis:
         return np.column_stack(self.basis)
 
 
-def nullspace(X, rank_tolerance: float = DEFAULT_RANK_TOL) -> NullspaceBasis:
+def nullspace(X) -> NullspaceBasis:
     """Nullspace basis of X via row reduction with partial pivoting.
 
     Parameters
     ----------
     X : array_like, shape (n, p)
-    rank_tolerance : float
-        Pivot threshold, relative to the largest absolute entry of X.
 
     Returns
     -------
     NullspaceBasis
         One vector per free column, normalized so the last nonzero
-        coordinate equals 1.  Each vector v is checked to satisfy
-        ||X v||_2 <= rank_tolerance * ||v||_2 * max|X|.
+        coordinate equals 1.  Pivots below DEFAULT_RANK_TOL times the
+        largest absolute entry of X count as zero, and each vector v is
+        checked to satisfy ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
-    R, pivot_cols = _rref(X, rank_tolerance)
+    R, pivot_cols = _rref(X)
     free_cols = [c for c in range(p) if c not in pivot_cols]
     basis = []
     for c in free_cols:
@@ -132,12 +125,12 @@ def nullspace(X, rank_tolerance: float = DEFAULT_RANK_TOL) -> NullspaceBasis:
     scale = float(np.max(np.abs(X))) if X.size else 0.0
     for v in basis:
         resid = lq_norm(X @ v, 2)
-        if resid > rank_tolerance * lq_norm(v, 2) * scale:
+        if resid > DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:
             raise RuntimeError(
                 f"nullspace vector fails the residual check: ||Xv|| = {resid:.3e} "
-                f"against tolerance {rank_tolerance * lq_norm(v, 2) * scale:.3e}"
+                f"against tolerance {DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:.3e}"
             )
-    return NullspaceBasis(dim=len(basis), basis=basis, rank_tolerance=rank_tolerance)
+    return NullspaceBasis(dim=len(basis), basis=basis)
 
 
 class LeastSquaresFit(NamedTuple):
@@ -157,9 +150,7 @@ def submatrices(X: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return X.T[supports].swapaxes(1, 2)
 
 
-def least_squares_batch(
-    X, Y, supports, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def least_squares_batch(X, Y, supports) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares on a block of equal-size supports in stacked numpy calls.
 
     Parameters
@@ -174,7 +165,7 @@ def least_squares_batch(
     (coeffs, residual_norms, rank_deficient)
         Arrays of shapes (m, k), (m,) and (m,).  A support is
         rank-deficient when the smallest eigenvalue of its Gram matrix
-        X_T' X_T is at most ``rank_tolerance`` times the Gram matrix's
+        X_T' X_T is at most DEFAULT_RANK_TOL times the Gram matrix's
         largest absolute entry; it gets the minimum-norm solution, every
         other support the solution of its normal equations.
     """
@@ -190,7 +181,7 @@ def least_squares_batch(
     A = submatrices(X, supports)
     At = A.swapaxes(1, 2)
     G = At @ A
-    deficient = np.linalg.eigvalsh(G)[:, 0] <= rank_tolerance * np.abs(G).max(axis=(1, 2))
+    deficient = np.linalg.eigvalsh(G)[:, 0] <= DEFAULT_RANK_TOL * np.abs(G).max(axis=(1, 2))
     full = ~deficient
     coeffs = np.empty((m, k))
     coeffs[full] = np.linalg.solve(G[full], (At[full] @ Y)[:, :, None])[:, :, 0]
@@ -201,9 +192,7 @@ def least_squares_batch(
     return coeffs, residual_norms, deficient
 
 
-def least_squares_on_support(
-    X, Y, support, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> LeastSquaresFit:
+def least_squares_on_support(X, Y, support) -> LeastSquaresFit:
     """Minimize ||Y - X_T b_T||_2 over coefficients supported on T.
 
     Parameters
@@ -228,7 +217,5 @@ def least_squares_on_support(
         raise ValueError(f"support contains repeated indices: {T}")
     if any(j < 0 or j >= p for j in T):
         raise ValueError(f"support indices out of range for p = {p}: {T}")
-    coeffs, residual_norms, deficient = least_squares_batch(
-        X, Y, np.array([T], dtype=np.intp), rank_tolerance
-    )
+    coeffs, residual_norms, deficient = least_squares_batch(X, Y, np.array([T], dtype=np.intp))
     return LeastSquaresFit(coeffs[0], float(residual_norms[0]), bool(deficient[0]))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_RANK_TOL,
+    EXACT_FIT_RTOL,
     NullspaceBasis,
     least_squares_batch,
     lq_norm,
@@ -34,6 +35,9 @@ ENUMERATION_BUDGET = 10_000_000
 # grow the working set: 256 adds about 0.3 MB of peak RSS over one subset
 # at a time, 4,096 about 15 MB.
 ENUMERATION_BLOCK = 256
+
+# Random directions that seed the heuristic cone search of rn_check.
+RN_SAMPLES = 10_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -158,14 +162,13 @@ def _heuristic_cone_search(
     B: np.ndarray,
     mask: np.ndarray,
     c: float,
-    samples: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
     """Best-effort maximization of c * ||(Bv)_T||_1 - ||(Bv)_Tc||_1.
 
-    Random unit directions seed a sign-pattern ascent; steps are only
-    accepted when the objective improves, so the search is monotone but
-    can miss witnesses that sit exactly on the cone boundary.
+    RN_SAMPLES random unit directions seed a sign-pattern ascent; steps
+    are only accepted when the objective improves, so the search is
+    monotone but can miss witnesses that sit exactly on the cone boundary.
     """
     rng = np.random.default_rng(seed)
     d = B.shape[1]
@@ -174,7 +177,7 @@ def _heuristic_cone_search(
     def score(v: np.ndarray) -> float:
         return float(weights @ np.abs(B @ v))
 
-    V = rng.standard_normal((d, max(samples, 1)))
+    V = rng.standard_normal((d, RN_SAMPLES))
     V /= np.linalg.norm(V, axis=0)
     scores = weights @ np.abs(B @ V)
     order = np.argsort(scores)[::-1]
@@ -199,13 +202,7 @@ def _heuristic_cone_search(
     return best, best_v
 
 
-def rn_check(
-    X,
-    spec: ConeSpec,
-    ns: NullspaceBasis,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> RNVerdict:
+def rn_check(X, spec: ConeSpec, ns: NullspaceBasis, seed: int = 0) -> RNVerdict:
     """Does the nullspace meet the cone only at zero?
 
     Dimension 0 holds vacuously; dimension 1 is decided exactly by the
@@ -224,7 +221,7 @@ def rn_check(
             return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
     B = ns.matrix()
-    best, best_v = _heuristic_cone_search(B, mask, spec.c, samples, seed)
+    best, best_v = _heuristic_cone_search(B, mask, spec.c, seed)
     if best > 0.0:
         witness = B @ best_v
         return RNVerdict(holds=False, witness=witness, method="heuristic", critical_c=None)
@@ -452,12 +449,12 @@ def rip_implies_rn_test(
     }
 
 
-def spark(
-    X,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-    rank_tolerance: float = DEFAULT_RANK_TOL,
-) -> SparsityCertificate:
-    """Smallest dependent column subset by ascending-size enumeration."""
+def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificate:
+    """Smallest dependent column subset by ascending-size enumeration.
+
+    A subset is dependent when its numerical rank, at DEFAULT_RANK_TOL
+    times its largest absolute entry, is below its size.
+    """
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
     tested = 0
@@ -473,7 +470,7 @@ def spark(
         for block in _blocks(p, size):
             A = submatrices(X, block)
             ranks = np.linalg.matrix_rank(
-                A, tol=rank_tolerance * np.abs(A).max(axis=(1, 2))
+                A, tol=DEFAULT_RANK_TOL * np.abs(A).max(axis=(1, 2))
             )
             dependent = (ranks < size).nonzero()[0]
             if dependent.size:
@@ -525,16 +522,12 @@ def spark_from_nullspace(ns: NullspaceBasis, p: int) -> SparsityCertificate | No
 
 
 def unique_sparsest(
-    X,
-    Y,
-    s: int,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-    residual_rtol: float = 1e-8,
+    X, Y, s: int, enumeration_budget: int = ENUMERATION_BUDGET
 ) -> UniqueSparsestResult:
     """Brute-force uniqueness of the sparsest exact fit up to size s.
 
     Supports are enumerated by ascending size; the first size with any
-    exact fit (residual <= residual_rtol * ||Y||_2) is the minimal one,
+    exact fit (residual <= EXACT_FIT_RTOL * ||Y||_2) is the minimal one,
     and uniqueness means exactly one support of that size fits.  The
     whole minimal size is always enumerated before deciding.
     """
@@ -546,7 +539,7 @@ def unique_sparsest(
     y_norm = lq_norm(Y, 2)
     if not math.isfinite(y_norm):
         raise ValueError("the norm of Y overflows; rescale Y")
-    tol = residual_rtol * y_norm
+    tol = EXACT_FIT_RTOL * y_norm
     tested = 0
     for size in range(0, s + 1):
         if tested + math.comb(p, size) > enumeration_budget:

@@ -41,8 +41,6 @@ class TrajectoryRow:
     rho_max: float
     resid_l2: float
     dist_l1: float
-    on_l1: float
-    off_l1: float
     cone_ratio: float
 
 
@@ -55,8 +53,6 @@ class PathRow:
     on_l1: float
     off_l1: float
     cone_ratio: float
-    converged: bool
-    sweeps: int
 
 
 @dataclass
@@ -109,7 +105,7 @@ def boosting_trajectory(
     """
     rows: list[TrajectoryRow] = []
     for k, j, _, beta, residual, rho in boosting.iterate(X, Y, config):
-        dist, on, off, ratio = _error_split(beta, truth, S)
+        dist, _, _, ratio = _error_split(beta, truth, S)
         rows.append(
             TrajectoryRow(
                 k=k,
@@ -117,8 +113,6 @@ def boosting_trajectory(
                 rho_max=float(np.abs(rho).max()),
                 resid_l2=lq_norm(residual, 2),
                 dist_l1=dist,
-                on_l1=on,
-                off_l1=off,
                 cone_ratio=ratio,
             )
         )
@@ -138,8 +132,6 @@ def path_rows_from_points(points, truth, S) -> list[PathRow]:
                 on_l1=on,
                 off_l1=off,
                 cone_ratio=ratio,
-                converged=point.converged,
-                sweeps=point.sweeps,
             )
         )
     return rows
@@ -167,7 +159,16 @@ def reproduce(
     cone_window: int = CONE_WINDOW,
     enumeration_budget: int = properties.ENUMERATION_BUDGET,
 ) -> RecoveryReport:
-    """Run the whole contrast experiment on construct(c) and grade it."""
+    """Run the whole contrast experiment on construct(c) and grade it.
+
+    The k = 0 error ratio is 0, so a sustained cone exit needs at least
+    ``cone_window`` iterations; a shorter run is refused up front.
+    """
+    if iterations < cone_window:
+        raise ValueError(
+            f"iterations {iterations} is below the cone window {cone_window}; "
+            "no sustained cone exit can fit"
+        )
     inst = construct(c)
     ns = nullspace(inst.X)
     rn_holds, _, critical_c = properties.rn_uniform(

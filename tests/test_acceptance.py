@@ -21,6 +21,7 @@ from sparselab import (
     analytic_step,
     basis_pursuit,
     equivalence_check,
+    iterate,
     lambda_max,
     lasso,
     lasso_path,
@@ -49,13 +50,14 @@ def _criterion(num: int, label: str):
 
 @pytest.fixture(scope="module")
 def stall_runs(inst25):
-    """Full-density 2000-iteration snapshots on n=25 for each step length."""
+    """(k, beta) at every one of 2000 iterations on n=25 for each step
+    length, with the time the engine took."""
     runs = {}
     for nu in (1.0, 0.5, 0.1):
         config = BoostingConfig(nu=nu, max_iterations=2000, residual_stop=0.0)
         started = time.perf_counter()
-        snaps = run(inst25.X, inst25.Y, config, snapshot_dense_limit=2000)
-        runs[nu] = (snaps, time.perf_counter() - started)
+        states = [(k, beta) for k, _, _, beta, _, _ in iterate(inst25.X, inst25.Y, config)]
+        runs[nu] = (states, time.perf_counter() - started)
     return runs
 
 
@@ -71,14 +73,14 @@ def deep_paths(inst9, inst25):
 
 def test_criterion_01_greedy_never_recovers(stall_runs, inst25):
     with _criterion(1, "greedy stall on n=25") as failures:
-        snaps, elapsed = stall_runs[1.0]
-        if snaps[-1].k != 2000:
-            failures.append(f"run stopped early at k={snaps[-1].k}")
-        for state in snaps:
-            if np.any(state.beta[: inst25.s] != 0.0):
-                failures.append(f"active coordinate touched at k={state.k}")
+        states, elapsed = stall_runs[1.0]
+        if [k for k, _ in states] != list(range(2001)):
+            failures.append(f"run stopped early at k={states[-1][0]}")
+        for k, beta in states:
+            if np.any(beta[: inst25.s] != 0.0):
+                failures.append(f"active coordinate touched at k={k}")
                 break
-        dists = [float(np.sum(np.abs(s.beta - inst25.beta))) for s in snaps]
+        dists = [float(np.sum(np.abs(beta - inst25.beta))) for _, beta in states]
         worst = min(dists)
         if worst < inst25.s - 1e-12:
             failures.append(f"l1 distance dipped to {worst!r}, below s - 1e-12")
@@ -88,10 +90,9 @@ def test_criterion_01_greedy_never_recovers(stall_runs, inst25):
 
 def test_criterion_02_sign_form_invariant(stall_runs, inst9, inst25):
     with _criterion(2, "trajectory form invariant") as failures:
-        for nu, (snaps, _) in stall_runs.items():
+        for nu, (states, _) in stall_runs.items():
             s, n = 5, 25
-            for state in snaps:
-                beta = state.beta
+            for k, beta in states:
                 ok = (
                     np.all(beta[:s] == 0.0)
                     and np.all(beta[s:n] <= 0.0)
@@ -100,7 +101,7 @@ def test_criterion_02_sign_form_invariant(stall_runs, inst9, inst25):
                     and beta[n] <= 1.0 + 1e-12
                 )
                 if not ok:
-                    failures.append(f"form broken at nu={nu}, k={state.k}")
+                    failures.append(f"form broken at nu={nu}, k={k}")
                     break
         # the invariant also holds one step out of any reachable state,
         # not just along trajectories from zero
@@ -136,10 +137,8 @@ def test_criterion_03_recursion_matches_matrix(inst9, inst25):
 
 def test_criterion_04_cone_exit(stall_runs, inst25):
     with _criterion(4, "sustained cone exit on n=25") as failures:
-        snaps, _ = stall_runs[1.0]
-        ratios = [
-            cone_split(state.beta - inst25.beta, inst25.S)[2] for state in snaps
-        ]
+        states, _ = stall_runs[1.0]
+        ratios = [cone_split(beta - inst25.beta, inst25.S)[2] for _, beta in states]
         exit_k = detect_cone_exit(ratios, threshold=2.1, window=100)
         if exit_k is None:
             failures.append("no 100-iteration window stayed above 21/10")
@@ -245,7 +244,7 @@ def test_criterion_08_energy_identity():
             Y = rng.standard_normal(n)
             nu = nus[i % 3]
             config = BoostingConfig(nu=nu, max_iterations=25, residual_stop=0.0)
-            snaps = run(X, Y, config, snapshot_dense_limit=25)
+            snaps = run(X, Y, config)
             drop = nu * (2.0 - nu)
             for prev, cur in zip(snaps, snaps[1:]):
                 j = cur.history[-1]

@@ -11,6 +11,7 @@ from sparselab import (
     run,
     select_index,
 )
+from sparselab.boosting import thin
 from sparselab.report import boosting_trajectory
 
 
@@ -136,12 +137,15 @@ def test_run_stops_on_residual_floor():
 
 
 def test_run_snapshot_thinning():
+    # past the dense limit, run keeps exactly the k that thin keeps of the
+    # trajectory rows, so snapshots and the trajectory CSV share one rule
     rng = np.random.default_rng(21)
     X, Y = _random_problem(rng, 4, 6)
-    config = BoostingConfig(nu=0.1, max_iterations=37, residual_stop=0.0)
-    snaps = run(X, Y, config, snapshot_dense_limit=10, snapshot_stride=5)
-    ks = [s.k for s in snaps]
-    assert ks == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 25, 30, 35, 37]
+    K = 1037
+    config = BoostingConfig(nu=0.1, max_iterations=K, residual_stop=0.0)
+    ks = [s.k for s in run(X, Y, config)]
+    assert ks == list(thin(range(K + 1)))
+    assert ks == list(range(1001)) + [1010, 1020, 1030, 1037]
 
 
 def test_run_snapshots_agree_with_trajectory(inst25):

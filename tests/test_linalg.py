@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sparselab import (
-    inner,
     least_squares_on_support,
     lq_norm,
     nullspace,
@@ -24,10 +23,6 @@ def test_lq_norm_values():
 def test_lq_norm_rejects_matrices():
     with pytest.raises(ValueError):
         lq_norm(np.eye(2), 2)
-
-
-def test_inner():
-    assert inner([1.0, 2.0], [3.0, -1.0]) == 1.0
 
 
 def test_nullspace_duplicate_column():

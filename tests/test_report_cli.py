@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -108,8 +109,10 @@ def test_thin_rows():
     # a final row off the stride is appended anyway
     rows = [_Row(k) for k in range(1502)]
     assert [r.k for r in thin(rows)][-1] == 1501
-    # lazily, over any stream
-    assert list(thin(iter(range(12)), dense_limit=3, stride=4)) == [0, 1, 2, 3, 4, 8, 11]
+    # lazily, over any stream, even an endless one
+    assert list(itertools.islice(thin(itertools.count()), 1003)) == [
+        *range(1001), 1010, 1020
+    ]
     assert list(thin(iter(()))) == []
 
 
@@ -191,13 +194,21 @@ def test_cli_reproduce_writes_artifacts(tmp_path, capsys):
 
 
 def test_cli_reproduce_flags_contradiction(tmp_path, capsys):
-    # 50 iterations cannot sustain a 100-wide cone window, so the
-    # cone_exit_found verdict contradicts its expectation
-    rc = main(["reproduce", "--c", "1", "--iters", "50"])
+    # a path that stops at half of lambda_max leaves the lasso far from
+    # beta, so the lasso_recovers verdict contradicts its expectation
+    rc = main(["reproduce", "--c", "1", "--lambda-min-factor", "0.5"])
     captured = capsys.readouterr()
     assert rc == 1
     assert "CONTRADICTIONS" in captured.err
-    assert "cone_exit_found" in captured.err
+    assert "lasso_recovers: expected True, observed False" in captured.err
+
+
+def test_reproduce_refuses_iterations_below_the_cone_window():
+    # no sustained cone exit fits in fewer iterations than the window
+    with pytest.raises(ValueError, match="cone window"):
+        reproduce(c=1.0, nu=1.0, iterations=50)
+    with pytest.raises(ValueError, match="cone window"):
+        reproduce(c=1.0, nu=1.0, iterations=9, cone_window=10)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
@@ -430,6 +441,7 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         (CERTIFY + ["X.txt", "--property", "rn_uniform", "--t", "1", "--c", "inf"], 2),
         (["reproduce", "--nu", "0.5"], 2),
         (CERTIFY + ["X.txt", "--property", "bogus"], 2),
+        (["reproduce", "--c", "1", "--iters", "50"], 2),
     ],
     ids=[
         "compare-nan-matrix",
@@ -468,6 +480,7 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         "rn-uniform-c-inf",
         "missing-required-flag",
         "unknown-property",
+        "iters-below-window",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
