@@ -24,7 +24,7 @@ from . import io as files
 from . import properties, report
 from .boosting import BoostingConfig, thin
 from .counterexample import construct
-from .lasso import LassoPathConfig, lasso_path
+from .lasso import KKT_TOLERANCE, LassoPathConfig, lasso_path
 from .linalg import nullspace
 
 
@@ -210,10 +210,20 @@ def cmd_compare(args) -> int:
     path_rows = report.path_rows_from_points(points, None, ())
     written = _write_curves(args.out, rows, path_rows)
     print(f"boosting: {len(rows) - 1} iterations, final resid_l2 {rows[-1].resid_l2:.6g}")
+    worst_kkt = max(point.kkt for point in points)
+    unconverged = sum(not point.converged for point in points)
     print(
         f"lasso: {len(path_rows)} path points, terminal l1 norm "
-        f"{path_rows[-1].l1_norm:.6g}"
+        f"{path_rows[-1].l1_norm:.6g}, worst KKT residual {worst_kkt:.3g}, "
+        f"{unconverged} unconverged"
     )
+    if unconverged:
+        print(
+            f"warning: {unconverged} of {len(points)} lasso path points did not "
+            f"reach the KKT tolerance {KKT_TOLERANCE:g} (worst {worst_kkt:.3g}); "
+            "rescale X and Y",
+            file=sys.stderr,
+        )
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -8,6 +8,16 @@ A single solve and every point of the path share one result type,
 interpolation (basis pursuit) is realized as the terminal point of a
 decaying path followed by a least-squares polish on the detected
 support.
+
+Sweeps skip certified zero coordinates.  The correlations g = X'r that
+each sweep computes for its KKT stop also bound, by a rounding-aware
+error analysis (at ``_ROUNDOFF``), what a later visit of a zero coordinate
+can compute while the residual stays within a budget of where g was
+taken.  A coordinate whose bound stays inside the dead zone |c| <= lam/2
+would compute new == old == 0 and leave r untouched, so skipping it
+moves no bit: every iterate, sweep count and KKT value is that of the
+full sweep.  Once the residual's running drift passes the budget, the
+rest of that sweep visits every index and the next g certifies anew.
 """
 
 from __future__ import annotations
@@ -34,6 +44,28 @@ PATH_DECAY = 0.5
 # basis_pursuit refits the terminal entries above this fraction of the
 # largest one.
 SUPPORT_THRESHOLD = 1e-6
+
+# Screening certificate of lasso().  Let u = _ROUNDOFF be the unit roundoff,
+# gamma = n u / (1 - n u), r0 the residual when the certificate is taken,
+# g = fl(X' r0), and r a later residual with ||r - r0|| <= D.  A computed
+# dot product of length n, in any summation order, is within
+# gamma ||x|| ||y|| of the exact one, so a visit of coordinate j computes
+#   |fl(X_j . r)| <= |X_j . r0| + ||X_j|| D + gamma ||X_j|| (||r0|| + D)
+#                 <= |g_j| + ||X_j|| (2 gamma ||r0|| + (1 + gamma) D).
+# An update r <- fl(r + fl(step X_k)) moves r by at most
+# (1 + u)^2 |step| ||X_k|| + u (||r0|| + D), and the sweep adds
+# |step| norm_k + u (r0_norm + D) to its running bound `drift`.  A zero
+# coordinate is certified for a budget B when
+#   (lam/2 - |g_j|) / norm_j >= 2 (2 gamma r0_norm + (1 + gamma) B).
+# The factor 2 covers the rounding of norm_j, r0_norm, drift and of the
+# test itself, each a relative error of order gamma.  While drift <= B the
+# bound stays at most lam/2, so the visit would compute new == old == 0
+# and leave r untouched: skipping it changes no bit.  The bounds ignore
+# underflow, which adds at most n 2^-1074 to a dot product or an update;
+# a budget of at least _SCREEN_FLOOR on columns whose squared norms are at
+# least _SCREEN_FLOOR^2 keeps that far below the margin.
+_ROUNDOFF = 2.0**-53
+_SCREEN_FLOOR = 2.0**-250
 
 
 @dataclass(frozen=True)
@@ -114,12 +146,14 @@ def lambda_max(X, Y) -> float:
 def lasso(X, Y, config: LassoConfig) -> PathPoint:
     """Cyclic coordinate descent with an in-place residual.
 
-    Coordinates sweep in fixed order 0..p-1.  The run stops when the
-    stationarity residual reaches KKT_TOLERANCE; hitting MAX_SWEEPS
-    first returns the current iterate with ``converged=False`` rather
-    than raising.  A sweep whose objective overflows to inf or nan raises
-    ValueError; one that increases the objective beyond roundoff raises
-    RuntimeError since the update rule forbids it.
+    Coordinates sweep in fixed order 0..p-1, skipping the zero
+    coordinates a certificate shows inert (see the module docstring).
+    The run stops when the stationarity residual reaches KKT_TOLERANCE;
+    hitting MAX_SWEEPS first returns the current iterate with
+    ``converged=False`` rather than raising.  A sweep whose objective
+    overflows to inf or nan raises ValueError; one that increases the
+    objective beyond roundoff raises RuntimeError since the update rule
+    forbids it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -127,7 +161,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
         raise ValueError(
             f"incompatible shapes: X {X.shape}, Y {np.shape(Y)}"
         )
-    p = X.shape[1]
+    n, p = X.shape
     col_sq = np.sum(X * X, axis=0)
     dead = np.flatnonzero(col_sq == 0.0)
     if dead.size:
@@ -143,16 +177,33 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
         b = np.zeros(p)
         r = Y.copy()
     half = 0.5 * config.lam
+    cols = [X[:, j] for j in range(p)]
+    sq = col_sq.tolist()
+    norms = np.sqrt(col_sq)
+    col_norm = norms.tolist()
+    gamma = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
+    screenable = float(np.min(col_sq)) >= _SCREEN_FLOOR**2
+    every = list(range(p))
+    # Without a certificate the sweep visits every index and never runs out.
+    visit, budget, drift, r0_norm = every, math.inf, 0.0, 0.0
     prev_obj = float(r @ r + config.lam * np.sum(np.abs(b)))
     kkt = math.inf
     for sweep in range(1, MAX_SWEEPS + 1):
-        for j in range(p):
+        k = 0
+        while k < len(visit):
+            j = visit[k]
+            k += 1
             old = b[j]
-            full_corr = float(X[:, j] @ r) + col_sq[j] * old
-            new = _soft(full_corr, half) / col_sq[j]
+            full_corr = float(cols[j] @ r) + sq[j] * old
+            new = _soft(full_corr, half) / sq[j]
             if new != old:
-                r += (old - new) * X[:, j]
+                step = old - new
+                r += step * cols[j]
                 b[j] = new
+                drift += abs(step) * col_norm[j] + _ROUNDOFF * (r0_norm + drift)
+                if drift > budget:
+                    # The certificate ran out: visit every index after j.
+                    visit, k, budget = every, j + 1, math.inf
         obj = float(r @ r + config.lam * np.sum(np.abs(b)))
         if not math.isfinite(obj):
             raise ValueError(
@@ -165,9 +216,22 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
-        kkt = _kkt(X.T @ r, b, half)
+        g = X.T @ r
+        kkt = _kkt(g, b, half)
         if kkt <= KKT_TOLERANCE:
             return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
+        if visit is every and screenable:
+            # A new certificate (derivation at _ROUNDOFF): the budget is a
+            # quarter of the largest headroom, so every zero coordinate with
+            # about half of it or more is certified.
+            r0_norm = math.sqrt(float(r @ r))
+            head = np.where(b == 0.0, (half - np.abs(g)) / norms, -math.inf)
+            budget = 0.25 * float(np.max(head))
+            certified = head >= 2.0 * (2.0 * gamma * r0_norm + (1.0 + gamma) * budget)
+            if budget >= _SCREEN_FLOOR and certified.any():
+                visit, drift = np.flatnonzero(~certified).tolist(), 0.0
+            else:
+                budget = math.inf
     return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
 
 

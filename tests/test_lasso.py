@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from sparselab import (
     LassoConfig,
     LassoPathConfig,
     basis_pursuit,
+    construct,
     kkt_residual,
     lambda_max,
     lasso,
     lasso_path,
 )
+from sparselab.lasso import PathPoint, _kkt, _soft
+from sparselab.report import LAMBDA_MIN_FACTOR
+
+# the package exports the function lasso under the module's name
+LASSO = importlib.import_module("sparselab.lasso")
 
 
 def test_lambda_max_frozen(inst9, inst25):
@@ -129,3 +136,162 @@ def test_basis_pursuit_refuses_shallow_path(inst9):
     config = LassoPathConfig(lambda_min=0.25 * lambda_max(inst9.X, inst9.Y))
     with pytest.raises(RuntimeError, match="lambda_min"):
         basis_pursuit(inst9.X, inst9.Y, config)
+
+
+# --- screening keeps every bit ---------------------------------------------
+
+
+def _full_sweep_lasso(X, Y, config):
+    """Reference: the coordinate descent before screening, verbatim.
+
+    Every sweep visits all p coordinates, so it pins what screened sweeps
+    must reproduce bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.ndim != 1 or Y.size != X.shape[0]:
+        raise ValueError(
+            f"incompatible shapes: X {X.shape}, Y {np.shape(Y)}"
+        )
+    p = X.shape[1]
+    col_sq = np.sum(X * X, axis=0)
+    dead = np.flatnonzero(col_sq == 0.0)
+    if dead.size:
+        raise ValueError(f"column {int(dead[0])} has zero norm")
+    if config.warm_start is not None:
+        b = np.asarray(config.warm_start, dtype=float).copy()
+        if b.shape != (p,):
+            raise ValueError(
+                f"warm start has shape {b.shape}, expected {(p,)}"
+            )
+        r = Y - X @ b
+    else:
+        b = np.zeros(p)
+        r = Y.copy()
+    half = 0.5 * config.lam
+    prev_obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+    kkt = math.inf
+    for sweep in range(1, LASSO.MAX_SWEEPS + 1):
+        for j in range(p):
+            old = b[j]
+            full_corr = float(X[:, j] @ r) + col_sq[j] * old
+            new = _soft(full_corr, half) / col_sq[j]
+            if new != old:
+                r += (old - new) * X[:, j]
+                b[j] = new
+        obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
+                "rescale X and Y"
+            )
+        if obj > prev_obj + LASSO._OBJECTIVE_SLACK * (1.0 + abs(prev_obj)):
+            raise RuntimeError(
+                f"coordinate sweep {sweep} increased the objective "
+                f"from {prev_obj!r} to {obj!r}"
+            )
+        prev_obj = obj
+        kkt = _kkt(X.T @ r, b, half)
+        if kkt <= LASSO.KKT_TOLERANCE:
+            return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
+    return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=LASSO.MAX_SWEEPS)
+
+
+def _bits(point):
+    return (
+        float.hex(float(point.lam)),
+        point.beta.tobytes(),
+        float.hex(point.kkt),
+        point.sweeps,
+        point.converged,
+    )
+
+
+def _gaussian_p_above_n():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 120))
+    beta = np.zeros(120)
+    beta[rng.choice(120, 6, replace=False)] = rng.standard_normal(6)
+    return X, X @ beta + 0.01 * rng.standard_normal(60), 1e-3
+
+
+def _duplicate_column():
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((20, 10))
+    X[:, 7] = X[:, 2]
+    return X, X @ np.array([0, 0, 2.0, 0, -1.0, 0, 0, 0, 0, 0.5]), 1e-6
+
+
+def _headroom_runs_out():
+    # two nearly parallel columns; see test_screening_headroom_runs_out_mid_sweep
+    rng = np.random.default_rng(264)
+    X = rng.standard_normal((6, 4))
+    X[:, 1] = X[:, 0] + 0.1 * rng.standard_normal(6)
+    return X, rng.standard_normal(6), 0.1
+
+
+def _family(c):
+    def design():
+        inst = construct(c)
+        return inst.X, inst.Y, LAMBDA_MIN_FACTOR
+
+    return design
+
+
+# LASSO.lasso is looked up at call time, so the test can swap in the reference
+def _path(X, Y, factor):
+    return LASSO.lasso_path(X, Y, LassoPathConfig(lambda_min=factor * lambda_max(X, Y)))
+
+
+def _cold_solve(X, Y, factor):
+    return [LASSO.lasso(X, Y, LassoConfig(lam=factor * lambda_max(X, Y)))]
+
+
+SCREENING_CASES = {
+    "family-n9": (_family(1.0), _path),
+    "family-n25": (_family(4.0), _path),
+    "gaussian-60x120": (_gaussian_p_above_n, _path),
+    "duplicate-column": (_duplicate_column, _path),
+    "headroom-runs-out": (_headroom_runs_out, _cold_solve),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENING_CASES))
+def test_screened_solves_match_full_sweeps_bit_for_bit(name, monkeypatch):
+    design, solve = SCREENING_CASES[name]
+    X, Y, factor = design()
+    points = solve(X, Y, factor)
+    monkeypatch.setattr(LASSO, "lasso", _full_sweep_lasso)
+    reference = solve(X, Y, factor)
+    assert [_bits(p) for p in points] == [_bits(p) for p in reference]
+    if name == "family-n25":
+        assert sum(p.sweeps for p in points) == 50_742
+
+
+def test_screening_duplicate_column_has_no_headroom():
+    # once column 2 is in the support its exact twin, column 7, sits on the
+    # edge of the dead zone, so no certificate ever skips it
+    X, Y, factor = _duplicate_column()
+    points = lasso_path(X, Y, LassoPathConfig(lambda_min=factor * lambda_max(X, Y)))
+    active = [p for p in points if p.beta[2] != 0.0]
+    assert len(active) > 1
+    for point in active:
+        g = X.T @ (Y - X @ point.beta)
+        assert 0.5 * point.lam - abs(g[7]) <= LASSO.KKT_TOLERANCE
+
+
+def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
+    # After the first sweep column 3 is zero well inside the dead zone, so it
+    # is certified.  The second sweep drops column 0 from the support, which
+    # moves the residual past the certificate's budget; column 3 comes later
+    # in that same sweep and must be visited, because it enters there.
+    X, Y, factor = _headroom_runs_out()
+    config = LassoConfig(lam=factor * lambda_max(X, Y))
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 1)
+    first = lasso(X, Y, config)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 2)
+    second = lasso(X, Y, config)
+    g = X.T @ (Y - X @ first.beta)
+    assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * config.lam
+    assert first.beta[0] != 0.0 and second.beta[0] == 0.0
+    assert second.beta[3] != 0.0

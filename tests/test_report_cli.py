@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -12,6 +13,8 @@ import pytest
 import sparselab
 from sparselab import (
     BoostingConfig,
+    LassoPathConfig,
+    lasso_path,
     read_matrix,
     read_vector,
     write_csv,
@@ -364,6 +367,29 @@ def test_cli_compare(tmp_path, capsys, inst9):
     assert trajectory[0] == ",".join(TRAJECTORY_HEADER)
     # no truth vector: distance and cone cells are not applicable
     assert trajectory[1].endswith(",nan,nan")
+
+
+def test_cli_compare_warns_on_unconverged_lasso(tmp_path, capsys, inst9, monkeypatch):
+    matrix = str(tmp_path / "X.txt")
+    y_path = str(tmp_path / "y.txt")
+    write_matrix(matrix, inst9.X)
+    write_vector(y_path, inst9.Y)
+    argv = ["compare", "--matrix", matrix, "--y", y_path, "--lambda-min", "1e-4",
+            "--iters", "10"]
+    assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+    out, err = capsys.readouterr()
+    assert "worst KKT residual" in out and ", 0 unconverged" in out
+    assert err == ""
+    monkeypatch.setattr(importlib.import_module("sparselab.lasso"), "MAX_SWEEPS", 1)
+    points = lasso_path(inst9.X, inst9.Y, LassoPathConfig(lambda_min=1e-4))
+    unconverged = sum(not point.converged for point in points)
+    assert 0 < unconverged < len(points)
+    assert main(argv + ["--out", str(tmp_path / "cut")]) == 0
+    out, err = capsys.readouterr()
+    assert f", {unconverged} unconverged" in out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert f"{unconverged} of {len(points)} lasso path points" in lines[0]
 
 
 def test_cli_compare_validates_lengths(tmp_path, capsys, inst9):
