@@ -32,13 +32,10 @@ def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
     """boosting_trajectory.csv (thinned) and lasso_path.csv; their paths."""
     os.makedirs(out_dir, exist_ok=True)
     trajectory_path = os.path.join(out_dir, "boosting_trajectory.csv")
-    files.write_csv(
-        trajectory_path,
-        report.TRAJECTORY_HEADER,
-        report.trajectory_csv_rows(thin(rows)),
-    )
+    files.write_csv(trajectory_path, report.TRAJECTORY_HEADER, thin(rows))
     path_path = os.path.join(out_dir, "lasso_path.csv")
-    files.write_csv(path_path, report.PATH_HEADER, report.path_csv_rows(path_rows))
+    width = len(report.PATH_HEADER)
+    files.write_csv(path_path, report.PATH_HEADER, (row[:width] for row in path_rows))
     return [trajectory_path, path_path]
 
 
@@ -46,7 +43,7 @@ def _write_report_files(out_dir: str, rep: report.RecoveryReport) -> list[str]:
     written = list(files.write_instance(out_dir, rep.instance).values())
     written += _write_curves(out_dir, rep.rows, rep.path_rows)
     summary_path = os.path.join(out_dir, "report.json")
-    files.write_json(summary_path, report.report_summary(rep))
+    files.write_json(summary_path, rep.summary)
     return written + [summary_path]
 
 
@@ -72,20 +69,23 @@ def cmd_reproduce(args) -> int:
         cone_window=args.window,
         enumeration_budget=args.budget,
     )
+    summary = rep.summary
+    info, stall, l1 = summary["instance"], summary["boosting"], summary["lasso"]
     print(
-        f"instance: n={rep.n} p={rep.p} s={rep.s} gamma={rep.gamma:g}; "
-        f"critical cone constant {rep.critical_c:g}, requested {rep.c_target:g}"
+        f"instance: n={info['n']} p={info['p']} s={info['s']} gamma={info['gamma']:g}; "
+        f"critical cone constant {summary['certificates']['critical_c']:g}, "
+        f"requested {info['c_target']:g}"
     )
     print(
-        f"boosting: min dist_l1 {min(r.dist_l1 for r in rep.rows):.6g}, "
-        f"cone exit at k={rep.cone_exit_k}, limit ratio {rep.limit_cone_ratio:.6g}"
+        f"boosting: min dist_l1 {stall['min_dist_l1']:.6g}, cone exit at "
+        f"k={stall['cone_exit_k']}, limit ratio {stall['limit_cone_ratio']:.6g}"
     )
     print(
-        f"lasso: terminal dist_l1 {rep.path_rows[-1].dist_l1:.6g} "
-        f"at lambda_min {rep.lambda_min:.6g}"
+        f"lasso: terminal dist_l1 {l1['final_dist_l1']:.6g} "
+        f"at lambda_min {l1['lambda_min']:.6g}"
     )
-    for name, value in rep.verdicts.items():
-        print(f"verdict {name}: {value} (expected {rep.expected[name]})")
+    for name, value in summary["verdicts"].items():
+        print(f"verdict {name}: {value} (expected {summary['expected'][name]})")
     if args.out:
         for path in _write_report_files(args.out, rep):
             print(f"wrote {path}")

@@ -136,6 +136,19 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     return _kkt(X.T @ r, b, 0.5 * lam)
 
 
+def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as float arrays: an n x p matrix with p >= 1 and a length-n
+    vector, or a ValueError naming both shapes."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape[1] == 0 or Y.ndim != 1 or Y.size != X.shape[0]:
+        raise ValueError(
+            f"incompatible shapes: X {X.shape}, Y {Y.shape}; "
+            "X needs at least one column and a row per entry of Y"
+        )
+    return X, Y
+
+
 def lambda_max(X, Y) -> float:
     """Smallest penalty whose solution is identically zero."""
     X = np.asarray(X, dtype=float)
@@ -155,12 +168,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
     objective beyond roundoff raises RuntimeError since the update rule
     forbids it.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.ndim != 1 or Y.size != X.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: X {X.shape}, Y {np.shape(Y)}"
-        )
+    X, Y = _design(X, Y)
     n, p = X.shape
     col_sq = np.sum(X * X, axis=0)
     dead = np.flatnonzero(col_sq == 0.0)
@@ -237,8 +245,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
 
 def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
     """Warm-started solves along a geometrically decaying penalty grid."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _design(X, Y)
     start = lambda_max(X, Y)
     if start == 0.0:
         # Y is orthogonal to every column; the whole path is zero.
@@ -268,8 +275,7 @@ def basis_pursuit(X, Y, config: LassoPathConfig) -> np.ndarray:
     path did not get close enough and the caller should lower
     ``lambda_min``.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _design(X, Y)
     y_norm = lq_norm(Y, 2)
     if y_norm == 0.0:
         return np.zeros(X.shape[1])

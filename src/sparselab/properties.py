@@ -253,28 +253,27 @@ def rn_uniform(
         raise ValueError(f"t must lie in [1, {p}], got {t}")
     if ns.dim == 0:
         return True, (), math.inf
-    if ns.dim == 1 and not force_enumeration:
-        z = ns.basis[0]
-        order = np.argsort(-np.abs(z), kind="stable")
-        worst_T = tuple(sorted(int(j) for j in order[:t]))
-        critical = cone_split(z, worst_T)[2]
-        return c < critical, worst_T, critical
-    total = math.comb(p, t)
-    if total > enumeration_budget:
-        raise BudgetExceeded(
-            f"uniform check over {total} supports of size {t} exceeds the "
-            f"budget of {enumeration_budget}"
-        )
+    if ns.dim > 1 or force_enumeration:
+        total = math.comb(p, t)
+        if total > enumeration_budget:
+            raise BudgetExceeded(
+                f"uniform check over {total} supports of size {t} exceeds the "
+                f"budget of {enumeration_budget}"
+            )
     if ns.dim == 1:
         z = ns.basis[0]
-        critical = math.inf
-        worst_T: tuple[int, ...] = ()
-        for T in itertools.combinations(range(p), t):
-            ratio = cone_split(z, T)[2]
-            if ratio < critical:
-                critical = ratio
-                worst_T = T
-        return c < critical, worst_T, critical
+        if force_enumeration:
+            # the first support of least ratio, as a strict scan finds it
+            worst_T = min(
+                itertools.combinations(range(p), t),
+                key=lambda T: cone_split(z, T)[2],
+            )
+        else:
+            order = np.argsort(-np.abs(z), kind="stable")
+            worst_T = tuple(sorted(int(j) for j in order[:t]))
+        # in_cone's rule, so rn_check on worst_T gives the same verdict
+        on, off, critical = cone_split(z, worst_T)
+        return not off <= c * on, worst_T, critical
     for T in itertools.combinations(range(p), t):
         verdict = rn_check(X, ConeSpec(T=T, c=c), ns)
         if not verdict.holds:

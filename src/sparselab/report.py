@@ -13,7 +13,7 @@ exit status at the command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,23 @@ TRAJECTORY_HEADER = ["k", "j_k", "rho_max", "resid_l2", "dist_l1", "cone_ratio"]
 PATH_HEADER = ["lambda", "l1_norm", "kkt_residual", "dist_l1_to_truth", "cone_ratio"]
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+# Every verdict's expected value; a report whose verdicts differ is a
+# contradiction.
+EXPECTED = {
+    "rn_holds": True,
+    "uniqueness_ok": True,
+    "boosting_recovers": False,
+    "boosting_distance_floor": True,
+    "active_block_untouched": True,
+    "lasso_recovers": True,
+    "lasso_path_in_cone": True,
+    "cone_exit_found": True,
+}
+
+
+class TrajectoryRow(NamedTuple):
+    """One boosting_trajectory.csv row, its fields in column order."""
+
     k: int
     j: int | None
     rho_max: float
@@ -44,42 +59,24 @@ class TrajectoryRow:
     cone_ratio: float
 
 
-@dataclass(frozen=True)
-class PathRow:
+class PathRow(NamedTuple):
+    """One lasso_path.csv row (the first len(PATH_HEADER) fields) and the
+    error's l1 mass on and off the support."""
+
     lam: float
     l1_norm: float
     kkt: float
     dist_l1: float
+    cone_ratio: float
     on_l1: float
     off_l1: float
-    cone_ratio: float
 
 
-@dataclass
-class RecoveryReport:
-    c_target: float
-    nu: float
-    iterations: int
-    seed: int
-    n: int
-    p: int
-    s: int
-    gamma: float
-    critical_c: float
-    rn_holds: bool
-    uniqueness: dict
-    cone_threshold: float
-    cone_window: int
-    cone_exit_k: int | None
-    limit_cone_ratio: float
-    lambda_max: float
-    lambda_min: float
-    # the constructed design, kept for the artifact writer; not in the summary
-    instance: SparseInstance = field(repr=False, compare=False)
-    rows: list[TrajectoryRow] = field(repr=False, default_factory=list)
-    path_rows: list[PathRow] = field(repr=False, default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
+class RecoveryReport(NamedTuple):
+    summary: dict  # exactly what report.json holds
+    instance: SparseInstance
+    rows: list[TrajectoryRow]
+    path_rows: list[PathRow]
 
 
 def _error_split(beta, truth, S) -> tuple[float, float, float, float]:
@@ -161,6 +158,9 @@ def reproduce(
 ) -> RecoveryReport:
     """Run the whole contrast experiment on construct(c) and grade it.
 
+    The report's ``summary`` is the whole of report.json: metadata,
+    certificates, extremes, verdicts and their expected values.
+
     The k = 0 error ratio is 0, so a sustained cone exit needs at least
     ``cone_window`` iterations; a shorter run is refused up front.
     """
@@ -238,96 +238,50 @@ def reproduce(
         ),
         "cone_exit_found": exit_k is not None,
     }
-    expected = {
-        "rn_holds": True,
-        "uniqueness_ok": True,
-        "boosting_recovers": False,
-        "boosting_distance_floor": True,
-        "active_block_untouched": True,
-        "lasso_recovers": True,
-        "lasso_path_in_cone": True,
-        "cone_exit_found": True,
+    summary = {
+        "instance": {
+            "c_target": float(c),
+            "n": inst.n,
+            "p": inst.p,
+            "s": inst.s,
+            "gamma": inst.gamma,
+        },
+        "run": {
+            "nu": float(nu),
+            "iterations": int(iterations),
+            "seed": int(seed),
+        },
+        "certificates": {
+            "critical_c": critical_c,
+            "rn_holds": bool(rn_holds),
+            "uniqueness": uniqueness,
+        },
+        "boosting": {
+            "min_dist_l1": min(dists),
+            "final_dist_l1": rows[-1].dist_l1,
+            "final_resid_l2": rows[-1].resid_l2,
+            "cone_threshold": threshold,
+            "cone_window": cone_window,
+            "cone_exit_k": exit_k,
+            "limit_cone_ratio": rows[-1].cone_ratio,
+        },
+        "lasso": {
+            "lambda_max": lam_max,
+            "lambda_min": lam_min,
+            "path_points": len(path_rows),
+            "final_dist_l1": path_rows[-1].dist_l1,
+            "final_kkt": path_rows[-1].kkt,
+        },
+        "verdicts": verdicts,
+        "expected": dict(EXPECTED),
     }
-    return RecoveryReport(
-        c_target=float(c),
-        nu=float(nu),
-        iterations=int(iterations),
-        seed=int(seed),
-        n=inst.n,
-        p=inst.p,
-        s=inst.s,
-        gamma=inst.gamma,
-        critical_c=critical_c,
-        rn_holds=bool(rn_holds),
-        uniqueness=uniqueness,
-        cone_threshold=threshold,
-        cone_window=cone_window,
-        cone_exit_k=exit_k,
-        limit_cone_ratio=rows[-1].cone_ratio,
-        lambda_max=lam_max,
-        lambda_min=lam_min,
-        instance=inst,
-        rows=rows,
-        path_rows=path_rows,
-        verdicts=verdicts,
-        expected=expected,
-    )
+    return RecoveryReport(summary, inst, rows, path_rows)
 
 
 def verdict_failures(report: RecoveryReport) -> list[str]:
+    expected = report.summary["expected"]
     return [
-        f"{name}: expected {report.expected[name]}, observed {value}"
-        for name, value in report.verdicts.items()
-        if value != report.expected[name]
+        f"{name}: expected {expected[name]}, observed {value}"
+        for name, value in report.summary["verdicts"].items()
+        if value != expected[name]
     ]
-
-
-def trajectory_csv_rows(rows: list[TrajectoryRow]):
-    for row in rows:
-        yield [row.k, row.j, row.rho_max, row.resid_l2, row.dist_l1, row.cone_ratio]
-
-
-def path_csv_rows(path_rows: list[PathRow]):
-    for row in path_rows:
-        yield [row.lam, row.l1_norm, row.kkt, row.dist_l1, row.cone_ratio]
-
-
-def report_summary(report: RecoveryReport) -> dict:
-    """JSON-ready digest: metadata, certificates, verdicts, extremes."""
-    return {
-        "instance": {
-            "c_target": report.c_target,
-            "n": report.n,
-            "p": report.p,
-            "s": report.s,
-            "gamma": report.gamma,
-        },
-        "run": {
-            "nu": report.nu,
-            "iterations": report.iterations,
-            "seed": report.seed,
-        },
-        "certificates": {
-            "critical_c": report.critical_c,
-            "rn_holds": report.rn_holds,
-            "uniqueness": report.uniqueness,
-        },
-        "boosting": {
-            "min_dist_l1": min(row.dist_l1 for row in report.rows),
-            "final_dist_l1": report.rows[-1].dist_l1,
-            "final_resid_l2": report.rows[-1].resid_l2,
-            "cone_threshold": report.cone_threshold,
-            "cone_window": report.cone_window,
-            "cone_exit_k": report.cone_exit_k,
-            "limit_cone_ratio": report.limit_cone_ratio,
-        },
-        "lasso": {
-            "lambda_max": report.lambda_max,
-            "lambda_min": report.lambda_min,
-            "path_points": len(report.path_rows),
-            "final_dist_l1": report.path_rows[-1].dist_l1,
-            "final_kkt": report.path_rows[-1].kkt,
-        },
-        "verdicts": report.verdicts,
-        "expected": report.expected,
-    }

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ def test_config_validation():
         LassoConfig(lam=-1.0)
     with pytest.raises(ValueError):
         LassoPathConfig(lambda_min=0.0)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda X, Y: lasso(X, Y, LassoConfig(lam=1.0)),
+        lambda X, Y: lasso_path(X, Y, LassoPathConfig(lambda_min=1e-3)),
+        lambda X, Y: basis_pursuit(X, Y, LassoPathConfig(lambda_min=1e-3)),
+    ],
+    ids=["lasso", "lasso_path", "basis_pursuit"],
+)
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (np.zeros((3, 0)), np.ones(3)),
+        (np.ones(3), np.ones(3)),
+        (np.ones((3, 2)), np.ones(4)),
+    ],
+    ids=["no-columns", "1-d-matrix", "short-matrix"],
+)
+def test_solvers_refuse_bad_shapes(solve, X, Y):
+    with pytest.raises(ValueError, match=re.escape(f"X {X.shape}, Y {Y.shape}")):
+        solve(X, Y)
 
 
 def test_single_column_closed_form():

@@ -121,6 +121,24 @@ def test_rn_uniform_closed_form_matches_enumeration(inst9):
         assert c_slow == pytest.approx(crit, abs=1e-12)
 
 
+def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
+    # off / on rounds, so c = critical must be decided by the closed-cone
+    # rule off <= c * on on both sides, not by comparing c with the ratio
+    X = np.array([[9.0, 14.0]])
+    ns = nullspace(X)
+    critical = rn_uniform(X, 1, 1.0, ns)[2]
+    assert critical == rn_check(X, ConeSpec(T=(0,), c=1.0), ns).critical_c
+    verdicts = []
+    for c in (np.nextafter(critical, 0.0), critical, np.nextafter(critical, 2.0)):
+        c = float(c)
+        expected = (rn_check(X, ConeSpec(T=(0,), c=c), ns).holds, (0,), critical)
+        assert rn_uniform(X, 1, c, ns) == expected
+        assert rn_uniform(X, 1, c, ns, force_enumeration=True) == expected
+        verdicts.append(expected[0])
+    # c * on rounds below off at c = critical, so the ray stays outside
+    assert verdicts == [True, True, False]
+
+
 def test_rn_uniform_critical_decreases_with_support_size(inst9):
     ns = nullspace(inst9.X)
     crits = [rn_uniform(inst9.X, t, 0.5, ns)[2] for t in (1, 2, 3)]

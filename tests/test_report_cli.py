@@ -14,6 +14,7 @@ import sparselab
 from sparselab import (
     BoostingConfig,
     LassoPathConfig,
+    jsonable,
     lasso_path,
     read_matrix,
     read_vector,
@@ -145,23 +146,33 @@ def report9():
 
 
 def test_reproduce_grades_clean(report9):
+    summary = report9.summary
     assert verdict_failures(report9) == []
-    assert report9.n == 9 and report9.p == 10 and report9.s == 3
-    assert report9.critical_c == pytest.approx(7.0 / 3.0, abs=1e-12)
-    assert report9.cone_exit_k == 4
-    assert report9.limit_cone_ratio == pytest.approx(7.0 / 3.0, abs=1e-9)
-    assert report9.lambda_max == 486.0
+    info = summary["instance"]
+    assert info["n"] == 9 and info["p"] == 10 and info["s"] == 3
+    assert summary["certificates"]["critical_c"] == pytest.approx(7.0 / 3.0, abs=1e-12)
+    assert summary["boosting"]["cone_exit_k"] == 4
+    assert summary["boosting"]["limit_cone_ratio"] == pytest.approx(7.0 / 3.0, abs=1e-9)
+    assert summary["lasso"]["lambda_max"] == 486.0
     assert len(report9.rows) == 401
 
 
 def test_verdict_failures_reports_diffs(report9):
-    report9.verdicts["rn_holds"] = False
+    report9.summary["verdicts"]["rn_holds"] = False
     try:
         assert verdict_failures(report9) == [
             "rn_holds: expected True, observed False"
         ]
     finally:
-        report9.verdicts["rn_holds"] = True
+        report9.summary["verdicts"]["rn_holds"] = True
+
+
+def test_report_json_is_the_summary(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["reproduce", "--c", "1", "--out", out]) == 0
+    capsys.readouterr()
+    rep = reproduce(c=1.0, nu=1.0, iterations=2000)
+    assert json.load(open(f"{out}/report.json")) == jsonable(rep.summary)
 
 
 # --- command line -----------------------------------------------------------
