@@ -62,6 +62,7 @@ from .properties import (
     ConeSpec,
     REEstimate,
     RIPResult,
+    RNUniformResult,
     RNVerdict,
     SparsityCertificate,
     UniqueSparsestResult,
@@ -93,6 +94,7 @@ __all__ = [
     "PathPoint",
     "REEstimate",
     "RIPResult",
+    "RNUniformResult",
     "RNVerdict",
     "RecoveryReport",
     "SparseInstance",

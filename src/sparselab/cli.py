@@ -7,7 +7,8 @@ property certifier on a matrix file, and ``compare`` runs both solvers
 on arbitrary user data without grading the outcome.
 
 Exit codes: 0 success, 1 verdict contradiction (reproduce only),
-2 bad input or usage, 3 enumeration budget refusal.
+2 bad input or usage (an instance too large for memory included),
+3 enumeration budget refusal.
 """
 
 from __future__ import annotations
@@ -108,88 +109,42 @@ def _read_response(path: str, X):
 
 
 def _certificate(args) -> dict:
+    """The property, its parameters, and every other field of the
+    certifier's result record."""
     X = files.read_matrix(args.matrix)
     name = args.property
     params: dict = {"matrix": args.matrix}
     if name in ("rn", "rn_uniform", "re", "rip") and args.t is None:
         raise ValueError(f"property {name} requires --t")
+    if name in ("rn", "re"):
+        ns = nullspace(X)
+        spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
+        params.update({"T": spec.T, "c": args.c})
     if name == "rn":
-        ns = nullspace(X)
-        spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
-        verdict = properties.rn_check(X, spec, ns, seed=args.seed)
-        params.update({"T": list(spec.T), "c": args.c})
-        return {
-            "property": "rn",
-            "parameters": params,
-            "holds": verdict.holds,
-            "method": verdict.method,
-            "critical_c": verdict.critical_c,
-            "witness": verdict.witness,
-        }
-    if name == "rn_uniform":
-        ns = nullspace(X)
-        holds, worst_T, critical = properties.rn_uniform(
-            X, args.t, args.c, ns, args.budget
-        )
-        params.update({"t": args.t, "c": args.c})
-        return {
-            "property": "rn_uniform",
-            "parameters": params,
-            "holds": holds,
-            "worst_T": list(worst_T),
-            "critical_c": critical,
-        }
-    if name == "re":
-        ns = nullspace(X)
-        spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
-        estimate = properties.re_lower_bound(
+        result = properties.rn_check(X, spec, ns, seed=args.seed)
+    elif name == "re":
+        params["samples"] = args.samples
+        result = properties.re_lower_bound(
             X, spec, samples=args.samples, seed=args.seed, ns=ns
         )
-        params.update({"T": list(spec.T), "c": args.c, "samples": args.samples})
-        return {
-            "property": "re",
-            "parameters": params,
-            "phi_estimate": estimate.phi,
-            "witness": estimate.witness,
-        }
-    if name == "rip":
+    elif name == "rn_uniform":
+        params.update({"t": args.t, "c": args.c})
+        result = properties.rn_uniform(X, args.t, args.c, nullspace(X), args.budget)
+    elif name == "rip":
+        params["t"] = args.t
         result = properties.rip_constant(X, args.t, args.budget)
-        params.update({"t": args.t})
-        return {
-            "property": "rip",
-            "parameters": params,
-            "delta_t": result.delta_t,
-            "extremal_subset": list(result.extremal_subset),
-        }
-    if name == "spark":
-        cert = properties.spark(X, args.budget)
-        return {
-            "property": "spark",
-            "parameters": params,
-            "spark": cert.spark,
-            "witness_columns": None
-            if cert.witness_columns is None
-            else list(cert.witness_columns),
-            "lower_bound": cert.lower_bound,
-            "subsets_tested": cert.subsets_tested,
-            "budget_exhausted": cert.budget_exhausted,
-        }
-    if name == "unique_sparsest":
+    elif name == "spark":
+        result = properties.spark(X, args.budget)
+    elif name == "unique_sparsest":
         if args.y is None or args.s is None:
             raise ValueError("property unique_sparsest requires --y and --s")
         Y = _read_response(args.y, X)
-        fit = properties.unique_sparsest(X, Y, args.s, args.budget)
         params.update({"y": args.y, "s": args.s})
-        return {
-            "property": "unique_sparsest",
-            "parameters": params,
-            "unique": fit.unique,
-            "support": list(fit.support),
-            "size": fit.size,
-            "fits_at_size": fit.fits_at_size,
-            "supports_tested": fit.supports_tested,
-        }
-    raise ValueError(f"unknown property {name!r}")
+        result = properties.unique_sparsest(X, Y, args.s, args.budget)
+    else:
+        raise ValueError(f"unknown property {name!r}")
+    fields = {k: v for k, v in result._asdict().items() if k not in params}
+    return {"property": name, "parameters": params, **fields}
 
 
 def cmd_certify(args) -> int:
@@ -319,6 +274,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

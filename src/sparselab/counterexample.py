@@ -62,18 +62,24 @@ class AnalyticState:
     k: int
 
 
-def construct(c: float) -> SparseInstance:
-    """Smallest admissible instance whose cone margin exceeds ``c``.
+def _block_size(c: float) -> int:
+    """Smallest N >= 3 (so n >= 9 >= 5) with (N^2 + 1 - N) / N > c,
+    compared on integers against c * N to keep the boundary exact for
+    integer and half-integer c.  Every N <= c fails (N - 1 + 1/N <= N),
+    so the search starts at floor(c) and takes a few steps."""
+    N = max(3, math.floor(c))
+    while N * N + 1 - N <= c * N:
+        if c * N == math.inf:
+            raise ValueError(f"c = {c!r} is too large: the instance size overflows")
+        N += 1
+    return N
 
-    N starts at 3 (so n >= 9 >= 5) and grows until
-    (N^2 + 1 - N) / N > c; the comparison is done on integers against
-    c * N to keep the boundary exact for integer and half-integer c.
-    """
+
+def construct(c: float) -> SparseInstance:
+    """Smallest admissible instance whose cone margin exceeds ``c``."""
     if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
         raise ValueError(f"c must be a positive finite number, got {c!r}")
-    N = 3
-    while N * N + 1 - N <= c * N:
-        N += 1
+    N = _block_size(c)
     n, s, p = N * N, N, N * N + 1
     gamma = n
     Xi = np.zeros((n, p), dtype=np.int64)

@@ -130,10 +130,11 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     b_j != 0 it must equal (lam/2) * sign(b_j).  Returns the largest
     violation over coordinates, 0 at an exact minimizer.
     """
-    X = np.asarray(X, dtype=float)
+    X, Y = _design(X, Y)
     b = np.asarray(b, dtype=float)
-    r = np.asarray(Y, dtype=float) - X @ b
-    return _kkt(X.T @ r, b, 0.5 * lam)
+    if b.shape != (X.shape[1],):
+        raise ValueError(f"b has shape {b.shape}, expected {(X.shape[1],)}")
+    return _kkt(X.T @ (Y - X @ b), b, 0.5 * lam)
 
 
 def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +152,7 @@ def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
 
 def lambda_max(X, Y) -> float:
     """Smallest penalty whose solution is identically zero."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _design(X, Y)
     return 2.0 * float(np.max(np.abs(X.T @ Y)))
 
 

@@ -7,7 +7,9 @@ restricted isometry constants by subset enumeration, spark, and
 sparsest-solution uniqueness.  Enumerating operations take an explicit
 subset budget and refuse loudly instead of silently subsampling; they
 walk each subset size in blocks of at most ENUMERATION_BLOCK subsets and
-give each block one stacked numpy call, so memory stays flat.
+give each block one stacked numpy call, so memory stays flat.  Each
+certifier returns a NamedTuple whose fields are its certificate:
+`sparselab certify` writes every field that is not one of its parameters.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ class ConeSpec:
             raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
-@dataclass(frozen=True)
-class RNVerdict:
+class RNVerdict(NamedTuple):
     """Outcome of a restricted nullspace check.
 
     ``method`` is "exact-1d" when the nullspace dimension is at most one
@@ -80,15 +81,24 @@ class RNVerdict:
     critical_c: float | None
 
 
-@dataclass(frozen=True)
-class RIPResult:
+class RNUniformResult(NamedTuple):
+    """Uniform cone check.  With a one-dimensional nullspace ``worst_T``
+    is the worst support and ``critical_c`` its critical constant; else
+    ``worst_T`` is the first failing support, or () when none fails, and
+    ``critical_c`` is None (inf for a trivial nullspace)."""
+
+    holds: bool
+    worst_T: tuple[int, ...]
+    critical_c: float | None
+
+
+class RIPResult(NamedTuple):
     t: int
     delta_t: float
     extremal_subset: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SparsityCertificate:
+class SparsityCertificate(NamedTuple):
     """Spark search outcome.
 
     ``spark`` is None either when every column subset is independent
@@ -102,7 +112,6 @@ class SparsityCertificate:
     subsets_tested: int
     lower_bound: int
     budget_exhausted: bool
-    method: str = "enumeration"
 
 
 class UniqueSparsestResult(NamedTuple):
@@ -114,7 +123,7 @@ class UniqueSparsestResult(NamedTuple):
 
 
 class REEstimate(NamedTuple):
-    phi: float
+    phi_estimate: float
     witness: np.ndarray
 
 
@@ -235,7 +244,7 @@ def rn_uniform(
     ns: NullspaceBasis,
     enumeration_budget: int = ENUMERATION_BUDGET,
     force_enumeration: bool = False,
-) -> tuple[bool, tuple[int, ...], float | None]:
+) -> RNUniformResult:
     """Uniform variant: the cone condition over every support of size t.
 
     Size-t supports suffice because growing T only makes the condition
@@ -252,7 +261,7 @@ def rn_uniform(
     if not 1 <= t <= p:
         raise ValueError(f"t must lie in [1, {p}], got {t}")
     if ns.dim == 0:
-        return True, (), math.inf
+        return RNUniformResult(True, (), math.inf)
     if ns.dim > 1 or force_enumeration:
         total = math.comb(p, t)
         if total > enumeration_budget:
@@ -273,12 +282,12 @@ def rn_uniform(
             worst_T = tuple(sorted(int(j) for j in order[:t]))
         # in_cone's rule, so rn_check on worst_T gives the same verdict
         on, off, critical = cone_split(z, worst_T)
-        return not off <= c * on, worst_T, critical
+        return RNUniformResult(not off <= c * on, worst_T, critical)
     for T in itertools.combinations(range(p), t):
         verdict = rn_check(X, ConeSpec(T=T, c=c), ns)
         if not verdict.holds:
-            return False, T, None
-    return True, (), None
+            return RNUniformResult(False, T, None)
+    return RNUniformResult(True, (), None)
 
 
 def re_lower_bound(
@@ -302,11 +311,6 @@ def re_lower_bound(
     mask = _mask(p, spec.T)
     rng = np.random.default_rng(seed)
 
-    def ratio(b: np.ndarray) -> float:
-        denom = float(b @ b)
-        image = X @ b
-        return float(image @ image) / denom
-
     candidates: list[np.ndarray] = []
     if ns is not None:
         for v in ns.basis:
@@ -328,16 +332,15 @@ def re_lower_bound(
         if off_raw > 0.0:
             b[~mask] = g[~mask] * (rng.uniform() * spec.c * on / off_raw)
         candidates.append(b)
-    phi = math.inf
-    witness = candidates[0]
+    phi_estimate, witness = math.inf, candidates[0]
     for b in candidates:
-        if float(b @ b) == 0.0:
-            continue
-        value = ratio(b)
-        if value < phi:
-            phi = value
-            witness = b
-    return REEstimate(phi=phi, witness=witness)
+        denom = float(b @ b)
+        if denom > 0.0:
+            image = X @ b
+            value = float(image @ image) / denom
+            if value < phi_estimate:
+                phi_estimate, witness = value, b
+    return REEstimate(phi_estimate, witness)
 
 
 def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIPResult:
@@ -506,7 +509,6 @@ def spark_from_nullspace(ns: NullspaceBasis, p: int) -> SparsityCertificate | No
             subsets_tested=0,
             lower_bound=p + 1,
             budget_exhausted=False,
-            method="nullspace",
         )
     if ns.dim == 1 and np.all(ns.basis[0] != 0.0):
         return SparsityCertificate(
@@ -515,7 +517,6 @@ def spark_from_nullspace(ns: NullspaceBasis, p: int) -> SparsityCertificate | No
             subsets_tested=0,
             lower_bound=p,
             budget_exhausted=False,
-            method="nullspace",
         )
     return None
 

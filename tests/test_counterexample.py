@@ -17,6 +17,26 @@ from sparselab import (
     initial_analytic_state,
     run,
 )
+from sparselab.counterexample import _block_size
+
+
+def _counting_block_size(c):
+    # the search as it was first written: count up from N = 3
+    N = 3
+    while N * N + 1 - N <= c * N:
+        N += 1
+    return N
+
+
+def test_block_size_search_matches_counting_up():
+    grid = {0.1, 0.5, 1e-300, 2.9999, 1234.567, 99_999.5, 100_000.0}
+    for k in range(1, 300):
+        grid.update({float(k), k + 0.5})
+    for N in range(2, 300):
+        edge = N - 1 + 1 / N
+        grid.update({edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)})
+    for c in sorted(grid):
+        assert _block_size(c) == _counting_block_size(c), c
 
 
 @pytest.mark.parametrize(

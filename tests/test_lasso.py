@@ -41,8 +41,10 @@ def test_config_validation():
         lambda X, Y: lasso(X, Y, LassoConfig(lam=1.0)),
         lambda X, Y: lasso_path(X, Y, LassoPathConfig(lambda_min=1e-3)),
         lambda X, Y: basis_pursuit(X, Y, LassoPathConfig(lambda_min=1e-3)),
+        lambda_max,
+        lambda X, Y: kkt_residual(X, Y, np.zeros(2), 1.0),
     ],
-    ids=["lasso", "lasso_path", "basis_pursuit"],
+    ids=["lasso", "lasso_path", "basis_pursuit", "lambda_max", "kkt_residual"],
 )
 @pytest.mark.parametrize(
     "X, Y",
@@ -56,6 +58,11 @@ def test_config_validation():
 def test_solvers_refuse_bad_shapes(solve, X, Y):
     with pytest.raises(ValueError, match=re.escape(f"X {X.shape}, Y {Y.shape}")):
         solve(X, Y)
+
+
+def test_kkt_residual_refuses_a_b_of_the_wrong_length():
+    with pytest.raises(ValueError, match=re.escape("b has shape (3,), expected (2,)")):
+        kkt_residual(np.ones((3, 2)), np.ones(3), np.zeros(3), 1.0)
 
 
 def test_single_column_closed_form():

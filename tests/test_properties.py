@@ -201,7 +201,7 @@ def test_rn_uniform_matches_one_support_at_a_time_scan():
 
 def test_re_lower_bound_identity():
     est = re_lower_bound(np.eye(4), ConeSpec(T=(0, 1), c=1.0), samples=50, seed=0)
-    assert est.phi == 1.0
+    assert est.phi_estimate == 1.0
 
 
 def test_re_lower_bound_sees_nullspace_ray(inst9):
@@ -210,7 +210,7 @@ def test_re_lower_bound_sees_nullspace_ray(inst9):
         inst9.X, ConeSpec(T=inst9.S, c=3.0), samples=32, seed=0, ns=ns
     )
     # c = 3 admits the flat ray, which the design maps to zero
-    assert est.phi == 0.0
+    assert est.phi_estimate == 0.0
     np.testing.assert_allclose(est.witness, inst9.z, atol=1e-9)
 
 
@@ -306,10 +306,22 @@ def test_spark_budget_partial_certificate(inst9):
 
 
 def test_spark_from_nullspace_cases(inst25):
-    assert spark_from_nullspace(nullspace(np.eye(3)), 3).lower_bound == 4
-    dense_ray = spark_from_nullspace(nullspace(inst25.X), inst25.p)
-    assert dense_ray.spark == inst25.p
-    assert dense_ray.method == "nullspace"
+    # both shortcuts decide without testing a single subset
+    assert spark_from_nullspace(nullspace(np.eye(3)), 3) == SparsityCertificate(
+        spark=None,
+        witness_columns=None,
+        subsets_tested=0,
+        lower_bound=4,
+        budget_exhausted=False,
+    )
+    p = inst25.p
+    assert spark_from_nullspace(nullspace(inst25.X), p) == SparsityCertificate(
+        spark=p,
+        witness_columns=tuple(range(p)),
+        subsets_tested=0,
+        lower_bound=p,
+        budget_exhausted=False,
+    )
     # a ray with a zero coordinate is inconclusive
     sparse_ray = nullspace(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
     assert spark_from_nullspace(sparse_ray, 3) is None

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -265,26 +266,69 @@ def test_cli_reproduce_artifact_digests(tmp_path, capsys, nu):
     assert digests == REPRODUCE_C1_DIGESTS[nu]
 
 
-# sha256 of `certify --out` on the n=9 instance (files X.txt and Y.txt in
-# the working directory); the certificate echoes the relative paths
+# `certify` arguments after --matrix X.txt; Y.txt is the response
+CERTIFY_ARGS = {
+    "rn": ["--property", "rn", "--t", "2", "--c", "1.5"],
+    "rn_uniform": ["--property", "rn_uniform", "--t", "2", "--c", "1.5"],
+    "re": ["--property", "re", "--t", "2", "--samples", "50"],
+    "rip": ["--property", "rip", "--t", "2"],
+    "spark": ["--property", "spark"],
+    "spark_budget": ["--property", "spark", "--budget", "20"],
+    "unique_sparsest": ["--property", "unique_sparsest", "--y", "Y.txt", "--s", "3"],
+}
+
+# sha256 of `certify --out` with the files X.txt and Y.txt in the working
+# directory (the certificate echoes the relative paths): on the n=9
+# instance, whose nullspace is one ray (exact cone checks) ...
 CERTIFY_C1_DIGESTS = {
+    "rn": "75c1d69cdbfc64d859333b2c54d2c9d5b590bb058cb29fab6439e2d40f7394bc",
+    "rn_uniform": "7314c821f461c63c9e7e0b834b976de8d047aeb349900d76b28d1935f339f467",
+    "re": "1c982a284d86cd45c131c056685d76a272f66c18c81b8fe2d6381f12a813d732",
+    "rip": "889b1d31f1e05278305d9abc284a2eb694a406dc8e42f4b8cef1ae985f678dab",
     "spark": "af0b16405ee7deba10597fb9acedafd5160961886d92a11b74dfb6688d8fae6a",
+    "spark_budget": "1711238a085f9e2d45a7e7f40b034604d3628834ec80126363ffe5672443c64d",
     "unique_sparsest": "293523dbc9f944322ebbac9cf84087be924fc777ddf6fbf8c53b4258ee8dd003",
 }
 
+# ... and on a seeded 4 x 7 Gaussian design with a 2-sparse truth, whose
+# nullspace has dimension 3 (heuristic cone checks, a null critical
+# constant and a witness array)
+CERTIFY_GAUSSIAN_DIGESTS = {
+    "rn": "bfbd34d822ea5ed3d5e86940e1b5bb1fa092a81cfc7de498ee35ec22cd02ab6a",
+    "rn_uniform": "704a5aecbffdbbdf3a41283fb755b234830ed19c3463ab7ca1d255b2b6e4d805",
+    "re": "fbadae35ff45b66eda584c25cb3a238d7e0ac2958f1638efbfdbd05c2571f484",
+    "rip": "4ddc8c63ad1452d46c4b7d985858deb9b7d4de2e859154713adaa6f664d48e22",
+    "spark": "ed1b88c91f963d79c739577b98a77b2553bc5f34e25757ac33128837bb6941f0",
+    "spark_budget": "7beb7e008c6b40f5886094dc1405d68ef1986b63736372c1ac292fd905137a48",
+    "unique_sparsest": "46e973ff159bcf7862ebf6c281154c0eb424840e6048ec2239c7040449562391",
+}
 
-@pytest.mark.parametrize("prop", sorted(CERTIFY_C1_DIGESTS))
-def test_cli_certify_digests(tmp_path, monkeypatch, capsys, inst9, prop):
-    monkeypatch.chdir(tmp_path)
-    write_matrix("X.txt", inst9.X)
-    write_vector("Y.txt", inst9.Y)
-    argv = ["certify", "--matrix", "X.txt", "--property", prop, "--out", f"{prop}.json"]
-    if prop == "unique_sparsest":
-        argv += ["--y", "Y.txt", "--s", "3"]
+
+def _certify_digest(directory, monkeypatch, X, Y, case):
+    monkeypatch.chdir(directory)
+    write_matrix("X.txt", X)
+    write_vector("Y.txt", Y)
+    argv = ["certify", "--matrix", "X.txt", *CERTIFY_ARGS[case], "--out", "cert.json"]
     assert main(argv) == 0
+    return hashlib.sha256((directory / "cert.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_C1_DIGESTS))
+def test_cli_certify_digests(tmp_path, monkeypatch, capsys, inst9, case):
+    digest = _certify_digest(tmp_path, monkeypatch, inst9.X, inst9.Y, case)
     capsys.readouterr()
-    digest = hashlib.sha256((tmp_path / f"{prop}.json").read_bytes()).hexdigest()
-    assert digest == CERTIFY_C1_DIGESTS[prop]
+    assert digest == CERTIFY_C1_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_GAUSSIAN_DIGESTS))
+def test_cli_certify_digests_gaussian(tmp_path, monkeypatch, capsys, case):
+    X = np.random.default_rng(7).standard_normal((4, 7))
+    beta = np.zeros(7)
+    beta[[1, 4]] = (1.5, -2.0)
+    assert sparselab.nullspace(X).dim == 3
+    digest = _certify_digest(tmp_path, monkeypatch, X, X @ beta, case)
+    capsys.readouterr()
+    assert digest == CERTIFY_GAUSSIAN_DIGESTS[case]
 
 
 def test_cli_certify_rn_uniform(tmp_path, capsys, inst9):
@@ -439,6 +483,12 @@ CERTIFY = ["certify", "--matrix"]
 COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
 
 
+def _address_space_cap():
+    # 2 GiB: enough to start numpy on one BLAS thread, far below what an
+    # instance too large to build would allocate
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -479,6 +529,9 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         (["reproduce", "--nu", "0.5"], 2),
         (CERTIFY + ["X.txt", "--property", "bogus"], 2),
         (["reproduce", "--c", "1", "--iters", "50"], 2),
+        (["construct", "--c", "1000"], 2),
+        (["reproduce", "--c", "1000"], 2),
+        (["construct", "--c", "1e300"], 2),
     ],
     ids=[
         "compare-nan-matrix",
@@ -518,13 +571,20 @@ COMPARE = ["compare", "--lambda-min", "1e-3", "--matrix"]
         "missing-required-flag",
         "unknown-property",
         "iters-below-window",
+        "construct-out-of-memory",
+        "reproduce-out-of-memory",
+        "construct-overflow",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
     for name, text in BOUNDARY_FILES.items():
         (tmp_path / name).write_text(text)
     src = os.path.dirname(os.path.dirname(sparselab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "sparselab.cli", *argv],
         cwd=tmp_path,
@@ -532,6 +592,7 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=_address_space_cap,
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
