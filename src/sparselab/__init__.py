@@ -51,9 +51,7 @@ from .lasso import (
     lasso_path,
 )
 from .linalg import (
-    LeastSquaresFit,
     NullspaceBasis,
-    least_squares_on_support,
     lq_norm,
     nullspace,
 )
@@ -67,7 +65,7 @@ from .properties import (
     SparsityCertificate,
     UniqueSparsestResult,
     in_cone,
-    re_lower_bound,
+    re_upper_bound,
     rip_constant,
     rip_implies_rn_test,
     rn_check,
@@ -89,7 +87,6 @@ __all__ = [
     "InvariantViolation",
     "LassoConfig",
     "LassoPathConfig",
-    "LeastSquaresFit",
     "NullspaceBasis",
     "PathPoint",
     "REEstimate",
@@ -116,10 +113,9 @@ __all__ = [
     "lambda_max",
     "lasso",
     "lasso_path",
-    "least_squares_on_support",
     "lq_norm",
     "nullspace",
-    "re_lower_bound",
+    "re_upper_bound",
     "read_matrix",
     "read_vector",
     "reproduce",

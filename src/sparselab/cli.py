@@ -124,7 +124,7 @@ def _certificate(args) -> dict:
         result = properties.rn_check(X, spec, ns, seed=args.seed)
     elif name == "re":
         params["samples"] = args.samples
-        result = properties.re_lower_bound(
+        result = properties.re_upper_bound(
             X, spec, samples=args.samples, seed=args.seed, ns=ns
         )
     elif name == "rn_uniform":

@@ -82,7 +82,13 @@ def construct(c: float) -> SparseInstance:
     N = _block_size(c)
     n, s, p = N * N, N, N * N + 1
     gamma = n
-    Xi = np.zeros((n, p), dtype=np.int64)
+    try:
+        Xi = np.zeros((n, p), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValueError(
+            f"c = {c!r} needs an instance of n = {n} rows and p = {p} columns, "
+            "too large to allocate"
+        ) from None
     for j in range(s):
         Xi[j, j] = gamma
     for j in range(s, n):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import EXACT_FIT_RTOL, least_squares_on_support, lq_norm
+from .linalg import EXACT_FIT_RTOL, least_squares_batch, lq_norm
 
 # Slack for the per-sweep objective monotonicity guard, relative to the
 # current objective scale.  Exact arithmetic decreases the objective
@@ -281,12 +281,9 @@ def basis_pursuit(X, Y, config: LassoPathConfig) -> np.ndarray:
         return np.zeros(X.shape[1])
     terminal = lasso_path(X, Y, config)[-1].beta
     peak = float(np.max(np.abs(terminal)))
-    support = tuple(
-        int(j) for j in np.flatnonzero(np.abs(terminal) > SUPPORT_THRESHOLD * peak)
-    )
-    fit = least_squares_on_support(X, Y, support)
+    support = np.flatnonzero(np.abs(terminal) > SUPPORT_THRESHOLD * peak)
     polished = np.zeros(X.shape[1])
-    polished[list(support)] = fit.coeffs
+    polished[support] = least_squares_batch(X, Y, support[None, :])[0][0]
     if lq_norm(Y - X @ polished, 2) > EXACT_FIT_RTOL * y_norm:
         raise RuntimeError(
             "terminal path solution did not reach a feasible interpolant; "

@@ -12,7 +12,6 @@ fit" test the one tolerance EXACT_FIT_RTOL.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,12 +132,6 @@ def nullspace(X) -> NullspaceBasis:
     return NullspaceBasis(dim=len(basis), basis=basis)
 
 
-class LeastSquaresFit(NamedTuple):
-    coeffs: np.ndarray
-    residual_norm: float
-    rank_deficient: bool
-
-
 def submatrices(X: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """The column submatrices X[:, T] for each row T of ``supports``, stacked.
 
@@ -190,32 +183,3 @@ def least_squares_batch(X, Y, supports) -> tuple[np.ndarray, np.ndarray, np.ndar
     R = Y - (A @ coeffs[:, :, None])[:, :, 0]
     residual_norms = np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
     return coeffs, residual_norms, deficient
-
-
-def least_squares_on_support(X, Y, support) -> LeastSquaresFit:
-    """Minimize ||Y - X_T b_T||_2 over coefficients supported on T.
-
-    Parameters
-    ----------
-    X : array_like, shape (n, p)
-    Y : array_like, shape (n,)
-    support : iterable of int
-        Column indices (0-based, unique), at most n of them.
-
-    Returns
-    -------
-    LeastSquaresFit
-        Coefficients on the support in index order, the residual norm, and
-        the rank-deficiency flag of ``least_squares_batch``, whose
-        one-support case this is.  In the deficient case the minimum-norm
-        solution is returned.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = X.shape[1]
-    T = tuple(int(j) for j in support)
-    if len(set(T)) != len(T):
-        raise ValueError(f"support contains repeated indices: {T}")
-    if any(j < 0 or j >= p for j in T):
-        raise ValueError(f"support indices out of range for p = {p}: {T}")
-    coeffs, residual_norms, deficient = least_squares_batch(X, Y, np.array([T], dtype=np.intp))
-    return LeastSquaresFit(coeffs[0], float(residual_norms[0]), bool(deficient[0]))

@@ -2,7 +2,7 @@
 
 Cone membership, restricted nullspace (exact whenever the nullspace is
 at most one-dimensional, which covers every constructed instance here),
-its uniform variant, sampled restricted-eigenvalue lower bounds,
+its uniform variant, sampled restricted-eigenvalue upper bounds,
 restricted isometry constants by subset enumeration, spark, and
 sparsest-solution uniqueness.  Enumerating operations take an explicit
 subset budget and refuse loudly instead of silently subsampling; they
@@ -71,8 +71,9 @@ class RNVerdict(NamedTuple):
 
     ``method`` is "exact-1d" when the nullspace dimension is at most one
     (the single spanning ray decides membership completely) and
-    "heuristic" otherwise; heuristic holds-verdicts can be wrong, but a
-    returned witness is always a genuine cone vector in the nullspace.
+    "heuristic" otherwise; heuristic holds-verdicts can be wrong, and a
+    heuristic witness is the nullspace vector whose search score
+    c * on-mass - off-mass was positive, not rechecked by ``in_cone``.
     """
 
     holds: bool
@@ -177,7 +178,7 @@ def _heuristic_cone_search(
 
     RN_SAMPLES random unit directions seed a sign-pattern ascent; steps
     are only accepted when the objective improves, so the search is
-    monotone but can miss witnesses that sit exactly on the cone boundary.
+    monotone but can miss witnesses, even ones strictly inside the cone.
     """
     rng = np.random.default_rng(seed)
     d = B.shape[1]
@@ -225,8 +226,8 @@ def rn_check(X, spec: ConeSpec, ns: NullspaceBasis, seed: int = 0) -> RNVerdict:
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=math.inf)
     if ns.dim == 1:
         z = ns.basis[0]
-        on, off, critical = cone_split(z, spec.T)
-        if off <= spec.c * on:
+        critical = cone_split(z, spec.T)[2]
+        if in_cone(z, spec):
             return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
     B = ns.matrix()
@@ -243,16 +244,14 @@ def rn_uniform(
     c: float,
     ns: NullspaceBasis,
     enumeration_budget: int = ENUMERATION_BUDGET,
-    force_enumeration: bool = False,
 ) -> RNUniformResult:
     """Uniform variant: the cone condition over every support of size t.
 
     Size-t supports suffice because growing T only makes the condition
     harder.  With a one-dimensional nullspace the worst support is the
-    set of t largest |z| coordinates and the critical constant is closed
-    form; ``force_enumeration`` cross-checks it by full enumeration.
-    Higher dimensions enumerate supports with the heuristic check and
-    refuse beyond the budget.
+    set of t largest |z| coordinates, and ``rn_check`` on it gives the
+    verdict and the critical constant.  Higher dimensions enumerate
+    supports with the heuristic check and refuse beyond the budget.
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
@@ -262,27 +261,17 @@ def rn_uniform(
         raise ValueError(f"t must lie in [1, {p}], got {t}")
     if ns.dim == 0:
         return RNUniformResult(True, (), math.inf)
-    if ns.dim > 1 or force_enumeration:
-        total = math.comb(p, t)
-        if total > enumeration_budget:
-            raise BudgetExceeded(
-                f"uniform check over {total} supports of size {t} exceeds the "
-                f"budget of {enumeration_budget}"
-            )
     if ns.dim == 1:
-        z = ns.basis[0]
-        if force_enumeration:
-            # the first support of least ratio, as a strict scan finds it
-            worst_T = min(
-                itertools.combinations(range(p), t),
-                key=lambda T: cone_split(z, T)[2],
-            )
-        else:
-            order = np.argsort(-np.abs(z), kind="stable")
-            worst_T = tuple(sorted(int(j) for j in order[:t]))
-        # in_cone's rule, so rn_check on worst_T gives the same verdict
-        on, off, critical = cone_split(z, worst_T)
-        return RNUniformResult(not off <= c * on, worst_T, critical)
+        order = np.argsort(-np.abs(ns.basis[0]), kind="stable")
+        worst_T = tuple(sorted(int(j) for j in order[:t]))
+        verdict = rn_check(X, ConeSpec(T=worst_T, c=c), ns)
+        return RNUniformResult(verdict.holds, worst_T, verdict.critical_c)
+    total = math.comb(p, t)
+    if total > enumeration_budget:
+        raise BudgetExceeded(
+            f"uniform check over {total} supports of size {t} exceeds the "
+            f"budget of {enumeration_budget}"
+        )
     for T in itertools.combinations(range(p), t):
         verdict = rn_check(X, ConeSpec(T=T, c=c), ns)
         if not verdict.holds:
@@ -290,7 +279,7 @@ def rn_uniform(
     return RNUniformResult(True, (), None)
 
 
-def re_lower_bound(
+def re_upper_bound(
     X,
     spec: ConeSpec,
     samples: int,
@@ -314,10 +303,11 @@ def re_lower_bound(
     candidates: list[np.ndarray] = []
     if ns is not None:
         for v in ns.basis:
-            on, off, _ = cone_split(v, spec.T)
-            if off <= spec.c * on:
+            if in_cone(v, spec):
                 candidates.append(v.copy())
-            elif on > 0.0 and off > 0.0:
+                continue
+            on, off, _ = cone_split(v, spec.T)
+            if on > 0.0 and off > 0.0:
                 projected = v.copy()
                 projected[~mask] *= spec.c * on / off
                 candidates.append(projected)

@@ -6,6 +6,7 @@ expensive artifacts (the 2000-iteration stall runs and the deep penalty
 paths) are computed once per module and shared.
 """
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -194,8 +195,10 @@ def test_criterion_06_uniform_cone_constant(inst25):
     with _criterion(6, "uniform cone certification") as failures:
         ns = nullspace(inst25.X)
         _, _, crit_fast = rn_uniform(inst25.X, inst25.s, 4.0, ns)
-        _, _, crit_slow = rn_uniform(
-            inst25.X, inst25.s, 4.0, ns, force_enumeration=True
+        # the full scan: the least off/on ratio over every support of size s
+        crit_slow = min(
+            cone_split(ns.basis[0], T)[2]
+            for T in itertools.combinations(range(inst25.p), inst25.s)
         )
         for name, crit in (("closed form", crit_fast), ("enumeration", crit_slow)):
             if abs(crit - 4.2) > 1e-12:

@@ -4,11 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab import (
-    least_squares_on_support,
-    lq_norm,
-    nullspace,
-)
+from sparselab import lq_norm, nullspace
 from sparselab.linalg import least_squares_batch
 
 
@@ -50,32 +46,39 @@ def test_nullspace_vectors_annihilate(inst25):
     np.testing.assert_allclose(z, inst25.z, atol=1e-12)
 
 
+def _fit_one(X, Y, T):
+    """least_squares_batch on a one-row block: (coeffs, residual_norm,
+    rank_deficient) of the single support T."""
+    coeffs, residual_norms, deficient = least_squares_batch(X, Y, np.array([T], dtype=np.intp))
+    return coeffs[0], float(residual_norms[0]), bool(deficient[0])
+
+
 def test_least_squares_orthogonality():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((12, 6))
     Y = rng.standard_normal(12)
     support = (0, 2, 5)
-    fit = least_squares_on_support(X, Y, support)
-    resid = Y - X[:, list(support)] @ fit.coeffs
+    coeffs, residual_norm, deficient = _fit_one(X, Y, support)
+    resid = Y - X[:, list(support)] @ coeffs
     # normal equations: the residual is orthogonal to every kept column
     assert np.max(np.abs(X[:, list(support)].T @ resid)) <= 1e-9
-    assert fit.residual_norm == pytest.approx(lq_norm(resid, 2), rel=1e-12)
-    assert not fit.rank_deficient
+    assert residual_norm == pytest.approx(lq_norm(resid, 2), rel=1e-12)
+    assert not deficient
 
 
 def test_least_squares_empty_support():
     Y = np.array([3.0, 4.0])
-    fit = least_squares_on_support(np.eye(2), Y, ())
-    assert fit.coeffs.size == 0
-    assert fit.residual_norm == 5.0
-    assert not fit.rank_deficient
+    coeffs, residual_norm, deficient = _fit_one(np.eye(2), Y, ())
+    assert coeffs.size == 0
+    assert residual_norm == 5.0
+    assert not deficient
 
 
 def test_least_squares_rank_deficient_flag():
     X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    fit = least_squares_on_support(X, X @ np.array([1.0, 1.0]), (0, 1))
-    assert fit.rank_deficient
-    assert fit.residual_norm <= 1e-9
+    _, residual_norm, deficient = _fit_one(X, X @ np.array([1.0, 1.0]), (0, 1))
+    assert deficient
+    assert residual_norm <= 1e-9
 
 
 def test_least_squares_nearly_deficient_gets_min_norm_fit():
@@ -86,10 +89,10 @@ def test_least_squares_nearly_deficient_gets_min_norm_fit():
     a = np.array([1.0, 2.0, 3.0])
     X = np.column_stack([a, 2.0 * a + 1e-9])
     Y = X @ np.array([1.0, 1.0])
-    fit = least_squares_on_support(X, Y, (0, 1))
-    assert fit.rank_deficient
-    assert fit.residual_norm <= 1e-12 * lq_norm(Y, 2)
-    np.testing.assert_allclose(fit.coeffs, [1.0, 1.0], atol=1e-4)
+    coeffs, residual_norm, deficient = _fit_one(X, Y, (0, 1))
+    assert deficient
+    assert residual_norm <= 1e-12 * lq_norm(Y, 2)
+    np.testing.assert_allclose(coeffs, [1.0, 1.0], atol=1e-4)
 
 
 def _fit_one_at_a_time(X, Y, T):
@@ -139,14 +142,14 @@ def test_least_squares_batch_matches_one_support_at_a_time(design, inst9):
         coeffs, residual_norms, deficient = least_squares_batch(X, Y, supports)
         for i, T in enumerate(map(tuple, supports.tolist())):
             ref_coeffs, ref_resid, ref_deficient = _fit_one_at_a_time(X, Y, T)
-            fit = least_squares_on_support(X, Y, T)
-            assert deficient[i] == fit.rank_deficient == ref_deficient, T
-            fits = (residual_norms[i] <= tol, fit.residual_norm <= tol, ref_resid <= tol)
+            one_coeffs, one_resid, one_deficient = _fit_one(X, Y, T)
+            assert deficient[i] == one_deficient == ref_deficient, T
+            fits = (residual_norms[i] <= tol, one_resid <= tol, ref_resid <= tol)
             assert fits[0] == fits[1] == fits[2], T
             # the same kernels on the same layout: bit-identical arithmetic
             assert np.array_equal(coeffs[i], ref_coeffs), T
-            assert np.array_equal(fit.coeffs, ref_coeffs), T
-            assert residual_norms[i] == fit.residual_norm == ref_resid, T
+            assert np.array_equal(one_coeffs, ref_coeffs), T
+            assert residual_norms[i] == one_resid == ref_resid, T
         flagged += int(deficient.sum())
         tested += len(supports)
     if design == "nearly-deficient":

@@ -9,7 +9,7 @@ from sparselab import (
     ConeSpec,
     in_cone,
     nullspace,
-    re_lower_bound,
+    re_upper_bound,
     rip_constant,
     rip_implies_rn_test,
     rn_check,
@@ -19,7 +19,7 @@ from sparselab import (
     spark_from_nullspace,
     unique_sparsest,
 )
-from sparselab.properties import ENUMERATION_BLOCK
+from sparselab.properties import ENUMERATION_BLOCK, cone_split
 
 # two orthogonal pairs of duplicated columns: the nullspace is the
 # two-dimensional span of (1,0,-1,0) and (0,1,0,-1)
@@ -106,15 +106,25 @@ def test_rn_check_heuristic_holds_case():
     assert verdict.method == "heuristic"
 
 
+def _rn_uniform_by_scan(X, t, c, ns):
+    """The one-dimensional uniform check by enumeration: the first support
+    of least ratio, as a strict scan finds it, decided by rn_check."""
+    z = ns.basis[0]
+    worst_T = min(
+        itertools.combinations(range(X.shape[1]), t),
+        key=lambda T: cone_split(z, T)[2],
+    )
+    verdict = rn_check(X, ConeSpec(T=worst_T, c=c), ns)
+    return verdict.holds, worst_T, verdict.critical_c
+
+
 def test_rn_uniform_closed_form_matches_enumeration(inst9):
     ns = nullspace(inst9.X)
     # the ray is flat, so the worst support of size t is the first t
     # columns and the critical constant is (p - 1 - t) / t
     for t, crit in [(1, 9.0), (2, 4.0), (3, 7.0 / 3.0)]:
         h_fast, T_fast, c_fast = rn_uniform(inst9.X, t, 1.0, ns)
-        h_slow, T_slow, c_slow = rn_uniform(
-            inst9.X, t, 1.0, ns, force_enumeration=True
-        )
+        h_slow, T_slow, c_slow = _rn_uniform_by_scan(inst9.X, t, 1.0, ns)
         assert h_fast and h_slow
         assert T_fast == T_slow == tuple(range(t))
         assert c_fast == pytest.approx(crit, abs=1e-12)
@@ -133,7 +143,7 @@ def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
         c = float(c)
         expected = (rn_check(X, ConeSpec(T=(0,), c=c), ns).holds, (0,), critical)
         assert rn_uniform(X, 1, c, ns) == expected
-        assert rn_uniform(X, 1, c, ns, force_enumeration=True) == expected
+        assert _rn_uniform_by_scan(X, 1, c, ns) == expected
         verdicts.append(expected[0])
     # c * on rounds below off at c = critical, so the ray stays outside
     assert verdicts == [True, True, False]
@@ -163,9 +173,15 @@ def test_rn_uniform_multidimensional_nullspace():
 
 
 def test_rn_uniform_budget_refusal(inst9):
-    ns = nullspace(inst9.X)
+    # the budget bounds the support enumeration, which only a nullspace
+    # of dimension two or more runs: C(4, 2) = 6 supports here
+    ns = nullspace(X_DUP_PAIRS)
     with pytest.raises(BudgetExceeded):
-        rn_uniform(inst9.X, 3, 1.0, ns, enumeration_budget=50, force_enumeration=True)
+        rn_uniform(X_DUP_PAIRS, 2, 1.0, ns, enumeration_budget=5)
+    assert rn_uniform(X_DUP_PAIRS, 2, 1.0, ns, enumeration_budget=6).holds is False
+    # a one-dimensional nullspace is decided on one support, unbudgeted
+    ns9 = nullspace(inst9.X)
+    assert rn_uniform(inst9.X, 3, 1.0, ns9, enumeration_budget=1).holds
 
 
 def test_rn_uniform_rejects_bad_cone_constant(inst9):
@@ -199,14 +215,14 @@ def test_rn_uniform_matches_one_support_at_a_time_scan():
     assert verdicts == {True, False}
 
 
-def test_re_lower_bound_identity():
-    est = re_lower_bound(np.eye(4), ConeSpec(T=(0, 1), c=1.0), samples=50, seed=0)
+def test_re_upper_bound_identity():
+    est = re_upper_bound(np.eye(4), ConeSpec(T=(0, 1), c=1.0), samples=50, seed=0)
     assert est.phi_estimate == 1.0
 
 
-def test_re_lower_bound_sees_nullspace_ray(inst9):
+def test_re_upper_bound_sees_nullspace_ray(inst9):
     ns = nullspace(inst9.X)
-    est = re_lower_bound(
+    est = re_upper_bound(
         inst9.X, ConeSpec(T=inst9.S, c=3.0), samples=32, seed=0, ns=ns
     )
     # c = 3 admits the flat ray, which the design maps to zero
@@ -214,9 +230,9 @@ def test_re_lower_bound_sees_nullspace_ray(inst9):
     np.testing.assert_allclose(est.witness, inst9.z, atol=1e-9)
 
 
-def test_re_lower_bound_validates_samples():
+def test_re_upper_bound_validates_samples():
     with pytest.raises(ValueError):
-        re_lower_bound(np.eye(2), ConeSpec(T=(0,), c=1.0), samples=0)
+        re_upper_bound(np.eye(2), ConeSpec(T=(0,), c=1.0), samples=0)
 
 
 def test_rip_identity_is_perfect():

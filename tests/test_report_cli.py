@@ -532,6 +532,8 @@ def _address_space_cap():
         (["construct", "--c", "1000"], 2),
         (["reproduce", "--c", "1000"], 2),
         (["construct", "--c", "1e300"], 2),
+        (["construct", "--c", "1e6"], 2),
+        (["construct", "--c", "1e20"], 2),
     ],
     ids=[
         "compare-nan-matrix",
@@ -574,6 +576,8 @@ def _address_space_cap():
         "construct-out-of-memory",
         "reproduce-out-of-memory",
         "construct-overflow",
+        "construct-too-big",
+        "construct-too-many-dimensions",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
@@ -601,3 +605,11 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
     # usage lines before the error)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if argv[0] == "construct":
+        # an instance too large to build is refused by its c and, unless
+        # its size overflows (c = 1e300), by its n and p, never in
+        # numpy's words alone
+        c = float(argv[2])
+        assert lines[0].startswith(f"error: c = {c!r} "), proc.stderr
+        if c < 1e300:
+            assert " n = " in lines[0] and " p = " in lines[0], proc.stderr
