@@ -18,6 +18,11 @@ would compute new == old == 0 and leave r untouched, so skipping it
 moves no bit: every iterate, sweep count and KKT value is that of the
 full sweep.  Once the residual's running drift passes the budget, the
 rest of that sweep visits every index and the next g certifies anew.
+While a certificate holds, the KKT stop reads only the uncertified
+coordinates: a certified one is zero with |g_j| <= lam/2, so its violation
+is exactly 0.0.  The dots use strided column views of X, the same BLAS
+ddot as ``X[:, j] @ r``; a contiguous copy could take a SIMD kernel whose
+summation order moves bits.
 """
 
 from __future__ import annotations
@@ -106,21 +111,16 @@ class PathPoint(NamedTuple):
     sweeps: int
 
 
-def _soft(value: float, threshold: float) -> float:
-    mag = abs(value) - threshold
-    if mag <= 0.0:
-        return 0.0
-    return math.copysign(mag, value)
-
-
-def _kkt(g: np.ndarray, b: np.ndarray, half: float) -> float:
-    """Largest stationarity violation of b given the correlations g = X'r."""
-    slack = np.where(
-        b == 0.0,
-        np.maximum(np.abs(g) - half, 0.0),
-        np.abs(g - half * np.sign(b)),
-    )
-    return float(np.max(slack))
+def _kkt(g, b, half: float, idx) -> float:
+    """Largest stationarity violation (nan if any is) of b over idx, given
+    the correlations g = X'r as float sequences; 0.0 for an empty idx."""
+    worst = 0.0
+    for j in idx:
+        gj, bj = g[j], b[j]
+        slack = abs(gj) - half if bj == 0.0 else abs(gj - math.copysign(half, bj))
+        if slack > worst or slack != slack:
+            worst = slack
+    return worst
 
 
 def kkt_residual(X, Y, b, lam: float) -> float:
@@ -134,12 +134,15 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     b = np.asarray(b, dtype=float)
     if b.shape != (X.shape[1],):
         raise ValueError(f"b has shape {b.shape}, expected {(X.shape[1],)}")
-    return _kkt(X.T @ (Y - X @ b), b, 0.5 * lam)
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    return _kkt((X.T @ (Y - X @ b)).tolist(), b.tolist(), 0.5 * lam, range(b.size))
 
 
 def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as float arrays: an n x p matrix with p >= 1 and a length-n
-    vector, or a ValueError naming both shapes."""
+    """X and Y as finite float arrays: an n x p matrix with p >= 1 and a
+    length-n vector, or a ValueError naming both shapes or the non-finite
+    argument."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0 or Y.ndim != 1 or Y.size != X.shape[0]:
@@ -147,6 +150,10 @@ def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
             f"incompatible shapes: X {X.shape}, Y {Y.shape}; "
             "X needs at least one column and a row per entry of Y"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
     return X, Y
 
 
@@ -180,12 +187,20 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
             raise ValueError(
                 f"warm start has shape {b.shape}, expected {(p,)}"
             )
+        if not np.isfinite(b).all():
+            raise ValueError("warm start must be finite")
         r = Y - X @ b
     else:
         b = np.zeros(p)
         r = Y.copy()
     half = 0.5 * config.lam
+    # b is read through its Python-float mirror bl; tmp takes step * X_j, so
+    # r + tmp has the two roundings of r += step * X_j without a temporary.
     cols = [X[:, j] for j in range(p)]
+    dots = [col.dot for col in cols]
+    bl = b.tolist()
+    tmp, abs_b = np.empty(n), np.empty(p)
+    multiply, add, copysign = np.multiply, np.add, math.copysign
     sq = col_sq.tolist()
     norms = np.sqrt(col_sq)
     col_norm = norms.tolist()
@@ -194,25 +209,26 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
     every = list(range(p))
     # Without a certificate the sweep visits every index and never runs out.
     visit, budget, drift, r0_norm = every, math.inf, 0.0, 0.0
-    prev_obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+    prev_obj = float(r.dot(r) + config.lam * np.add.reduce(np.abs(b, abs_b)))
     kkt = math.inf
     for sweep in range(1, MAX_SWEEPS + 1):
         k = 0
         while k < len(visit):
             j = visit[k]
             k += 1
-            old = b[j]
-            full_corr = float(cols[j] @ r) + sq[j] * old
-            new = _soft(full_corr, half) / sq[j]
+            old = bl[j]
+            full_corr = float(dots[j](r)) + sq[j] * old
+            mag = abs(full_corr) - half
+            new = 0.0 if mag <= 0.0 else copysign(mag, full_corr) / sq[j]
             if new != old:
                 step = old - new
-                r += step * cols[j]
-                b[j] = new
+                add(r, multiply(cols[j], step, tmp), r)
+                b[j] = bl[j] = new
                 drift += abs(step) * col_norm[j] + _ROUNDOFF * (r0_norm + drift)
                 if drift > budget:
                     # The certificate ran out: visit every index after j.
                     visit, k, budget = every, j + 1, math.inf
-        obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+        obj = float(r.dot(r) + config.lam * np.add.reduce(np.abs(b, abs_b)))
         if not math.isfinite(obj):
             raise ValueError(
                 f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
@@ -225,14 +241,14 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
             )
         prev_obj = obj
         g = X.T @ r
-        kkt = _kkt(g, b, half)
+        kkt = _kkt(g.tolist(), bl, half, visit)
         if kkt <= KKT_TOLERANCE:
             return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
         if visit is every and screenable:
             # A new certificate (derivation at _ROUNDOFF): the budget is a
             # quarter of the largest headroom, so every zero coordinate with
             # about half of it or more is certified.
-            r0_norm = math.sqrt(float(r @ r))
+            r0_norm = math.sqrt(float(r.dot(r)))
             head = np.where(b == 0.0, (half - np.abs(g)) / norms, -math.inf)
             budget = 0.25 * float(np.max(head))
             certified = head >= 2.0 * (2.0 * gamma * r0_norm + (1.0 + gamma) * budget)

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sparselab import (
     lasso,
     lasso_path,
 )
-from sparselab.lasso import PathPoint, _kkt, _soft
+from sparselab.lasso import PathPoint, _kkt
 from sparselab.report import LAMBDA_MIN_FACTOR
 
 # the package exports the function lasso under the module's name
@@ -63,6 +64,32 @@ def test_solvers_refuse_bad_shapes(solve, X, Y):
 def test_kkt_residual_refuses_a_b_of_the_wrong_length():
     with pytest.raises(ValueError, match=re.escape("b has shape (3,), expected (2,)")):
         kkt_residual(np.ones((3, 2)), np.ones(3), np.zeros(3), 1.0)
+
+
+NAN_Y = np.array([1.0, math.nan, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lambda_max(np.eye(3), NAN_Y), "Y must be finite"),
+        (lambda: lasso_path(np.eye(3), NAN_Y, LassoPathConfig(lambda_min=1e-3)), "Y must be finite"),
+        (lambda: lasso(np.eye(3), NAN_Y, LassoConfig(lam=1.0)), "Y must be finite"),
+        (lambda: basis_pursuit(np.eye(3), NAN_Y, LassoPathConfig(lambda_min=1e-3)), "Y must be finite"),
+        (lambda: lasso(np.diag([1.0, math.inf, 1.0]), np.ones(3), LassoConfig(lam=1.0)), "X must be finite"),
+        (
+            lambda: lasso(np.eye(3), np.ones(3), LassoConfig(lam=1.0, warm_start=[0.0, math.inf, 0.0])),
+            "warm start must be finite",
+        ),
+        (lambda: kkt_residual(np.eye(3), np.ones(3), [math.nan, 0.0, 0.0], 1.0), "b must be finite"),
+    ],
+    ids=["lambda_max", "lasso_path", "lasso", "basis_pursuit", "X", "warm-start", "kkt_residual-b"],
+)
+def test_solvers_refuse_non_finite_input(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_single_column_closed_form():
@@ -169,7 +196,49 @@ def test_basis_pursuit_refuses_shallow_path(inst9):
         basis_pursuit(inst9.X, inst9.Y, config)
 
 
+def _reference_kkt(g, b, half):
+    """The numpy KKT rule of the full-sweep reference below, verbatim."""
+    slack = np.where(
+        b == 0.0,
+        np.maximum(np.abs(g) - half, 0.0),
+        np.abs(g - half * np.sign(b)),
+    )
+    return float(np.max(slack))
+
+
+def test_kkt_matches_the_numpy_rule_bit_for_bit():
+    rng = np.random.default_rng(31)
+    half = 0.75
+    for _ in range(200):
+        p = int(rng.integers(1, 40))
+        g = rng.standard_normal(p)
+        b = rng.standard_normal(p) * (rng.random(p) < 0.5)
+        b[rng.random(p) < 0.1] = -0.0
+        # exact ties |g_j| == half, at zero and at nonzero b_j of either sign
+        ties = rng.random(p) < 0.2
+        g[ties] = half * rng.choice([-1.0, 1.0], ties.sum())
+        want = _reference_kkt(g, b, half)
+        got = _kkt(g.tolist(), b.tolist(), half, range(p))
+        assert float.hex(got) == float.hex(want)
+        X = np.eye(p)
+        Y = b + g
+        assert float.hex(kkt_residual(X, Y, b, 2.0 * half)) == float.hex(
+            _reference_kkt(X.T @ (Y - X @ b), b, half)
+        )
+    # a nan violation wins wherever it sits, as it does in np.max
+    for g in ([math.nan, 5.0], [5.0, math.nan]):
+        assert math.isnan(_kkt(g, [0.0, 0.0], half, range(2)))
+
+
 # --- screening keeps every bit ---------------------------------------------
+
+
+def _reference_soft(value, threshold):
+    """The soft threshold of the full-sweep reference below, verbatim."""
+    mag = abs(value) - threshold
+    if mag <= 0.0:
+        return 0.0
+    return math.copysign(mag, value)
 
 
 def _full_sweep_lasso(X, Y, config):
@@ -206,7 +275,7 @@ def _full_sweep_lasso(X, Y, config):
         for j in range(p):
             old = b[j]
             full_corr = float(X[:, j] @ r) + col_sq[j] * old
-            new = _soft(full_corr, half) / col_sq[j]
+            new = _reference_soft(full_corr, half) / col_sq[j]
             if new != old:
                 r += (old - new) * X[:, j]
                 b[j] = new
@@ -222,7 +291,7 @@ def _full_sweep_lasso(X, Y, config):
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
-        kkt = _kkt(X.T @ r, b, half)
+        kkt = _reference_kkt(X.T @ r, b, half)
         if kkt <= LASSO.KKT_TOLERANCE:
             return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
     return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=LASSO.MAX_SWEEPS)
