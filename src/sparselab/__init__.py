@@ -41,8 +41,6 @@ from .io import (
     write_vector,
 )
 from .lasso import (
-    LassoConfig,
-    LassoPathConfig,
     PathPoint,
     basis_pursuit,
     kkt_residual,
@@ -50,11 +48,7 @@ from .lasso import (
     lasso,
     lasso_path,
 )
-from .linalg import (
-    NullspaceBasis,
-    lq_norm,
-    nullspace,
-)
+from .linalg import lq_norm, nullspace
 from .properties import (
     BudgetExceeded,
     ConeSpec,
@@ -85,9 +79,6 @@ __all__ = [
     "BudgetExceeded",
     "ConeSpec",
     "InvariantViolation",
-    "LassoConfig",
-    "LassoPathConfig",
-    "NullspaceBasis",
     "PathPoint",
     "REEstimate",
     "RIPResult",

@@ -25,7 +25,7 @@ from . import io as files
 from . import properties, report
 from .boosting import BoostingConfig, thin
 from .counterexample import construct
-from .lasso import KKT_TOLERANCE, LassoPathConfig, lasso_path
+from .lasso import KKT_TOLERANCE, lasso_path
 from .linalg import nullspace
 
 
@@ -121,7 +121,7 @@ def _certificate(args) -> dict:
         spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
         params.update({"T": spec.T, "c": args.c})
     if name == "rn":
-        result = properties.rn_check(X, spec, ns, seed=args.seed)
+        result = properties.rn_check(ns, spec, seed=args.seed)
     elif name == "re":
         params["samples"] = args.samples
         result = properties.re_upper_bound(
@@ -129,7 +129,7 @@ def _certificate(args) -> dict:
         )
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
-        result = properties.rn_uniform(X, args.t, args.c, nullspace(X), args.budget)
+        result = properties.rn_uniform(nullspace(X), args.t, args.c, args.budget)
     elif name == "rip":
         params["t"] = args.t
         result = properties.rip_constant(X, args.t, args.budget)
@@ -161,7 +161,7 @@ def cmd_compare(args) -> int:
     Y = _read_response(args.y, X)
     config = BoostingConfig(nu=args.nu, max_iterations=args.iters, residual_stop=0.0)
     rows = report.boosting_trajectory(X, Y, config)
-    points = lasso_path(X, Y, LassoPathConfig(lambda_min=args.lambda_min))
+    points = lasso_path(X, Y, args.lambda_min)
     path_rows = report.path_rows_from_points(points, None, ())
     written = _write_curves(args.out, rows, path_rows)
     print(f"boosting: {len(rows) - 1} iterations, final resid_l2 {rows[-1].resid_l2:.6g}")

@@ -55,11 +55,13 @@ class SparseInstance:
 
 @dataclass(frozen=True)
 class AnalyticState:
-    """Reduced coordinates (c_{s+1}, ..., c_n, c_p) after k iterations."""
+    """Reduced coordinates (c_{s+1}, ..., c_n, c_p) after k iterations,
+    and the index j the k-th step selected (None at k = 0, 0 for a no-op)."""
 
     c_mid: np.ndarray
     c_p: float
     k: int
+    j: int | None = None
 
 
 def _block_size(c: float) -> int:
@@ -162,7 +164,7 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
     rho = analytic_rho(state, inst)
     if float(np.abs(rho).max()) == 0.0:
-        return AnalyticState(c_mid=state.c_mid.copy(), c_p=state.c_p, k=state.k + 1)
+        return AnalyticState(c_mid=state.c_mid.copy(), c_p=state.c_p, k=state.k + 1, j=0)
     j = boosting.select_index(rho)
     g, s, n = inst.gamma, inst.s, inst.n
     if j < s:
@@ -188,7 +190,7 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
             f"reduced coordinate left [0, 1] at iteration {state.k + 1}: "
             f"range [{lo!r}, {hi!r}]"
         )
-    return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1)
+    return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
 
 
 def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float:
@@ -207,12 +209,11 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     deviation = 0.0
     for k, jm, _, beta, _, _ in boosting.iterate(inst.X, inst.Y, config):
         if k:
-            ja = boosting.select_index(analytic_rho(astate, inst))
             astate = analytic_step(astate, inst, nu)
-            if jm != ja:
+            if jm != astate.j:
                 raise RuntimeError(
                     f"selection mismatch at iteration {k}: "
-                    f"matrix picked {jm}, recursion picked {ja}"
+                    f"matrix picked {jm}, recursion picked {astate.j}"
                 )
             deviation = max(
                 deviation,

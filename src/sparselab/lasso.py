@@ -28,7 +28,6 @@ summation order moves bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,34 +72,6 @@ _ROUNDOFF = 2.0**-53
 _SCREEN_FLOOR = 2.0**-250
 
 
-@dataclass(frozen=True)
-class LassoConfig:
-    """Penalty and starting point for a single solve."""
-
-    lam: float
-    warm_start: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class LassoPathConfig:
-    """Geometric path from lambda_max down to lambda_min.
-
-    The path starts at lambda_max = 2 * max_j |<X_j, Y>|, decays by
-    PATH_DECAY per point, and the final point is clamped to exactly
-    ``lambda_min`` so callers can rely on the terminal penalty.
-    """
-
-    lambda_min: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lambda_min) and self.lambda_min > 0.0):
-            raise ValueError("lambda_min must be positive and finite")
-
-
 class PathPoint(NamedTuple):
     """One solve: its penalty, solution, and how the solver fared."""
 
@@ -123,20 +94,30 @@ def _kkt(g, b, half: float, idx) -> float:
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kkt_residual(X, Y, b, lam: float) -> float:
     """Distance to stationarity for the penalized objective.
 
     For b_j = 0 the gradient must sit inside [-lam/2, lam/2]; for
     b_j != 0 it must equal (lam/2) * sign(b_j).  Returns the largest
-    violation over coordinates, 0 at an exact minimizer.
+    violation over coordinates, 0 at an exact minimizer, inf on overflow.
     """
     X, Y = _design(X, Y)
+    lam = _penalty("lam", lam)
     b = np.asarray(b, dtype=float)
     if b.shape != (X.shape[1],):
         raise ValueError(f"b has shape {b.shape}, expected {(X.shape[1],)}")
     if not np.isfinite(b).all():
         raise ValueError("b must be finite")
     return _kkt((X.T @ (Y - X @ b)).tolist(), b.tolist(), 0.5 * lam, range(b.size))
+
+
+def _penalty(name: str, value) -> float:
+    """A penalty as a positive finite float, or a one-line ValueError."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -157,14 +138,20 @@ def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lambda_max(X, Y) -> float:
     """Smallest penalty whose solution is identically zero."""
     X, Y = _design(X, Y)
-    return 2.0 * float(np.max(np.abs(X.T @ Y)))
+    top = 2.0 * float(np.max(np.abs(X.T @ Y)))
+    if not math.isfinite(top):
+        raise ValueError("X'Y overflows; rescale X and Y")
+    return top
 
 
-def lasso(X, Y, config: LassoConfig) -> PathPoint:
-    """Cyclic coordinate descent with an in-place residual.
+@np.errstate(over="ignore", invalid="ignore")
+def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
+    """Cyclic coordinate descent with an in-place residual, at penalty lam
+    from ``warm_start`` (zero when None).
 
     Coordinates sweep in fixed order 0..p-1, skipping the zero
     coordinates a certificate shows inert (see the module docstring).
@@ -176,13 +163,14 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
     forbids it.
     """
     X, Y = _design(X, Y)
+    lam = _penalty("lam", lam)
     n, p = X.shape
     col_sq = np.sum(X * X, axis=0)
     dead = np.flatnonzero(col_sq == 0.0)
     if dead.size:
         raise ValueError(f"column {int(dead[0])} has zero norm")
-    if config.warm_start is not None:
-        b = np.asarray(config.warm_start, dtype=float).copy()
+    if warm_start is not None:
+        b = np.asarray(warm_start, dtype=float).copy()
         if b.shape != (p,):
             raise ValueError(
                 f"warm start has shape {b.shape}, expected {(p,)}"
@@ -193,7 +181,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
     else:
         b = np.zeros(p)
         r = Y.copy()
-    half = 0.5 * config.lam
+    half = 0.5 * lam
     # b is read through its Python-float mirror bl; tmp takes step * X_j, so
     # r + tmp has the two roundings of r += step * X_j without a temporary.
     cols = [X[:, j] for j in range(p)]
@@ -209,7 +197,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
     every = list(range(p))
     # Without a certificate the sweep visits every index and never runs out.
     visit, budget, drift, r0_norm = every, math.inf, 0.0, 0.0
-    prev_obj = float(r.dot(r) + config.lam * np.add.reduce(np.abs(b, abs_b)))
+    prev_obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
     kkt = math.inf
     for sweep in range(1, MAX_SWEEPS + 1):
         k = 0
@@ -228,7 +216,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
                 if drift > budget:
                     # The certificate ran out: visit every index after j.
                     visit, k, budget = every, j + 1, math.inf
-        obj = float(r.dot(r) + config.lam * np.add.reduce(np.abs(b, abs_b)))
+        obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
         if not math.isfinite(obj):
             raise ValueError(
                 f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
@@ -243,7 +231,7 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
         g = X.T @ r
         kkt = _kkt(g.tolist(), bl, half, visit)
         if kkt <= KKT_TOLERANCE:
-            return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
+            return PathPoint(lam, b, converged=True, kkt=kkt, sweeps=sweep)
         if visit is every and screenable:
             # A new certificate (derivation at _ROUNDOFF): the budget is a
             # quarter of the largest headroom, so every zero coordinate with
@@ -256,33 +244,39 @@ def lasso(X, Y, config: LassoConfig) -> PathPoint:
                 visit, drift = np.flatnonzero(~certified).tolist(), 0.0
             else:
                 budget = math.inf
-    return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
+    return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
 
 
-def lasso_path(X, Y, config: LassoPathConfig) -> list[PathPoint]:
-    """Warm-started solves along a geometrically decaying penalty grid."""
+def lasso_path(X, Y, lambda_min: float) -> list[PathPoint]:
+    """Warm-started solves along a geometrically decaying penalty grid.
+
+    The path starts at lambda_max = 2 * max_j |<X_j, Y>|, decays by
+    PATH_DECAY per point, and the final point is clamped to exactly
+    ``lambda_min`` so callers can rely on the terminal penalty.
+    """
     X, Y = _design(X, Y)
+    lambda_min = _penalty("lambda_min", lambda_min)
     start = lambda_max(X, Y)
     if start == 0.0:
         # Y is orthogonal to every column; the whole path is zero.
-        return [PathPoint(config.lambda_min, np.zeros(X.shape[1]), True, 0.0, 0)]
-    if config.lambda_min >= start:
+        return [PathPoint(lambda_min, np.zeros(X.shape[1]), True, 0.0, 0)]
+    if lambda_min >= start:
         raise ValueError(
-            f"lambda_min {config.lambda_min!r} is not below the path start {start!r}"
+            f"lambda_min {lambda_min!r} is not below the path start {start!r}"
         )
     grid = [start]
-    while grid[-1] * PATH_DECAY > config.lambda_min:
+    while grid[-1] * PATH_DECAY > lambda_min:
         grid.append(grid[-1] * PATH_DECAY)
-    grid.append(config.lambda_min)
+    grid.append(lambda_min)
     points: list[PathPoint] = []
     warm = np.zeros(X.shape[1])
     for lam in grid:
-        points.append(lasso(X, Y, LassoConfig(lam=lam, warm_start=warm)))
+        points.append(lasso(X, Y, lam, warm_start=warm))
         warm = points[-1].beta
     return points
 
 
-def basis_pursuit(X, Y, config: LassoPathConfig) -> np.ndarray:
+def basis_pursuit(X, Y, lambda_min: float) -> np.ndarray:
     """Minimum-l1 interpolation via the terminal path point plus polish.
 
     The terminal solution's support (entries above
@@ -292,15 +286,13 @@ def basis_pursuit(X, Y, config: LassoPathConfig) -> np.ndarray:
     ``lambda_min``.
     """
     X, Y = _design(X, Y)
-    y_norm = lq_norm(Y, 2)
-    if y_norm == 0.0:
-        return np.zeros(X.shape[1])
-    terminal = lasso_path(X, Y, config)[-1].beta
+    # Y = 0 takes lasso_path's all-zero path, so lambda_min is checked there
+    terminal = lasso_path(X, Y, lambda_min)[-1].beta
     peak = float(np.max(np.abs(terminal)))
     support = np.flatnonzero(np.abs(terminal) > SUPPORT_THRESHOLD * peak)
     polished = np.zeros(X.shape[1])
     polished[support] = least_squares_batch(X, Y, support[None, :])[0][0]
-    if lq_norm(Y - X @ polished, 2) > EXACT_FIT_RTOL * y_norm:
+    if lq_norm(Y - X @ polished, 2) > EXACT_FIT_RTOL * lq_norm(Y, 2):
         raise RuntimeError(
             "terminal path solution did not reach a feasible interpolant; "
             "decrease lambda_min"

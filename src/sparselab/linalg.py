@@ -1,9 +1,10 @@
 """Dense linear algebra shared by the recovery experiments.
 
-Everything operates on small float64 numpy arrays.  The nullspace comes
-from a hand-written reduced row echelon form with partial pivoting,
-because on the constructed family its integer pivots make ``X @ z == 0``
-hold exactly.  Least squares solves a whole block of equal-size supports
+Everything operates on small float64 numpy arrays.  The nullspace is a
+(p, d) array whose columns are its basis vectors; it comes from a
+hand-written reduced row echelon form with partial pivoting, because on
+the constructed family its integer pivots make ``X @ z == 0`` hold
+exactly.  Least squares solves a whole block of equal-size supports
 in stacked numpy calls: the normal equations where they are well posed,
 the minimum-norm solution where they are numerically singular.  Every
 rank decision uses the one tolerance DEFAULT_RANK_TOL, and every "exact
@@ -11,7 +12,6 @@ fit" test the one tolerance EXACT_FIT_RTOL.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,25 +73,7 @@ def _rref(X: np.ndarray):
     return R, pivot_cols
 
 
-@dataclass
-class NullspaceBasis:
-    """Basis of the nullspace of a matrix.
-
-    ``basis`` holds ``dim`` vectors in R^p, each normalized so that its last
-    nonzero coordinate equals 1.
-    """
-
-    dim: int
-    basis: list[np.ndarray] = field(default_factory=list)
-
-    def matrix(self) -> np.ndarray:
-        """Basis vectors stacked as the columns of a (p, dim) array."""
-        if self.dim == 0:
-            raise ValueError("nullspace is trivial; no basis matrix to return")
-        return np.column_stack(self.basis)
-
-
-def nullspace(X) -> NullspaceBasis:
+def nullspace(X) -> np.ndarray:
     """Nullspace basis of X via row reduction with partial pivoting.
 
     Parameters
@@ -100,11 +82,12 @@ def nullspace(X) -> NullspaceBasis:
 
     Returns
     -------
-    NullspaceBasis
-        One vector per free column, normalized so the last nonzero
-        coordinate equals 1.  Pivots below DEFAULT_RANK_TOL times the
-        largest absolute entry of X count as zero, and each vector v is
-        checked to satisfy ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.
+    ndarray, shape (p, d)
+        One column per free column of X, normalized so its last nonzero
+        coordinate equals 1; d = 0 for a trivial nullspace.  Pivots below
+        DEFAULT_RANK_TOL times the largest absolute entry of X count as
+        zero, and each column v is checked to satisfy
+        ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, p = X.shape
@@ -129,7 +112,8 @@ def nullspace(X) -> NullspaceBasis:
                 f"nullspace vector fails the residual check: ||Xv|| = {resid:.3e} "
                 f"against tolerance {DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:.3e}"
             )
-    return NullspaceBasis(dim=len(basis), basis=basis)
+    # C order (column_stack's) keeps products such as B @ V on one BLAS path
+    return np.column_stack(basis) if basis else np.zeros((p, 0))
 
 
 def submatrices(X: np.ndarray, supports: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ Cone membership, restricted nullspace (exact whenever the nullspace is
 at most one-dimensional, which covers every constructed instance here),
 its uniform variant, sampled restricted-eigenvalue upper bounds,
 restricted isometry constants by subset enumeration, spark, and
-sparsest-solution uniqueness.  Enumerating operations take an explicit
-subset budget and refuse loudly instead of silently subsampling; they
-walk each subset size in blocks of at most ENUMERATION_BLOCK subsets and
-give each block one stacked numpy call, so memory stays flat.  Each
-certifier returns a NamedTuple whose fields are its certificate:
-`sparselab certify` writes every field that is not one of its parameters.
+sparsest-solution uniqueness.  The nullspace certifiers take the
+nullspace alone, as the (p, d) basis array of ``linalg.nullspace``.
+Enumerating operations take an explicit subset budget and refuse loudly
+instead of silently subsampling; they walk each subset size in blocks of
+at most ENUMERATION_BLOCK subsets and give each block one stacked numpy
+call, so memory stays flat.  Each certifier returns a NamedTuple whose
+fields are its certificate: `sparselab certify` writes every field that
+is not one of its parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_RANK_TOL,
     EXACT_FIT_RTOL,
-    NullspaceBasis,
     least_squares_batch,
     lq_norm,
     nullspace,
@@ -212,38 +213,33 @@ def _heuristic_cone_search(
     return best, best_v
 
 
-def rn_check(X, spec: ConeSpec, ns: NullspaceBasis, seed: int = 0) -> RNVerdict:
-    """Does the nullspace meet the cone only at zero?
+def rn_check(ns: np.ndarray, spec: ConeSpec, seed: int = 0) -> RNVerdict:
+    """Does the nullspace, the (p, d) basis ``ns``, meet the cone only at zero?
 
     Dimension 0 holds vacuously; dimension 1 is decided exactly by the
     spanning ray (the cone is symmetric under negation and scaling), and
     the largest admissible constant ||z_Tc||_1 / ||z_T||_1 is reported.
     Higher dimensions fall back to the documented heuristic falsifier.
     """
-    X = np.asarray(X, dtype=float)
-    mask = _mask(X.shape[1], spec.T)
-    if ns.dim == 0:
+    p, d = ns.shape
+    mask = _mask(p, spec.T)
+    if d == 0:
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=math.inf)
-    if ns.dim == 1:
-        z = ns.basis[0]
+    if d == 1:
+        z = ns[:, 0]
         critical = cone_split(z, spec.T)[2]
         if in_cone(z, spec):
             return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
-    B = ns.matrix()
-    best, best_v = _heuristic_cone_search(B, mask, spec.c, seed)
+    best, best_v = _heuristic_cone_search(ns, mask, spec.c, seed)
     if best > 0.0:
-        witness = B @ best_v
+        witness = ns @ best_v
         return RNVerdict(holds=False, witness=witness, method="heuristic", critical_c=None)
     return RNVerdict(holds=True, witness=None, method="heuristic", critical_c=None)
 
 
 def rn_uniform(
-    X,
-    t: int,
-    c: float,
-    ns: NullspaceBasis,
-    enumeration_budget: int = ENUMERATION_BUDGET,
+    ns: np.ndarray, t: int, c: float, enumeration_budget: int = ENUMERATION_BUDGET
 ) -> RNUniformResult:
     """Uniform variant: the cone condition over every support of size t.
 
@@ -253,18 +249,17 @@ def rn_uniform(
     verdict and the critical constant.  Higher dimensions enumerate
     supports with the heuristic check and refuse beyond the budget.
     """
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
+    p, d = ns.shape
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be positive and finite, got {c}")
     if not 1 <= t <= p:
         raise ValueError(f"t must lie in [1, {p}], got {t}")
-    if ns.dim == 0:
+    if d == 0:
         return RNUniformResult(True, (), math.inf)
-    if ns.dim == 1:
-        order = np.argsort(-np.abs(ns.basis[0]), kind="stable")
+    if d == 1:
+        order = np.argsort(-np.abs(ns[:, 0]), kind="stable")
         worst_T = tuple(sorted(int(j) for j in order[:t]))
-        verdict = rn_check(X, ConeSpec(T=worst_T, c=c), ns)
+        verdict = rn_check(ns, ConeSpec(T=worst_T, c=c))
         return RNUniformResult(verdict.holds, worst_T, verdict.critical_c)
     total = math.comb(p, t)
     if total > enumeration_budget:
@@ -273,7 +268,7 @@ def rn_uniform(
             f"budget of {enumeration_budget}"
         )
     for T in itertools.combinations(range(p), t):
-        verdict = rn_check(X, ConeSpec(T=T, c=c), ns)
+        verdict = rn_check(ns, ConeSpec(T=T, c=c))
         if not verdict.holds:
             return RNUniformResult(False, T, None)
     return RNUniformResult(True, (), None)
@@ -284,14 +279,14 @@ def re_upper_bound(
     spec: ConeSpec,
     samples: int,
     seed: int = 0,
-    ns: NullspaceBasis | None = None,
+    ns: np.ndarray | None = None,
 ) -> REEstimate:
     """Sampled upper bound on the restricted eigenvalue constant.
 
     Draws random cone members (Gaussian on T, off-T mass scaled to a
-    uniform fraction of the cone bound) and, when a nullspace basis is
-    supplied, includes each basis ray and its cone-projected version, so
-    a nullspace direction inside the cone drives the estimate to zero.
+    uniform fraction of the cone bound) and, when a (p, d) nullspace basis
+    is supplied, includes each basis column and its cone-projected version,
+    so a nullspace direction inside the cone drives the estimate to zero.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -302,7 +297,7 @@ def re_upper_bound(
 
     candidates: list[np.ndarray] = []
     if ns is not None:
-        for v in ns.basis:
+        for v in ns.T:
             if in_cone(v, spec):
                 candidates.append(v.copy())
                 continue
@@ -423,7 +418,7 @@ def rip_implies_rn_test(
         if result.delta_t < 1.0 / 3.0:
             applicable += 1
             counts[family]["applicable"] += 1
-            holds, _, _ = rn_uniform(X, t, 1.0, nullspace(X), enumeration_budget)
+            holds, _, _ = rn_uniform(nullspace(X), t, 1.0, enumeration_budget)
             if not holds:
                 violations += 1
         else:
@@ -484,15 +479,17 @@ def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificat
     )
 
 
-def spark_from_nullspace(ns: NullspaceBasis, p: int) -> SparsityCertificate | None:
+def spark_from_nullspace(ns: np.ndarray) -> SparsityCertificate | None:
     """Exact spark without enumeration in two easy regimes.
 
-    A trivial nullspace means no dependent subset exists at all; a
-    one-dimensional nullspace whose spanning vector has no zero entry
-    forces every proper column subset to be independent, so the spark is
-    exactly p.  Anything else returns None (inconclusive).
+    ``ns`` is the (p, d) nullspace basis.  A trivial nullspace means no
+    dependent subset exists at all; a one-dimensional nullspace whose
+    spanning vector has no zero entry forces every proper column subset to
+    be independent, so the spark is exactly p.  Anything else returns None
+    (inconclusive).
     """
-    if ns.dim == 0:
+    p, d = ns.shape
+    if d == 0:
         return SparsityCertificate(
             spark=None,
             witness_columns=None,
@@ -500,7 +497,7 @@ def spark_from_nullspace(ns: NullspaceBasis, p: int) -> SparsityCertificate | No
             lower_bound=p + 1,
             budget_exhausted=False,
         )
-    if ns.dim == 1 and np.all(ns.basis[0] != 0.0):
+    if d == 1 and np.all(ns[:, 0] != 0.0):
         return SparsityCertificate(
             spark=p,
             witness_columns=tuple(range(p)),

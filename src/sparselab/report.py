@@ -19,7 +19,7 @@ import numpy as np
 
 from . import boosting, properties
 from .counterexample import SparseInstance, construct
-from .lasso import LassoPathConfig, lambda_max, lasso_path
+from .lasso import lambda_max, lasso_path
 from .linalg import lq_norm, nullspace
 from .properties import cone_split
 
@@ -171,9 +171,7 @@ def reproduce(
         )
     inst = construct(c)
     ns = nullspace(inst.X)
-    rn_holds, _, critical_c = properties.rn_uniform(
-        inst.X, inst.s, c, ns, enumeration_budget
-    )
+    rn_holds, _, critical_c = properties.rn_uniform(ns, inst.s, c, enumeration_budget)
 
     if inst.n <= 25:
         fit = properties.unique_sparsest(
@@ -188,7 +186,7 @@ def reproduce(
             "ok": fit.unique and fit.support == inst.S,
         }
     else:
-        cert = properties.spark_from_nullspace(ns, inst.p)
+        cert = properties.spark_from_nullspace(ns)
         spark_ok = cert is not None and cert.spark is not None and inst.s < cert.spark / 2
         uniqueness = {
             "method": "nullspace-rank",
@@ -210,7 +208,7 @@ def reproduce(
 
     lam_max = lambda_max(inst.X, inst.Y)
     lam_min = lambda_min_factor * lam_max
-    points = lasso_path(inst.X, inst.Y, LassoPathConfig(lambda_min=lam_min))
+    points = lasso_path(inst.X, inst.Y, lam_min)
     path_rows = path_rows_from_points(points, inst.beta, inst.S)
 
     dists = [row.dist_l1 for row in rows]

@@ -17,8 +17,6 @@ import pytest
 from sparselab import (
     AnalyticState,
     BoostingConfig,
-    LassoConfig,
-    LassoPathConfig,
     analytic_step,
     basis_pursuit,
     equivalence_check,
@@ -67,8 +65,7 @@ def deep_paths(inst9, inst25):
     """Penalty paths down to 1e-6 of the critical penalty, both sizes."""
     out = {}
     for inst in (inst9, inst25):
-        config = LassoPathConfig(lambda_min=1e-6 * lambda_max(inst.X, inst.Y))
-        out[inst.n] = lasso_path(inst.X, inst.Y, config)
+        out[inst.n] = lasso_path(inst.X, inst.Y, 1e-6 * lambda_max(inst.X, inst.Y))
     return out
 
 
@@ -174,8 +171,7 @@ def test_criterion_05_l1_recovery(deep_paths, inst9, inst25):
                         f"lambda={point.lam:.3e}, closed form predicts {predicted:.9e}"
                     )
                     break
-            config = LassoPathConfig(lambda_min=1e-6 * lambda_max(inst.X, inst.Y))
-            polished = basis_pursuit(inst.X, inst.Y, config)
+            polished = basis_pursuit(inst.X, inst.Y, 1e-6 * lambda_max(inst.X, inst.Y))
             bp_err = float(np.max(np.abs(polished - inst.beta)))
             if bp_err > 1e-10:
                 failures.append(f"n={inst.n}: polished solution off by {bp_err:.3e}")
@@ -194,17 +190,17 @@ def test_criterion_05_l1_recovery(deep_paths, inst9, inst25):
 def test_criterion_06_uniform_cone_constant(inst25):
     with _criterion(6, "uniform cone certification") as failures:
         ns = nullspace(inst25.X)
-        _, _, crit_fast = rn_uniform(inst25.X, inst25.s, 4.0, ns)
+        _, _, crit_fast = rn_uniform(ns, inst25.s, 4.0)
         # the full scan: the least off/on ratio over every support of size s
         crit_slow = min(
-            cone_split(ns.basis[0], T)[2]
+            cone_split(ns[:, 0], T)[2]
             for T in itertools.combinations(range(inst25.p), inst25.s)
         )
         for name, crit in (("closed form", crit_fast), ("enumeration", crit_slow)):
             if abs(crit - 4.2) > 1e-12:
                 failures.append(f"{name} critical constant {crit!r} is not 21/5")
-        holding = rn_check(inst25.X, ConeSpec(T=inst25.S, c=4.0), ns)
-        failing = rn_check(inst25.X, ConeSpec(T=inst25.S, c=5.0), ns)
+        holding = rn_check(ns, ConeSpec(T=inst25.S, c=4.0))
+        failing = rn_check(ns, ConeSpec(T=inst25.S, c=5.0))
         if not holding.holds:
             failures.append("property should hold at c = 4")
         if failing.holds:
@@ -309,7 +305,7 @@ def test_criterion_10_kkt_certificates(deep_paths):
             X = rng.standard_normal((12, 8))
             Y = rng.standard_normal(12)
             lam = 0.05 * lambda_max(X, Y)
-            fit = lasso(X, Y, LassoConfig(lam=lam))
+            fit = lasso(X, Y, lam)
             if not fit.converged:
                 failures.append("random design solve did not converge")
             elif fit.kkt > 1e-10:

@@ -99,6 +99,8 @@ def test_first_analytic_step_closed_form(inst25):
     assert after.c_p == 3125.0 / 3145.0
     assert np.all(after.c_mid == 0.0)
     assert after.k == 1
+    # the step records its selection: the mixed column
+    assert state.j is None and after.j == inst25.n
 
 
 def test_analytic_beta_embedding(inst9):
@@ -136,6 +138,8 @@ def test_analytic_saturation_is_a_noop(inst9):
     again = analytic_step(state, inst9, nu=1.0)
     assert again.c_p == 1.0
     assert np.all(again.c_mid == 1.0)
+    # a no-op names index 0, as select_index does on all-zero correlations
+    assert again.j == 0
 
 
 @pytest.mark.parametrize("nu", [0.1, 1.0])

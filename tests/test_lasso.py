@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from sparselab import (
-    LassoConfig,
-    LassoPathConfig,
     basis_pursuit,
     construct,
     kkt_residual,
@@ -30,18 +28,29 @@ def test_lambda_max_frozen(inst9, inst25):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LassoConfig(lam=-1.0)
-    with pytest.raises(ValueError):
-        LassoPathConfig(lambda_min=0.0)
+    # every entry that takes a penalty refuses one that is not positive
+    # and finite, in one line and with no numpy warning first
+    X, Y = np.eye(2), np.ones(2)
+    for name, solve in [
+        ("lam", lambda bad: lasso(X, Y, bad)),
+        ("lambda_min", lambda bad: lasso_path(X, Y, bad)),
+        # a zero target has its penalty checked too
+        ("lambda_min", lambda bad: basis_pursuit(X, np.zeros(2), bad)),
+        ("lam", lambda bad: kkt_residual(X, Y, np.zeros(2), bad)),
+    ]:
+        for bad in (-1.0, 0.0, -2.0, math.nan, math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+                    solve(bad)
 
 
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda X, Y: lasso(X, Y, LassoConfig(lam=1.0)),
-        lambda X, Y: lasso_path(X, Y, LassoPathConfig(lambda_min=1e-3)),
-        lambda X, Y: basis_pursuit(X, Y, LassoPathConfig(lambda_min=1e-3)),
+        lambda X, Y: lasso(X, Y, 1.0),
+        lambda X, Y: lasso_path(X, Y, 1e-3),
+        lambda X, Y: basis_pursuit(X, Y, 1e-3),
         lambda_max,
         lambda X, Y: kkt_residual(X, Y, np.zeros(2), 1.0),
     ],
@@ -67,23 +76,34 @@ def test_kkt_residual_refuses_a_b_of_the_wrong_length():
 
 
 NAN_Y = np.array([1.0, math.nan, 2.0])
+HUGE_X, HUGE_Y = np.array([[1e200, 1.0], [1.0, 1.0]]), np.array([1e200, 1.0])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: lambda_max(np.eye(3), NAN_Y), "Y must be finite"),
-        (lambda: lasso_path(np.eye(3), NAN_Y, LassoPathConfig(lambda_min=1e-3)), "Y must be finite"),
-        (lambda: lasso(np.eye(3), NAN_Y, LassoConfig(lam=1.0)), "Y must be finite"),
-        (lambda: basis_pursuit(np.eye(3), NAN_Y, LassoPathConfig(lambda_min=1e-3)), "Y must be finite"),
-        (lambda: lasso(np.diag([1.0, math.inf, 1.0]), np.ones(3), LassoConfig(lam=1.0)), "X must be finite"),
+        (lambda: lasso_path(np.eye(3), NAN_Y, 1e-3), "Y must be finite"),
+        (lambda: lasso(np.eye(3), NAN_Y, 1.0), "Y must be finite"),
+        (lambda: basis_pursuit(np.eye(3), NAN_Y, 1e-3), "Y must be finite"),
+        (lambda: lasso(np.diag([1.0, math.inf, 1.0]), np.ones(3), 1.0), "X must be finite"),
         (
-            lambda: lasso(np.eye(3), np.ones(3), LassoConfig(lam=1.0, warm_start=[0.0, math.inf, 0.0])),
+            lambda: lasso(np.eye(3), np.ones(3), 1.0, warm_start=[0.0, math.inf, 0.0]),
             "warm start must be finite",
         ),
         (lambda: kkt_residual(np.eye(3), np.ones(3), [math.nan, 0.0, 0.0], 1.0), "b must be finite"),
+        # finite input that overflows: from an infinite lambda_max,
+        # lasso_path would grow its penalty grid without end
+        (lambda: lambda_max(HUGE_X, HUGE_Y), "X'Y overflows; rescale X and Y"),
+        (
+            lambda: lasso(HUGE_X, HUGE_Y, 1.0),
+            "coordinate sweep 1 overflowed to objective nan; rescale X and Y",
+        ),
     ],
-    ids=["lambda_max", "lasso_path", "lasso", "basis_pursuit", "X", "warm-start", "kkt_residual-b"],
+    ids=[
+        "lambda_max", "lasso_path", "lasso", "basis_pursuit", "X", "warm-start",
+        "kkt_residual-b", "lambda_max-overflow", "lasso-overflow",
+    ],
 )
 def test_solvers_refuse_non_finite_input(call, message):
     with warnings.catch_warnings():
@@ -95,7 +115,7 @@ def test_solvers_refuse_non_finite_input(call, message):
 def test_single_column_closed_form():
     X = np.array([[1.0], [0.0]])
     Y = np.array([3.0, 4.0])
-    fit = lasso(X, Y, LassoConfig(lam=2.0))
+    fit = lasso(X, Y, 2.0)
     # soft-threshold the correlation at lam / 2
     assert fit.beta[0] == pytest.approx(2.0, abs=1e-14)
     assert fit.kkt <= 1e-12
@@ -105,7 +125,7 @@ def test_single_column_closed_form():
 def test_orthogonal_design_closed_form():
     X = np.diag([2.0, 1.0, 3.0])
     Y = np.array([4.0, -1.0, 0.3])
-    fit = lasso(X, Y, LassoConfig(lam=1.0))
+    fit = lasso(X, Y, 1.0)
     expected = np.array([7.5 / 4.0, -0.5, 0.4 / 9.0])
     np.testing.assert_allclose(fit.beta, expected, atol=1e-12)
     assert fit.kkt <= 1e-10
@@ -115,7 +135,7 @@ def test_zero_solution_at_lambda_max():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((10, 6))
     Y = rng.standard_normal(10)
-    fit = lasso(X, Y, LassoConfig(lam=lambda_max(X, Y)))
+    fit = lasso(X, Y, lambda_max(X, Y))
     assert np.all(fit.beta == 0.0)
     assert fit.kkt <= 1e-12
 
@@ -127,16 +147,19 @@ def test_kkt_residual_flags_violations():
     assert kkt_residual(X, Y, np.zeros(2), 2.0) == pytest.approx(2.0)
     # the exact solution soft(3, 1) = 2 has zero residual
     assert kkt_residual(X, Y, np.array([2.0, 0.0]), 2.0) <= 1e-14
+    # an overflowing gradient is an infinite violation, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kkt_residual([[1e308, 1e308]], [0.0], np.array([10.0, 10.0]), 1.0) == math.inf
 
 
 def test_warm_path_matches_cold_solves():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((20, 10))
     Y = rng.standard_normal(20)
-    config = LassoPathConfig(lambda_min=1e-4 * lambda_max(X, Y))
-    points = lasso_path(X, Y, config)
+    points = lasso_path(X, Y, 1e-4 * lambda_max(X, Y))
     for point in points:
-        cold = lasso(X, Y, LassoConfig(lam=point.lam))
+        cold = lasso(X, Y, point.lam)
         assert cold.converged and point.converged
         assert np.max(np.abs(cold.beta - point.beta)) <= 1e-6
 
@@ -144,7 +167,7 @@ def test_warm_path_matches_cold_solves():
 def test_path_grid_shape(inst9):
     lam_max = lambda_max(inst9.X, inst9.Y)
     lam_min = 1e-4 * lam_max
-    points = lasso_path(inst9.X, inst9.Y, LassoPathConfig(lambda_min=lam_min))
+    points = lasso_path(inst9.X, inst9.Y, lam_min)
     lams = [p.lam for p in points]
     assert lams[0] == lam_max
     assert lams[-1] == lam_min
@@ -155,13 +178,13 @@ def test_path_grid_shape(inst9):
 
 def test_path_rejects_high_floor(inst9):
     with pytest.raises(ValueError):
-        lasso_path(inst9.X, inst9.Y, LassoPathConfig(lambda_min=1e6))
+        lasso_path(inst9.X, inst9.Y, 1e6)
 
 
 def test_path_orthogonal_target_is_zero():
     X = np.array([[1.0], [0.0]])
     Y = np.array([0.0, 5.0])
-    points = lasso_path(X, Y, LassoPathConfig(lambda_min=1e-3))
+    points = lasso_path(X, Y, 1e-3)
     assert len(points) == 1
     assert np.all(points[0].beta == 0.0)
     assert points[0].converged
@@ -173,27 +196,25 @@ def test_nonconvergence_is_flagged_not_raised(monkeypatch):
     rng = np.random.default_rng(23)
     X = rng.standard_normal((15, 12))
     Y = rng.standard_normal(15)
-    fit = lasso(X, Y, LassoConfig(lam=1e-8))
+    fit = lasso(X, Y, 1e-8)
     assert not fit.converged
     assert fit.sweeps == 1
 
 
 def test_basis_pursuit_exact_on_construction(inst9):
-    config = LassoPathConfig(lambda_min=1e-6 * lambda_max(inst9.X, inst9.Y))
-    recovered = basis_pursuit(inst9.X, inst9.Y, config)
+    recovered = basis_pursuit(inst9.X, inst9.Y, 1e-6 * lambda_max(inst9.X, inst9.Y))
     np.testing.assert_array_equal(recovered, inst9.beta)
 
 
 def test_basis_pursuit_zero_target(inst9):
-    out = basis_pursuit(inst9.X, np.zeros(inst9.n), LassoPathConfig(lambda_min=1e-3))
+    out = basis_pursuit(inst9.X, np.zeros(inst9.n), 1e-3)
     assert np.all(out == 0.0)
 
 
 def test_basis_pursuit_refuses_shallow_path(inst9):
     # a floor this high leaves a residual far from interpolation
-    config = LassoPathConfig(lambda_min=0.25 * lambda_max(inst9.X, inst9.Y))
     with pytest.raises(RuntimeError, match="lambda_min"):
-        basis_pursuit(inst9.X, inst9.Y, config)
+        basis_pursuit(inst9.X, inst9.Y, 0.25 * lambda_max(inst9.X, inst9.Y))
 
 
 def _reference_kkt(g, b, half):
@@ -241,7 +262,7 @@ def _reference_soft(value, threshold):
     return math.copysign(mag, value)
 
 
-def _full_sweep_lasso(X, Y, config):
+def _full_sweep_lasso(X, Y, lam, warm_start=None):
     """Reference: the coordinate descent before screening, verbatim.
 
     Every sweep visits all p coordinates, so it pins what screened sweeps
@@ -258,8 +279,8 @@ def _full_sweep_lasso(X, Y, config):
     dead = np.flatnonzero(col_sq == 0.0)
     if dead.size:
         raise ValueError(f"column {int(dead[0])} has zero norm")
-    if config.warm_start is not None:
-        b = np.asarray(config.warm_start, dtype=float).copy()
+    if warm_start is not None:
+        b = np.asarray(warm_start, dtype=float).copy()
         if b.shape != (p,):
             raise ValueError(
                 f"warm start has shape {b.shape}, expected {(p,)}"
@@ -268,8 +289,8 @@ def _full_sweep_lasso(X, Y, config):
     else:
         b = np.zeros(p)
         r = Y.copy()
-    half = 0.5 * config.lam
-    prev_obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+    half = 0.5 * lam
+    prev_obj = float(r @ r + lam * np.sum(np.abs(b)))
     kkt = math.inf
     for sweep in range(1, LASSO.MAX_SWEEPS + 1):
         for j in range(p):
@@ -279,7 +300,7 @@ def _full_sweep_lasso(X, Y, config):
             if new != old:
                 r += (old - new) * X[:, j]
                 b[j] = new
-        obj = float(r @ r + config.lam * np.sum(np.abs(b)))
+        obj = float(r @ r + lam * np.sum(np.abs(b)))
         if not math.isfinite(obj):
             raise ValueError(
                 f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
@@ -293,8 +314,8 @@ def _full_sweep_lasso(X, Y, config):
         prev_obj = obj
         kkt = _reference_kkt(X.T @ r, b, half)
         if kkt <= LASSO.KKT_TOLERANCE:
-            return PathPoint(config.lam, b, converged=True, kkt=kkt, sweeps=sweep)
-    return PathPoint(config.lam, b, converged=False, kkt=kkt, sweeps=LASSO.MAX_SWEEPS)
+            return PathPoint(lam, b, converged=True, kkt=kkt, sweeps=sweep)
+    return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=LASSO.MAX_SWEEPS)
 
 
 def _bits(point):
@@ -340,11 +361,11 @@ def _family(c):
 
 # LASSO.lasso is looked up at call time, so the test can swap in the reference
 def _path(X, Y, factor):
-    return LASSO.lasso_path(X, Y, LassoPathConfig(lambda_min=factor * lambda_max(X, Y)))
+    return LASSO.lasso_path(X, Y, factor * lambda_max(X, Y))
 
 
 def _cold_solve(X, Y, factor):
-    return [LASSO.lasso(X, Y, LassoConfig(lam=factor * lambda_max(X, Y)))]
+    return [LASSO.lasso(X, Y, factor * lambda_max(X, Y))]
 
 
 SCREENING_CASES = {
@@ -372,7 +393,7 @@ def test_screening_duplicate_column_has_no_headroom():
     # once column 2 is in the support its exact twin, column 7, sits on the
     # edge of the dead zone, so no certificate ever skips it
     X, Y, factor = _duplicate_column()
-    points = lasso_path(X, Y, LassoPathConfig(lambda_min=factor * lambda_max(X, Y)))
+    points = lasso_path(X, Y, factor * lambda_max(X, Y))
     active = [p for p in points if p.beta[2] != 0.0]
     assert len(active) > 1
     for point in active:
@@ -386,12 +407,12 @@ def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
     # moves the residual past the certificate's budget; column 3 comes later
     # in that same sweep and must be visited, because it enters there.
     X, Y, factor = _headroom_runs_out()
-    config = LassoConfig(lam=factor * lambda_max(X, Y))
+    lam = factor * lambda_max(X, Y)
     monkeypatch.setattr(LASSO, "MAX_SWEEPS", 1)
-    first = lasso(X, Y, config)
+    first = lasso(X, Y, lam)
     monkeypatch.setattr(LASSO, "MAX_SWEEPS", 2)
-    second = lasso(X, Y, config)
+    second = lasso(X, Y, lam)
     g = X.T @ (Y - X @ first.beta)
-    assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * config.lam
+    assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * lam
     assert first.beta[0] != 0.0 and second.beta[0] == 0.0
     assert second.beta[3] != 0.0

@@ -25,21 +25,29 @@ def test_nullspace_duplicate_column():
     # third column = 2 * first, so the kernel is spanned by (-2, 0, 1)
     X = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
     ns = nullspace(X)
-    assert ns.dim == 1
-    np.testing.assert_allclose(ns.basis[0], [-2.0, 0.0, 1.0], atol=1e-12)
+    assert ns.shape == (3, 1)
+    np.testing.assert_allclose(ns[:, 0], [-2.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_nullspace_full_rank_has_no_basis_matrix():
-    ns = nullspace(np.eye(3))
-    assert ns.dim == 0
-    with pytest.raises(ValueError):
-        ns.matrix()
+    # a trivial nullspace is a basis matrix with no columns
+    assert nullspace(np.eye(3)).shape == (3, 0)
+
+
+def test_nullspace_columns_form_one_c_ordered_array():
+    # two orthogonal pairs of duplicated columns; C order keeps products
+    # with the basis on one BLAS path
+    X = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    ns = nullspace(X)
+    assert ns.shape == (4, 2) and ns.flags.c_contiguous
+    np.testing.assert_array_equal(ns, [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(X @ ns, np.zeros((2, 2)))
 
 
 def test_nullspace_vectors_annihilate(inst25):
     ns = nullspace(inst25.X)
-    assert ns.dim == 1
-    z = ns.basis[0]
+    assert ns.shape == (inst25.p, 1)
+    z = ns[:, 0]
     assert z[-1] == 1.0
     assert lq_norm(inst25.X @ z, 2) <= 1e-10 * lq_norm(z, 2) * np.max(np.abs(inst25.X))
     # the construction ships the same ray in integer form

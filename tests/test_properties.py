@@ -59,8 +59,8 @@ def test_rn_check_exact_on_construction(inst25):
     ns = nullspace(inst25.X)
     spec_hold = ConeSpec(T=inst25.S, c=4.0)
     spec_fail = ConeSpec(T=inst25.S, c=5.0)
-    holds = rn_check(inst25.X, spec_hold, ns)
-    fails = rn_check(inst25.X, spec_fail, ns)
+    holds = rn_check(ns, spec_hold)
+    fails = rn_check(ns, spec_fail)
     assert holds.holds and holds.witness is None
     assert holds.method == "exact-1d"
     assert abs(holds.critical_c - 4.2) <= 1e-12
@@ -72,24 +72,24 @@ def test_rn_check_exact_on_construction(inst25):
 
 def test_rn_check_smaller_instance(inst9):
     ns = nullspace(inst9.X)
-    verdict = rn_check(inst9.X, ConeSpec(T=inst9.S, c=2.0), ns)
+    verdict = rn_check(ns, ConeSpec(T=inst9.S, c=2.0))
     assert verdict.holds
     assert verdict.critical_c == pytest.approx(7.0 / 3.0, abs=1e-12)
     # at the critical constant the ray sits inside the (closed) cone
-    at_boundary = rn_check(inst9.X, ConeSpec(T=inst9.S, c=7.0 / 3.0), ns)
+    at_boundary = rn_check(ns, ConeSpec(T=inst9.S, c=7.0 / 3.0))
     assert not at_boundary.holds
 
 
 def test_rn_check_trivial_nullspace():
-    verdict = rn_check(np.eye(3), ConeSpec(T=(0,), c=1.0), nullspace(np.eye(3)))
+    verdict = rn_check(nullspace(np.eye(3)), ConeSpec(T=(0,), c=1.0))
     assert verdict.holds
     assert verdict.critical_c == math.inf
 
 
 def test_rn_check_heuristic_finds_interior_witness():
     ns = nullspace(X_DUP_PAIRS)
-    assert ns.dim == 2
-    verdict = rn_check(X_DUP_PAIRS, ConeSpec(T=(0, 2), c=1.0), ns)
+    assert ns.shape == (4, 2)
+    verdict = rn_check(ns, ConeSpec(T=(0, 2), c=1.0))
     assert not verdict.holds
     assert verdict.method == "heuristic"
     w = verdict.witness
@@ -101,20 +101,20 @@ def test_rn_check_heuristic_holds_case():
     # every nullspace vector (a, b, -a, -b) splits its mass evenly over
     # T = {0, 1}, so no witness exists below c = 1
     ns = nullspace(X_DUP_PAIRS)
-    verdict = rn_check(X_DUP_PAIRS, ConeSpec(T=(0, 1), c=0.5), ns)
+    verdict = rn_check(ns, ConeSpec(T=(0, 1), c=0.5))
     assert verdict.holds
     assert verdict.method == "heuristic"
 
 
-def _rn_uniform_by_scan(X, t, c, ns):
+def _rn_uniform_by_scan(ns, t, c):
     """The one-dimensional uniform check by enumeration: the first support
     of least ratio, as a strict scan finds it, decided by rn_check."""
-    z = ns.basis[0]
+    z = ns[:, 0]
     worst_T = min(
-        itertools.combinations(range(X.shape[1]), t),
+        itertools.combinations(range(z.size), t),
         key=lambda T: cone_split(z, T)[2],
     )
-    verdict = rn_check(X, ConeSpec(T=worst_T, c=c), ns)
+    verdict = rn_check(ns, ConeSpec(T=worst_T, c=c))
     return verdict.holds, worst_T, verdict.critical_c
 
 
@@ -123,8 +123,8 @@ def test_rn_uniform_closed_form_matches_enumeration(inst9):
     # the ray is flat, so the worst support of size t is the first t
     # columns and the critical constant is (p - 1 - t) / t
     for t, crit in [(1, 9.0), (2, 4.0), (3, 7.0 / 3.0)]:
-        h_fast, T_fast, c_fast = rn_uniform(inst9.X, t, 1.0, ns)
-        h_slow, T_slow, c_slow = _rn_uniform_by_scan(inst9.X, t, 1.0, ns)
+        h_fast, T_fast, c_fast = rn_uniform(ns, t, 1.0)
+        h_slow, T_slow, c_slow = _rn_uniform_by_scan(ns, t, 1.0)
         assert h_fast and h_slow
         assert T_fast == T_slow == tuple(range(t))
         assert c_fast == pytest.approx(crit, abs=1e-12)
@@ -136,14 +136,14 @@ def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
     # rule off <= c * on on both sides, not by comparing c with the ratio
     X = np.array([[9.0, 14.0]])
     ns = nullspace(X)
-    critical = rn_uniform(X, 1, 1.0, ns)[2]
-    assert critical == rn_check(X, ConeSpec(T=(0,), c=1.0), ns).critical_c
+    critical = rn_uniform(ns, 1, 1.0)[2]
+    assert critical == rn_check(ns, ConeSpec(T=(0,), c=1.0)).critical_c
     verdicts = []
     for c in (np.nextafter(critical, 0.0), critical, np.nextafter(critical, 2.0)):
         c = float(c)
-        expected = (rn_check(X, ConeSpec(T=(0,), c=c), ns).holds, (0,), critical)
-        assert rn_uniform(X, 1, c, ns) == expected
-        assert _rn_uniform_by_scan(X, 1, c, ns) == expected
+        expected = (rn_check(ns, ConeSpec(T=(0,), c=c)).holds, (0,), critical)
+        assert rn_uniform(ns, 1, c) == expected
+        assert _rn_uniform_by_scan(ns, 1, c) == expected
         verdicts.append(expected[0])
     # c * on rounds below off at c = critical, so the ray stays outside
     assert verdicts == [True, True, False]
@@ -151,12 +151,12 @@ def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
 
 def test_rn_uniform_critical_decreases_with_support_size(inst9):
     ns = nullspace(inst9.X)
-    crits = [rn_uniform(inst9.X, t, 0.5, ns)[2] for t in (1, 2, 3)]
+    crits = [rn_uniform(ns, t, 0.5)[2] for t in (1, 2, 3)]
     assert crits[0] > crits[1] > crits[2]
 
 
 def test_rn_uniform_trivial_nullspace():
-    assert rn_uniform(np.eye(4), 2, 1.0, nullspace(np.eye(4))) == (
+    assert rn_uniform(nullspace(np.eye(4)), 2, 1.0) == (
         True,
         (),
         math.inf,
@@ -165,9 +165,9 @@ def test_rn_uniform_trivial_nullspace():
 
 def test_rn_uniform_multidimensional_nullspace():
     ns = nullspace(X_DUP_PAIRS)
-    holds, worst, crit = rn_uniform(X_DUP_PAIRS, 1, 0.5, ns)
+    holds, worst, crit = rn_uniform(ns, 1, 0.5)
     assert holds and crit is None
-    fails, worst_T, _ = rn_uniform(X_DUP_PAIRS, 1, 2.0, ns)
+    fails, worst_T, _ = rn_uniform(ns, 1, 2.0)
     assert not fails
     assert worst_T == (0,)
 
@@ -177,11 +177,11 @@ def test_rn_uniform_budget_refusal(inst9):
     # of dimension two or more runs: C(4, 2) = 6 supports here
     ns = nullspace(X_DUP_PAIRS)
     with pytest.raises(BudgetExceeded):
-        rn_uniform(X_DUP_PAIRS, 2, 1.0, ns, enumeration_budget=5)
-    assert rn_uniform(X_DUP_PAIRS, 2, 1.0, ns, enumeration_budget=6).holds is False
+        rn_uniform(ns, 2, 1.0, enumeration_budget=5)
+    assert rn_uniform(ns, 2, 1.0, enumeration_budget=6).holds is False
     # a one-dimensional nullspace is decided on one support, unbudgeted
     ns9 = nullspace(inst9.X)
-    assert rn_uniform(inst9.X, 3, 1.0, ns9, enumeration_budget=1).holds
+    assert rn_uniform(ns9, 3, 1.0, enumeration_budget=1).holds
 
 
 def test_rn_uniform_rejects_bad_cone_constant(inst9):
@@ -190,12 +190,12 @@ def test_rn_uniform_rejects_bad_cone_constant(inst9):
         ns = nullspace(X)
         for c in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="c must be positive"):
-                rn_uniform(X, 1, c, ns)
+                rn_uniform(ns, 1, c)
 
 
-def _rn_uniform_one_at_a_time(X, t, c, ns):
-    for T in itertools.combinations(range(X.shape[1]), t):
-        if not rn_check(X, ConeSpec(T=T, c=c), ns).holds:
+def _rn_uniform_one_at_a_time(ns, t, c):
+    for T in itertools.combinations(range(ns.shape[0]), t):
+        if not rn_check(ns, ConeSpec(T=T, c=c)).holds:
             return False, T, None
     return True, (), None
 
@@ -205,12 +205,12 @@ def test_rn_uniform_matches_one_support_at_a_time_scan():
     # once per call instead of once per support must keep this
     X = np.random.default_rng(11).standard_normal((12, 14))
     ns = nullspace(X)
-    assert ns.dim == 2
+    assert ns.shape == (14, 2)
     verdicts = set()
     for t in (1, 2):
         for c in (0.05, 0.2, 0.5, 1.0, 3.0):
-            expected = _rn_uniform_one_at_a_time(X, t, c, ns)
-            assert rn_uniform(X, t, c, ns) == expected
+            expected = _rn_uniform_one_at_a_time(ns, t, c)
+            assert rn_uniform(ns, t, c) == expected
             verdicts.add(expected[0])
     assert verdicts == {True, False}
 
@@ -323,7 +323,7 @@ def test_spark_budget_partial_certificate(inst9):
 
 def test_spark_from_nullspace_cases(inst25):
     # both shortcuts decide without testing a single subset
-    assert spark_from_nullspace(nullspace(np.eye(3)), 3) == SparsityCertificate(
+    assert spark_from_nullspace(nullspace(np.eye(3))) == SparsityCertificate(
         spark=None,
         witness_columns=None,
         subsets_tested=0,
@@ -331,7 +331,7 @@ def test_spark_from_nullspace_cases(inst25):
         budget_exhausted=False,
     )
     p = inst25.p
-    assert spark_from_nullspace(nullspace(inst25.X), p) == SparsityCertificate(
+    assert spark_from_nullspace(nullspace(inst25.X)) == SparsityCertificate(
         spark=p,
         witness_columns=tuple(range(p)),
         subsets_tested=0,
@@ -340,7 +340,7 @@ def test_spark_from_nullspace_cases(inst25):
     )
     # a ray with a zero coordinate is inconclusive
     sparse_ray = nullspace(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
-    assert spark_from_nullspace(sparse_ray, 3) is None
+    assert spark_from_nullspace(sparse_ray) is None
 
 
 def test_unique_sparsest_frozen(inst9):

@@ -14,7 +14,6 @@ import pytest
 import sparselab
 from sparselab import (
     BoostingConfig,
-    LassoPathConfig,
     jsonable,
     lasso_path,
     read_matrix,
@@ -325,7 +324,7 @@ def test_cli_certify_digests_gaussian(tmp_path, monkeypatch, capsys, case):
     X = np.random.default_rng(7).standard_normal((4, 7))
     beta = np.zeros(7)
     beta[[1, 4]] = (1.5, -2.0)
-    assert sparselab.nullspace(X).dim == 3
+    assert sparselab.nullspace(X).shape == (7, 3)
     digest = _certify_digest(tmp_path, monkeypatch, X, X @ beta, case)
     capsys.readouterr()
     assert digest == CERTIFY_GAUSSIAN_DIGESTS[case]
@@ -436,7 +435,7 @@ def test_cli_compare_warns_on_unconverged_lasso(tmp_path, capsys, inst9, monkeyp
     assert "worst KKT residual" in out and ", 0 unconverged" in out
     assert err == ""
     monkeypatch.setattr(importlib.import_module("sparselab.lasso"), "MAX_SWEEPS", 1)
-    points = lasso_path(inst9.X, inst9.Y, LassoPathConfig(lambda_min=1e-4))
+    points = lasso_path(inst9.X, inst9.Y, 1e-4)
     unconverged = sum(not point.converged for point in points)
     assert 0 < unconverged < len(points)
     assert main(argv + ["--out", str(tmp_path / "cut")]) == 0
