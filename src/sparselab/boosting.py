@@ -10,11 +10,10 @@ invariant under positive rescaling of individual columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import lq_norm
 
 # Relative window for declaring two |rho| values tied.  The stall designs
 # produce exact ties across a whole block that floating point may perturb;
@@ -55,7 +54,7 @@ class BoostingState:
     ``rho`` holds the normalized correlations of ``residual`` (the vector
     the next selection will scan).  ``history`` records the selected
     column per iteration, ``history_steps`` the applied increments
-    ``nu * bhat``; both are read-only length-k views of one record that
+    ``nu * bhat``; both are read-only length-k views of two arrays that
     every snapshot of a run shares.
     """
 
@@ -94,21 +93,21 @@ def select_index(rho) -> int:
     Magnitudes within TIE_RTOL relative of the maximum count as tied and
     the smallest tied index wins.  An all-zero vector selects index 0; the
     caller is expected to apply a zero step in that case.  A vector with
-    an infinite or NaN magnitude, the mark of overflowing data, is
-    refused with a ValueError.
+    an infinite or NaN magnitude anywhere, the mark of overflowing data,
+    is refused with a ValueError.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size == 0:
         raise ValueError("rho must be a non-empty vector")
-    mags = np.abs(rho)
-    peak = float(mags.max())
+    mags = abs(rho)
+    # argmax stops at the first nan, so the peak is nan when any
+    # magnitude is, and inf when one is
+    peak = mags.item(mags.argmax())
     if peak == 0.0:
         return 0
-    try:
-        return int((mags >= peak - TIE_RTOL * peak).nonzero()[0][0])
-    except IndexError:
-        # only an infinite or NaN peak leaves no magnitude in the window
-        raise ValueError("the correlations overflow; rescale X or Y") from None
+    if not peak < math.inf:
+        raise ValueError("the correlations overflow; rescale X or Y")
+    return int((mags >= peak - TIE_RTOL * peak).argmax())
 
 
 def iterate(X, Y, config: BoostingConfig):
@@ -119,36 +118,48 @@ def iterate(X, Y, config: BoostingConfig):
     beta_j by nu * bhat.  A zero correlation vector is a no-op (index 0,
     zero increment) so trajectories keep uniform length when the
     residual is exhausted.  An iteration costs O(n p) at any k: the
-    column norms are computed once and no history is carried.  Yielded
-    arrays are never written to.
+    column norms are computed once and no history is carried.  Every
+    step yields fresh arrays, and yielded arrays are never written to.
+    Non-finite input, and finite input whose first correlations
+    overflow, are refused before the k = 0 state.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 1:
         raise ValueError(f"Y must be one-dimensional, got shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if not np.isfinite(Y).all():
         raise ValueError("Y must be finite")
-    k, j, applied = 0, None, 0.0
-    residual = Y.copy()
-    rho = correlations(X, residual)
-    beta = np.zeros(X.shape[1])
-    norms = _column_norms(X)
-    yield k, j, applied, beta, residual, rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = correlations(X, Y)
+        norms = _column_norms(X)
+    if not (np.isfinite(rho).all() and np.isfinite(norms).all()):
+        raise ValueError("the correlations overflow; rescale X or Y")
+    nu, floor = config.nu, config.residual_stop
+    XT = X.T
+    cols, scale = list(XT), norms.tolist()
+    k, residual, beta = 0, Y.copy(), np.zeros(X.shape[1])
+    scratch = np.empty_like(residual)
+    multiply, subtract, sqrt = np.multiply, np.subtract, math.sqrt
+    yield k, None, 0.0, beta, residual, rho
     while k < config.max_iterations and (
-        config.residual_stop == 0.0
-        or lq_norm(residual, 2) > config.residual_stop
+        floor == 0.0 or sqrt(residual.dot(residual)) > floor
     ):
         k += 1
         j = select_index(rho)
-        if float(np.abs(rho[j])) == 0.0:
+        rho_j = rho.item(j)
+        beta = beta.copy()
+        if rho_j == 0.0:
             applied = 0.0
-            beta, residual, rho = beta.copy(), residual.copy(), rho.copy()
+            residual, rho = residual.copy(), rho.copy()
         else:
-            applied = config.nu * (float(rho[j]) / float(norms[j]))
-            beta = beta.copy()
+            applied = nu * (rho_j / scale[j])
             beta[j] += applied
-            residual = residual - applied * X[:, j]
-            rho = (X.T @ residual) / norms
+            # the two roundings of residual - applied * X[:, j]
+            residual = subtract(residual, multiply(cols[j], applied, scratch))
+            rho = XT @ residual
+            rho /= norms
         yield k, j, applied, beta, residual, rho
 
 
@@ -178,29 +189,28 @@ def run(X, Y, config: BoostingConfig) -> list[BoostingState]:
     once the residual underflows to zero the remaining iterations are
     recorded as no-ops, so trajectories keep a uniform length.
 
-    Every iteration's (j, applied) goes into one append-only record that
-    doubles when full; every snapshot's ``history`` and
-    ``history_steps`` are read-only views of its first k entries, so
-    memory is linear in the iteration count.
+    Every iteration's (j, applied) is appended to two lists that become
+    two read-only arrays at the end; every snapshot's ``history`` and
+    ``history_steps`` are views of their first k entries, so memory is
+    linear in the iteration count.
     """
-    record = np.empty(16, dtype=[("j", np.intp), ("applied", float)])
+    js, steps = [], []
 
     def recorded():
-        nonlocal record
         for item in iterate(X, Y, config):
-            k, j, applied = item[:3]
-            if k > record.size:
-                record = np.concatenate((record, np.empty_like(record)))
-            if k:
-                record[k - 1] = j, applied
+            js.append(item[1])
+            steps.append(item[2])
             yield item
 
     kept = [
         (k, beta, residual, rho)
         for k, _, _, beta, residual, rho in thin(recorded())
     ]
-    record.flags.writeable = False
+    # both lists open with the k = 0 entry (None, 0.0)
+    history = np.array(js[1:], dtype=np.intp)
+    history_steps = np.array(steps[1:], dtype=float)
+    history.flags.writeable = history_steps.flags.writeable = False
     return [
-        BoostingState(k, beta, residual, rho, record["j"][:k], record["applied"][:k])
+        BoostingState(k, beta, residual, rho, history[:k], history_steps[:k])
         for k, beta, residual, rho in kept
     ]

@@ -134,20 +134,25 @@ def analytic_beta(state: AnalyticState, inst: SparseInstance) -> np.ndarray:
     return np.concatenate([np.zeros(inst.s), -state.c_mid, [state.c_p]])
 
 
+def _reduced_rho(state: AnalyticState, inst: SparseInstance) -> tuple[np.ndarray, float]:
+    """analytic_rho, and the numerator of its mixed entry."""
+    g, s, n = inst.gamma, inst.s, inst.n
+    mid = state.c_mid - state.c_p
+    mixed = s * g * g * (1.0 - state.c_p) + float(mid.sum())
+    rho = np.empty(inst.p)
+    rho[:s] = g * (1.0 - state.c_p)
+    rho[s:n] = mid
+    rho[n] = mixed / math.sqrt((g * g - 1.0) * s + n)
+    return rho, mixed
+
+
 def analytic_rho(state: AnalyticState, inst: SparseInstance) -> np.ndarray:
     """Correlations induced by a parameter in reduced form.
 
     rho_j = gamma * (1 - c_p) on the leading block, c_j - c_p on the
     middle block, and the norm-weighted mixture on the last column.
     """
-    g, s, n = inst.gamma, inst.s, inst.n
-    rho = np.empty(inst.p)
-    rho[:s] = g * (1.0 - state.c_p)
-    rho[s:n] = state.c_mid - state.c_p
-    rho[n] = (
-        s * g * g * (1.0 - state.c_p) + float((state.c_mid - state.c_p).sum())
-    ) / math.sqrt((g * g - 1.0) * s + n)
-    return rho
+    return _reduced_rho(state, inst)[0]
 
 
 def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> AnalyticState:
@@ -162,27 +167,20 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    rho = analytic_rho(state, inst)
-    if float(np.abs(rho).max()) == 0.0:
-        return AnalyticState(c_mid=state.c_mid.copy(), c_p=state.c_p, k=state.k + 1, j=0)
+    rho, mixed = _reduced_rho(state, inst)
     j = boosting.select_index(rho)
+    c_mid, c_p = state.c_mid.copy(), state.c_p
+    if rho[j] == 0.0:
+        return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
     g, s, n = inst.gamma, inst.s, inst.n
     if j < s:
         raise InvariantViolation(
             f"leading column {j} won the correlation race at iteration {state.k}"
         )
     if j == n:
-        denom = (g * g - 1.0) * s + n
-        delta = (
-            s * g * g * (1.0 - state.c_p)
-            + float((state.c_mid - state.c_p).sum())
-        ) / denom
-        c_mid = state.c_mid.copy()
-        c_p = state.c_p + nu * delta
+        c_p += nu * (mixed / ((g * g - 1.0) * s + n))
     else:
-        c_mid = state.c_mid.copy()
-        c_mid[j - s] = (1.0 - nu) * state.c_mid[j - s] + nu * state.c_p
-        c_p = state.c_p
+        c_mid[j - s] = (1.0 - nu) * c_mid.item(j - s) + nu * c_p
     lo = c_p if c_mid.size == 0 else min(float(c_mid.min()), c_p)
     hi = c_p if c_mid.size == 0 else max(float(c_mid.max()), c_p)
     if lo < -COORD_SLACK or hi > 1.0 + COORD_SLACK:
@@ -206,6 +204,10 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     """
     config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
     astate = initial_analytic_state(inst)
+    s, n = inst.s, inst.n
+    # analytic_beta - beta is -(beta + shift) exactly, with the shift
+    # (0, ..., 0, c_{s+1}, ..., c_n, -c_p)
+    shift, gap = np.zeros(inst.p), np.empty(inst.p)
     deviation = 0.0
     for k, jm, _, beta, _, _ in boosting.iterate(inst.X, inst.Y, config):
         if k:
@@ -215,8 +217,7 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
                     f"selection mismatch at iteration {k}: "
                     f"matrix picked {jm}, recursion picked {astate.j}"
                 )
-            deviation = max(
-                deviation,
-                float(np.abs(analytic_beta(astate, inst) - beta).max()),
-            )
+            shift[s:n] = astate.c_mid
+            shift[n] = -astate.c_p
+            deviation = max(deviation, float(abs(np.add(beta, shift, gap)).max()))
     return deviation

@@ -147,20 +147,32 @@ def _mask(p: int, T) -> np.ndarray:
     return mask
 
 
-def cone_split(delta, T) -> tuple[float, float, float]:
-    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T.
+def cone_splitter(p: int, T):
+    """The cone split of a length-p vector about T, with its index sets
+    built once: a function from the magnitudes |delta| to (on-mass,
+    off-mass, ratio).
 
     The ratio is off / on; with zero on-mass it is inf, or nan when the
     off-mass is zero too.
     """
-    delta = np.asarray(delta, dtype=float)
-    mask = _mask(delta.size, T)
-    mags = np.abs(delta)
-    on = float(mags[mask].sum())
-    off = float(mags[~mask].sum())
-    if on == 0.0:
-        return on, off, math.nan if off == 0.0 else math.inf
-    return on, off, off / on
+    mask = _mask(p, T)
+    on_idx, off_idx = np.flatnonzero(mask), np.flatnonzero(~mask)
+
+    def split(mags: np.ndarray) -> tuple[float, float, float]:
+        on = float(mags.take(on_idx).sum())
+        off = float(mags.take(off_idx).sum())
+        if on == 0.0:
+            return on, off, math.nan if off == 0.0 else math.inf
+        return on, off, off / on
+
+    return split
+
+
+def cone_split(delta, T) -> tuple[float, float, float]:
+    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T,
+    by the rule of ``cone_splitter``."""
+    mags = np.abs(np.asarray(delta, dtype=float))
+    return cone_splitter(mags.size, T)(mags)
 
 
 def in_cone(b, spec: ConeSpec) -> bool:
@@ -213,6 +225,32 @@ def _heuristic_cone_search(
     return best, best_v
 
 
+def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
+    """(p, d) of a nullspace basis as ``linalg.nullspace`` returns it: a
+    finite (p, d) array, d <= p, each column ending in a last nonzero
+    coordinate of exactly 1.  Anything else, or a budget that is not an
+    integer, is refused with a one-line ValueError."""
+    if not isinstance(ns, np.ndarray) or ns.ndim != 2:
+        raise ValueError(f"the nullspace basis must be a (p, d) array, got {np.shape(ns)}")
+    p, d = ns.shape
+    if d > p:
+        raise ValueError(
+            f"the nullspace basis has {d} columns in dimension {p}; pass nullspace(X), not X"
+        )
+    if not np.isfinite(ns).all():
+        raise ValueError("the nullspace basis must be finite")
+    nonzero = ns != 0.0
+    last = p - 1 - nonzero[::-1].argmax(axis=0) if d else []
+    if not (nonzero.any(axis=0).all() and (ns[last, np.arange(d)] == 1.0).all()):
+        raise ValueError(
+            "each nullspace basis column must end in a last nonzero coordinate of 1, "
+            "as nullspace(X) returns them"
+        )
+    if not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"enumeration_budget must be an integer, got {type(budget).__name__}")
+    return p, d
+
+
 def rn_check(ns: np.ndarray, spec: ConeSpec, seed: int = 0) -> RNVerdict:
     """Does the nullspace, the (p, d) basis ``ns``, meet the cone only at zero?
 
@@ -221,7 +259,7 @@ def rn_check(ns: np.ndarray, spec: ConeSpec, seed: int = 0) -> RNVerdict:
     the largest admissible constant ||z_Tc||_1 / ||z_T||_1 is reported.
     Higher dimensions fall back to the documented heuristic falsifier.
     """
-    p, d = ns.shape
+    p, d = _basis_shape(ns)
     mask = _mask(p, spec.T)
     if d == 0:
         return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=math.inf)
@@ -249,7 +287,7 @@ def rn_uniform(
     verdict and the critical constant.  Higher dimensions enumerate
     supports with the heuristic check and refuse beyond the budget.
     """
-    p, d = ns.shape
+    p, d = _basis_shape(ns, enumeration_budget)
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be positive and finite, got {c}")
     if not 1 <= t <= p:
@@ -488,7 +526,7 @@ def spark_from_nullspace(ns: np.ndarray) -> SparsityCertificate | None:
     be independent, so the spark is exactly p.  Anything else returns None
     (inconclusive).
     """
-    p, d = ns.shape
+    p, d = _basis_shape(ns)
     if d == 0:
         return SparsityCertificate(
             spark=None,

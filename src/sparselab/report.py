@@ -101,18 +101,19 @@ def boosting_trajectory(
     k = 0 row has no selected index.
     """
     rows: list[TrajectoryRow] = []
+    dist = ratio = math.nan
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        split = properties.cone_splitter(truth.size, S)
+        mags = np.empty_like(truth)
     for k, j, _, beta, residual, rho in boosting.iterate(X, Y, config):
-        dist, _, _, ratio = _error_split(beta, truth, S)
-        rows.append(
-            TrajectoryRow(
-                k=k,
-                j=j,
-                rho_max=float(np.abs(rho).max()),
-                resid_l2=lq_norm(residual, 2),
-                dist_l1=dist,
-                cone_ratio=ratio,
-            )
-        )
+        if truth is not None:
+            # |beta - truth| once, for the l1 distance and the cone split
+            np.abs(np.subtract(beta, truth, mags), mags)
+            dist = float(mags.sum())
+            ratio = split(mags)[2]
+        resid_l2 = math.sqrt(residual.dot(residual))
+        rows.append(TrajectoryRow(k, j, float(abs(rho).max()), resid_l2, dist, ratio))
     return rows
 
 

@@ -1,18 +1,21 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from sparselab import (
     BoostingConfig,
+    construct,
     correlations,
+    iterate,
     lq_norm,
     run,
     select_index,
 )
-from sparselab.boosting import thin
-from sparselab.report import boosting_trajectory
+from sparselab.boosting import TIE_RTOL, thin
+from sparselab.report import TrajectoryRow, boosting_trajectory
 
 
 def _random_problem(rng, n, p):
@@ -73,7 +76,14 @@ def test_select_index_all_zero():
 
 def test_select_index_refuses_non_finite():
     # overflowing data turns correlations into inf or nan
-    for rho in ([1.0, math.inf], [math.nan, 2.0], [-math.inf]):
+    # a nan or an inf is refused wherever it sits
+    for rho in (
+        [1.0, math.inf],
+        [math.nan, 2.0],
+        [-math.inf],
+        [2.0, math.nan],
+        [0.0, math.nan],
+    ):
         with pytest.raises(ValueError, match="overflow"):
             select_index(rho)
 
@@ -207,3 +217,209 @@ def test_run_huge_budget_allocates_only_what_it_uses():
     assert snaps[-1].k == 3
     assert snaps[-1].history.tolist() == [0, 1, 2]
     assert peak < 100_000, peak
+
+
+def test_run_refuses_non_finite_X():
+    X = np.eye(3)
+    X[1, 2] = math.nan
+    with pytest.raises(ValueError, match="^X must be finite$"):
+        run(X, np.ones(3), BoostingConfig())
+
+
+@pytest.mark.parametrize(
+    "scale_X, scale_Y",
+    # X'Y overflows; the column norms overflow while X'Y stays finite
+    [(1e300, 1e300), (1e200, 1.0)],
+    ids=["correlations", "column-norms"],
+)
+def test_run_refuses_overflow_at_k0_without_warning(scale_X, scale_Y):
+    X, Y = scale_X * np.eye(3), scale_Y * np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the correlations overflow; rescale X or Y$"):
+            run(X, Y, BoostingConfig())
+        # the generator refuses before it yields the k = 0 state
+        with pytest.raises(ValueError, match="overflow"):
+            next(iterate(X, Y, BoostingConfig(max_iterations=0)))
+
+
+# --- the engine keeps every bit ---------------------------------------------
+
+
+def _reference_select_index(rho) -> int:
+    """Reference: select_index before the lean body, verbatim."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1 or rho.size == 0:
+        raise ValueError("rho must be a non-empty vector")
+    mags = np.abs(rho)
+    peak = float(mags.max())
+    if peak == 0.0:
+        return 0
+    try:
+        return int((mags >= peak - TIE_RTOL * peak).nonzero()[0][0])
+    except IndexError:
+        # only an infinite or NaN peak leaves no magnitude in the window
+        raise ValueError("the correlations overflow; rescale X or Y") from None
+
+
+def _reference_iterate(X, Y, config):
+    """Reference: the boosting engine before the lean loop, verbatim
+    except that the column norms are inlined."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 1:
+        raise ValueError(f"Y must be one-dimensional, got shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
+    k, j, applied = 0, None, 0.0
+    residual = Y.copy()
+    rho = correlations(X, residual)
+    beta = np.zeros(X.shape[1])
+    norms = np.sqrt(np.sum(X * X, axis=0))
+    yield k, j, applied, beta, residual, rho
+    while k < config.max_iterations and (
+        config.residual_stop == 0.0
+        or lq_norm(residual, 2) > config.residual_stop
+    ):
+        k += 1
+        j = _reference_select_index(rho)
+        if float(np.abs(rho[j])) == 0.0:
+            applied = 0.0
+            beta, residual, rho = beta.copy(), residual.copy(), rho.copy()
+        else:
+            applied = config.nu * (float(rho[j]) / float(norms[j]))
+            beta = beta.copy()
+            beta[j] += applied
+            residual = residual - applied * X[:, j]
+            rho = (X.T @ residual) / norms
+        yield k, j, applied, beta, residual, rho
+
+
+def _reference_cone_split(delta, T):
+    """Reference: the cone split before its index sets were hoisted, verbatim."""
+    delta = np.asarray(delta, dtype=float)
+    mask = np.zeros(delta.size, dtype=bool)
+    mask[list(T)] = True
+    mags = np.abs(delta)
+    on = float(mags[mask].sum())
+    off = float(mags[~mask].sum())
+    if on == 0.0:
+        return on, off, math.nan if off == 0.0 else math.inf
+    return on, off, off / on
+
+
+def _reference_trajectory(X, Y, config, truth=None, S=()):
+    """Reference: the trajectory-row builder before the lean loop, verbatim."""
+    rows = []
+    for k, j, _, beta, residual, rho in _reference_iterate(X, Y, config):
+        if truth is None:
+            dist, ratio = math.nan, math.nan
+        else:
+            delta = beta - np.asarray(truth, dtype=float)
+            dist, ratio = lq_norm(delta, 1), _reference_cone_split(delta, S)[2]
+        rows.append(
+            TrajectoryRow(
+                k=k,
+                j=j,
+                rho_max=float(np.abs(rho).max()),
+                resid_l2=lq_norm(residual, 2),
+                dist_l1=dist,
+                cone_ratio=ratio,
+            )
+        )
+    return rows
+
+
+def _item_bits(item):
+    k, j, applied, beta, residual, rho = item
+    return k, j, float.hex(applied), beta.tobytes(), residual.tobytes(), rho.tobytes()
+
+
+def _row_bits(row):
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in row)
+
+
+def _family(c, nu):
+    def design():
+        inst = construct(c)
+        config = BoostingConfig(nu=nu, max_iterations=3000, residual_stop=0.0)
+        return inst.X, inst.Y, config, inst.beta, inst.S
+
+    return design
+
+
+def _gaussian():
+    rng = np.random.default_rng(41)
+    X, Y = _random_problem(rng, 12, 20)
+    truth = np.zeros(20)
+    truth[[1, 6, 13]] = (1.5, -2.0, 0.5)
+    return X, Y, BoostingConfig(nu=0.3, max_iterations=600), truth, (1, 6, 13)
+
+
+def _duplicate_column():
+    # columns 2 and 7 are exact twins, so every pick of one is a tie that
+    # the smaller index wins
+    rng = np.random.default_rng(43)
+    X, _ = _random_problem(rng, 10, 9)
+    X[:, 7] = X[:, 2]
+    Y = X @ np.array([0.0, 0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.5])
+    config = BoostingConfig(nu=0.5, max_iterations=400, residual_stop=0.0)
+    return X, Y, config, None, ()
+
+
+def _exhausted_residual():
+    # an orthonormal design fits Y exactly in three steps; with a zero
+    # floor the remaining steps are no-ops on a zero residual
+    config = BoostingConfig(nu=1.0, max_iterations=12, residual_stop=0.0)
+    return np.eye(3), np.array([2.0, 1.0, 0.5]), config, np.array([2.0, 1.0, 0.0]), (0, 1)
+
+
+ENGINE_CASES = {
+    "family-n9-nu1": _family(1.0, 1.0),
+    "family-n9-nu0.1": _family(1.0, 0.1),
+    "family-n25-nu1": _family(4.0, 1.0),
+    "family-n25-nu0.1": _family(4.0, 0.1),
+    "gaussian-12x20": _gaussian,
+    "duplicate-column": _duplicate_column,
+    "exhausted-residual": _exhausted_residual,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_matches_reference_bit_for_bit(name):
+    X, Y, config, truth, S = ENGINE_CASES[name]()
+    got = [_item_bits(item) for item in iterate(X, Y, config)]
+    want = [_item_bits(item) for item in _reference_iterate(X, Y, config)]
+    assert got == want
+    rows = boosting_trajectory(X, Y, config, truth=truth, S=S)
+    assert [_row_bits(r) for r in rows] == [
+        _row_bits(r) for r in _reference_trajectory(X, Y, config, truth=truth, S=S)
+    ]
+    if name == "duplicate-column":
+        picks = {j for _, j, *_ in got[1:]}
+        assert 2 in picks and 7 not in picks
+    if name == "exhausted-residual":
+        assert [j for _, j, *_ in got[1:]] == [0, 1, 2] + [0] * 9
+        assert all(float.fromhex(applied) == 0.0 for _, _, applied, *_ in got[4:])
+
+
+def test_engine_stops_at_the_floor_like_reference():
+    # the default floor ends the run once the residual is exhausted
+    X, Y, config, _, _ = _exhausted_residual()
+    config = BoostingConfig(nu=1.0, max_iterations=12)
+    got = [_item_bits(item) for item in iterate(X, Y, config)]
+    assert got == [_item_bits(item) for item in _reference_iterate(X, Y, config)]
+    assert len(got) == 4
+
+
+def test_select_index_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for _ in range(500):
+        p = int(rng.integers(1, 30))
+        rho = rng.standard_normal(p) * (rng.random(p) < 0.8)
+        # exact ties, ties within the window, and all-zero vectors
+        twins = rng.random(p) < 0.2
+        rho[twins] = -rho[0] if rng.random() < 0.5 else rho[0] * (1.0 - 1e-13)
+        if rng.random() < 0.05:
+            rho[:] = 0.0
+        assert select_index(rho) == _reference_select_index(rho)

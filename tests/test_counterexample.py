@@ -15,9 +15,11 @@ from sparselab import (
     correlations,
     equivalence_check,
     initial_analytic_state,
+    iterate,
     run,
+    select_index,
 )
-from sparselab.counterexample import _block_size
+from sparselab.counterexample import COORD_SLACK, _block_size
 
 
 def _counting_block_size(c):
@@ -152,3 +154,109 @@ def test_equivalence_deep_run(inst25, nu):
     # 5000 lockstep iterations on n=25; the nu=0.1 run mismatches on
     # roundoff only at k=5836, once the residual is about 3e-12
     assert equivalence_check(inst25, nu=nu, iterations=5000) <= 1e-10
+
+
+def test_equivalence_deep_damped_run_mismatch_is_pinned(inst25):
+    # the known lockstep defect: past k=5836 the matrix residual is about
+    # 3e-12 and roundoff breaks a tie the recursion keeps exact
+    with pytest.raises(
+        RuntimeError,
+        match="^selection mismatch at iteration 5836: matrix picked 20, recursion picked 25$",
+    ):
+        equivalence_check(inst25, 0.1, 20000)
+
+
+# --- the lean lockstep keeps every bit --------------------------------------
+
+
+def _reference_analytic_step(state, inst, nu):
+    """Reference: analytic_step before it selected once, verbatim (its
+    correlations from the unchanged public analytic_rho formula)."""
+    g, s, n = inst.gamma, inst.s, inst.n
+    rho = np.empty(inst.p)
+    rho[:s] = g * (1.0 - state.c_p)
+    rho[s:n] = state.c_mid - state.c_p
+    rho[n] = (
+        s * g * g * (1.0 - state.c_p) + float((state.c_mid - state.c_p).sum())
+    ) / math.sqrt((g * g - 1.0) * s + n)
+    if float(np.abs(rho).max()) == 0.0:
+        return AnalyticState(c_mid=state.c_mid.copy(), c_p=state.c_p, k=state.k + 1, j=0)
+    j = select_index(rho)
+    if j < s:
+        raise InvariantViolation(
+            f"leading column {j} won the correlation race at iteration {state.k}"
+        )
+    if j == n:
+        denom = (g * g - 1.0) * s + n
+        delta = (
+            s * g * g * (1.0 - state.c_p)
+            + float((state.c_mid - state.c_p).sum())
+        ) / denom
+        c_mid = state.c_mid.copy()
+        c_p = state.c_p + nu * delta
+    else:
+        c_mid = state.c_mid.copy()
+        c_mid[j - s] = (1.0 - nu) * state.c_mid[j - s] + nu * state.c_p
+        c_p = state.c_p
+    lo = c_p if c_mid.size == 0 else min(float(c_mid.min()), c_p)
+    hi = c_p if c_mid.size == 0 else max(float(c_mid.max()), c_p)
+    if lo < -COORD_SLACK or hi > 1.0 + COORD_SLACK:
+        raise InvariantViolation(
+            f"reduced coordinate left [0, 1] at iteration {state.k + 1}: "
+            f"range [{lo!r}, {hi!r}]"
+        )
+    return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
+
+
+def _reference_lockstep(inst, nu, iterations):
+    """Reference: equivalence_check's loop before the lean deviation,
+    verbatim, returning the deviation (or the mismatch message) and every
+    reduced state."""
+    config = BoostingConfig(nu=nu, max_iterations=iterations)
+    astate = initial_analytic_state(inst)
+    states, deviation = [], 0.0
+    for k, jm, _, beta, _, _ in iterate(inst.X, inst.Y, config):
+        if k:
+            astate = _reference_analytic_step(astate, inst, nu)
+            states.append(astate)
+            if jm != astate.j:
+                return (
+                    f"selection mismatch at iteration {k}: "
+                    f"matrix picked {jm}, recursion picked {astate.j}"
+                ), states
+            deviation = max(
+                deviation,
+                float(np.abs(analytic_beta(astate, inst) - beta).max()),
+            )
+    return float.hex(deviation), states
+
+
+def _state_bits(state):
+    return state.k, state.j, state.c_mid.tobytes(), float.hex(state.c_p)
+
+
+@pytest.mark.parametrize(
+    "c, nu, iterations",
+    # the damped n=9 run mismatches on roundoff at k=1819 (residual 1.3e-10)
+    [(1.0, 1.0, 400), (1.0, 0.1, 3000), (4.0, 1.0, 3000), (4.0, 0.1, 3000)],
+)
+def test_lockstep_matches_reference_bit_for_bit(c, nu, iterations):
+    inst = construct(c)
+    outcome, states = _reference_lockstep(inst, nu, iterations)
+    try:
+        got = float.hex(equivalence_check(inst, nu, iterations))
+    except RuntimeError as exc:
+        got = str(exc)
+    assert got == outcome
+    astate = initial_analytic_state(inst)
+    for want in states:
+        astate = analytic_step(astate, inst, nu)
+        assert _state_bits(astate) == _state_bits(want)
+
+
+def test_analytic_noop_matches_reference(inst9):
+    # a saturated state has all-zero correlations: both steps are no-ops
+    state = AnalyticState(c_mid=np.ones(inst9.n - inst9.s), c_p=1.0, k=7)
+    assert _state_bits(analytic_step(state, inst9, 0.5)) == _state_bits(
+        _reference_analytic_step(state, inst9, 0.5)
+    )

@@ -193,6 +193,42 @@ def test_rn_uniform_rejects_bad_cone_constant(inst9):
                 rn_uniform(ns, 1, c)
 
 
+def test_nullspace_certifiers_refuse_what_is_not_a_basis():
+    X = np.random.default_rng(3).standard_normal((3, 5))
+    # the design in the place of its nullspace (the old argument order)
+    with pytest.raises(
+        ValueError,
+        match=r"^the nullspace basis has 5 columns in dimension 3; pass nullspace\(X\), not X$",
+    ):
+        rn_uniform(X, 1, 1.0)
+    # a basis in the place of the enumeration budget
+    with pytest.raises(ValueError, match="^enumeration_budget must be an integer, got ndarray$"):
+        rn_uniform(np.eye(4), 2, 1.0, nullspace(np.eye(4)))
+    ray = nullspace(np.array([[1.0, 2.0, 3.0]]))
+    unnormalized = "^each nullspace basis column must end in a last nonzero coordinate of 1"
+    for bad, message in [
+        (X.T, unnormalized),
+        (2.0 * ray, unnormalized),
+        (np.zeros((3, 1)), unnormalized),
+        (np.where(ray == 1.0, math.nan, ray), "^the nullspace basis must be finite$"),
+        (ray[:, 0], r"^the nullspace basis must be a \(p, d\) array, got \(3,\)$"),
+        (ray.tolist(), r"^the nullspace basis must be a \(p, d\) array, got \(3, 2\)$"),
+    ]:
+        for certify in (
+            lambda ns: rn_check(ns, ConeSpec(T=(0,), c=1.0)),
+            lambda ns: rn_uniform(ns, 1, 1.0),
+            spark_from_nullspace,
+        ):
+            with pytest.raises(ValueError, match=message):
+                certify(bad)
+    # nullspace's own bases pass, trivial ones included
+    for X in (np.eye(3), X_DUP_PAIRS, np.array([[1.0, 2.0, 3.0]])):
+        ns = nullspace(X)
+        rn_check(ns, ConeSpec(T=(0,), c=1.0))
+        rn_uniform(ns, 1, 1.0, np.int64(10))
+        spark_from_nullspace(ns)
+
+
 def _rn_uniform_one_at_a_time(ns, t, c):
     for T in itertools.combinations(range(ns.shape[0]), t):
         if not rn_check(ns, ConeSpec(T=T, c=c)).holds:
