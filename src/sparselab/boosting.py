@@ -120,8 +120,8 @@ def iterate(X, Y, config: BoostingConfig):
     residual is exhausted.  An iteration costs O(n p) at any k: the
     column norms are computed once and no history is carried.  Every
     step yields fresh arrays, and yielded arrays are never written to.
-    Non-finite input, and finite input whose first correlations
-    overflow, are refused before the k = 0 state.
+    Non-finite input, and finite input whose first correlations or
+    squared residual norm overflow, are refused before the k = 0 state.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -134,8 +134,12 @@ def iterate(X, Y, config: BoostingConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         rho = correlations(X, Y)
         norms = _column_norms(X)
+        y_sq = Y.dot(Y)
     if not (np.isfinite(rho).all() and np.isfinite(norms).all()):
         raise ValueError("the correlations overflow; rescale X or Y")
+    # the residual norm never grows, so this covers every floor test
+    if not math.isfinite(y_sq):
+        raise ValueError("the squared norm of Y overflows; rescale Y")
     nu, floor = config.nu, config.residual_stop
     XT = X.T
     cols, scale = list(XT), norms.tolist()

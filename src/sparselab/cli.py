@@ -121,7 +121,7 @@ def _certificate(args) -> dict:
         spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
         params.update({"T": spec.T, "c": args.c})
     if name == "rn":
-        result = properties.rn_check(ns, spec, seed=args.seed)
+        result = properties.rn_check(ns, spec, args.budget)
     elif name == "re":
         params["samples"] = args.samples
         result = properties.re_upper_bound(
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--s", type=int, default=None)
     p_cert.add_argument("--y", default=None, help="response vector file")
     p_cert.add_argument("--samples", type=_positive(int), default=10_000)
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--seed", type=int, default=0, help="seeds re's sampling only")
     p_cert.add_argument("--budget", type=_positive(int), default=properties.ENUMERATION_BUDGET)
     p_cert.add_argument("--out", default=None, help="certificate JSON path")
     p_cert.set_defaults(func=cmd_certify)

@@ -1,9 +1,9 @@
 """Certifiers for the sparsity property zoo.
 
-Cone membership, restricted nullspace (exact whenever the nullspace is
-at most one-dimensional, which covers every constructed instance here),
-its uniform variant, sampled restricted-eigenvalue upper bounds,
-restricted isometry constants by subset enumeration, spark, and
+Cone membership, restricted nullspace and its uniform variant (both exact
+in every nullspace dimension: decided at the extreme rays of the
+nullspace's coordinate arrangement), sampled restricted-eigenvalue upper
+bounds, restricted isometry constants by subset enumeration, spark, and
 sparsest-solution uniqueness.  The nullspace certifiers take the
 nullspace alone, as the (p, d) basis array of ``linalg.nullspace``.
 Enumerating operations take an explicit subset budget and refuse loudly
@@ -39,9 +39,6 @@ ENUMERATION_BUDGET = 10_000_000
 # at a time, 4,096 about 15 MB.
 ENUMERATION_BLOCK = 256
 
-# Random directions that seed the heuristic cone search of rn_check.
-RN_SAMPLES = 10_000
-
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would overrun its subset budget; refusing to guess."""
@@ -68,30 +65,26 @@ class ConeSpec:
 
 
 class RNVerdict(NamedTuple):
-    """Outcome of a restricted nullspace check.
+    """Outcome of a restricted nullspace check, exact in every dimension.
 
-    ``method`` is "exact-1d" when the nullspace dimension is at most one
-    (the single spanning ray decides membership completely) and
-    "heuristic" otherwise; heuristic holds-verdicts can be wrong, and a
-    heuristic witness is the nullspace vector whose search score
-    c * on-mass - off-mass was positive, not rechecked by ``in_cone``.
+    ``critical_c`` is the least ratio ||r_Tc||_1 / ||r_T||_1 over the
+    nullspace's rays r (inf for a trivial nullspace); ``witness`` is the
+    first ray, in combination order, inside the closed cone, or None.
     """
 
     holds: bool
     witness: np.ndarray | None
-    method: str
-    critical_c: float | None
+    critical_c: float
 
 
 class RNUniformResult(NamedTuple):
-    """Uniform cone check.  With a one-dimensional nullspace ``worst_T``
-    is the worst support and ``critical_c`` its critical constant; else
-    ``worst_T`` is the first failing support, or () when none fails, and
-    ``critical_c`` is None (inf for a trivial nullspace)."""
+    """Uniform cone check over every support of size t.  ``worst_T`` is
+    the worst support of the ray of least ratio (its t largest |r_i|) and
+    ``critical_c`` that ratio; () and inf for a trivial nullspace."""
 
     holds: bool
     worst_T: tuple[int, ...]
-    critical_c: float | None
+    critical_c: float
 
 
 class RIPResult(NamedTuple):
@@ -181,50 +174,6 @@ def in_cone(b, spec: ConeSpec) -> bool:
     return off <= spec.c * on
 
 
-def _heuristic_cone_search(
-    B: np.ndarray,
-    mask: np.ndarray,
-    c: float,
-    seed: int,
-) -> tuple[float, np.ndarray]:
-    """Best-effort maximization of c * ||(Bv)_T||_1 - ||(Bv)_Tc||_1.
-
-    RN_SAMPLES random unit directions seed a sign-pattern ascent; steps
-    are only accepted when the objective improves, so the search is
-    monotone but can miss witnesses, even ones strictly inside the cone.
-    """
-    rng = np.random.default_rng(seed)
-    d = B.shape[1]
-    weights = np.where(mask, c, -1.0)
-
-    def score(v: np.ndarray) -> float:
-        return float(weights @ np.abs(B @ v))
-
-    V = rng.standard_normal((d, RN_SAMPLES))
-    V /= np.linalg.norm(V, axis=0)
-    scores = weights @ np.abs(B @ V)
-    order = np.argsort(scores)[::-1]
-    best_idx = int(order[0])
-    best_v = V[:, best_idx].copy()
-    best = float(scores[best_idx])
-    for idx in order[: min(20, order.size)]:
-        v = V[:, int(idx)].copy()
-        current = float(scores[int(idx)])
-        for _ in range(50):
-            direction = B.T @ (weights * np.sign(B @ v))
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                break
-            candidate = direction / norm
-            value = score(candidate)
-            if value <= current:
-                break
-            v, current = candidate, value
-        if current > best:
-            best, best_v = current, v
-    return best, best_v
-
-
 def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
     """(p, d) of a nullspace basis as ``linalg.nullspace`` returns it: a
     finite (p, d) array, d <= p, each column ending in a last nonzero
@@ -251,29 +200,46 @@ def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
     return p, d
 
 
-def rn_check(ns: np.ndarray, spec: ConeSpec, seed: int = 0) -> RNVerdict:
+def _rays(ns: np.ndarray, budget: int):
+    """The extreme rays r = ns v of the arrangement {v : (ns v)_i = 0}, one
+    of each pair +-r, in combination order.  On each cell the cone test
+    c ||r_T||_1 - ||r_Tc||_1 is linear, so the rays decide it for every T
+    and attain the least ratio ||r_Tc||_1 / ||r_T||_1.  With d = 1 the ray
+    is the basis column; else v spans the null space of d - 1 rows of ns
+    of full rank at DEFAULT_RANK_TOL, as ``spark`` applies it.  More than
+    ``budget`` row subsets are refused."""
+    p, d = ns.shape
+    if d < 2:
+        yield from ns.T
+        return
+    total = math.comb(p, d - 1)
+    if total > budget:
+        raise BudgetExceeded(
+            f"cone check over {total} candidate rays ({d - 1}-row subsets) exceeds the "
+            f"budget of {budget}"
+        )
+    for block in _blocks(p, d - 1):
+        A = ns[block]
+        _, sv, vh = np.linalg.svd(A)
+        full = (sv > DEFAULT_RANK_TOL * np.abs(A).max(axis=(1, 2))[:, None]).all(axis=1)
+        yield from vh[full, -1] @ ns.T
+
+
+def rn_check(
+    ns: np.ndarray, spec: ConeSpec, enumeration_budget: int = ENUMERATION_BUDGET
+) -> RNVerdict:
     """Does the nullspace, the (p, d) basis ``ns``, meet the cone only at zero?
 
-    Dimension 0 holds vacuously; dimension 1 is decided exactly by the
-    spanning ray (the cone is symmetric under negation and scaling), and
-    the largest admissible constant ||z_Tc||_1 / ||z_T||_1 is reported.
-    Higher dimensions fall back to the documented heuristic falsifier.
-    """
-    p, d = _basis_shape(ns)
-    mask = _mask(p, spec.T)
-    if d == 0:
-        return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=math.inf)
-    if d == 1:
-        z = ns[:, 0]
-        critical = cone_split(z, spec.T)[2]
-        if in_cone(z, spec):
-            return RNVerdict(holds=False, witness=z.copy(), method="exact-1d", critical_c=critical)
-        return RNVerdict(holds=True, witness=None, method="exact-1d", critical_c=critical)
-    best, best_v = _heuristic_cone_search(ns, mask, spec.c, seed)
-    if best > 0.0:
-        witness = ns @ best_v
-        return RNVerdict(holds=False, witness=witness, method="heuristic", critical_c=None)
-    return RNVerdict(holds=True, witness=None, method="heuristic", critical_c=None)
+    Exactly when no ray of ``_rays`` lies in the closed cone (``in_cone``);
+    a trivial nullspace holds vacuously."""
+    p, _ = _basis_shape(ns, enumeration_budget)
+    split = cone_splitter(p, spec.T)
+    critical, witness = math.inf, None
+    for r in _rays(ns, enumeration_budget):
+        critical = min(critical, split(np.abs(r))[2])
+        if witness is None and in_cone(r, spec):
+            witness = r.copy()
+    return RNVerdict(holds=witness is None, witness=witness, critical_c=critical)
 
 
 def rn_uniform(
@@ -282,34 +248,23 @@ def rn_uniform(
     """Uniform variant: the cone condition over every support of size t.
 
     Size-t supports suffice because growing T only makes the condition
-    harder.  With a one-dimensional nullspace the worst support is the
-    set of t largest |z| coordinates, and ``rn_check`` on it gives the
-    verdict and the critical constant.  Higher dimensions enumerate
-    supports with the heuristic check and refuse beyond the budget.
-    """
-    p, d = _basis_shape(ns, enumeration_budget)
+    harder, and on a ray r the worst of them is the t largest |r_i|
+    (stable order on ties).  So each ray of ``_rays`` is tested against
+    its own worst support, and the budget counts rays, not supports."""
+    p, _ = _basis_shape(ns, enumeration_budget)
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be positive and finite, got {c}")
     if not 1 <= t <= p:
         raise ValueError(f"t must lie in [1, {p}], got {t}")
-    if d == 0:
-        return RNUniformResult(True, (), math.inf)
-    if d == 1:
-        order = np.argsort(-np.abs(ns[:, 0]), kind="stable")
-        worst_T = tuple(sorted(int(j) for j in order[:t]))
-        verdict = rn_check(ns, ConeSpec(T=worst_T, c=c))
-        return RNUniformResult(verdict.holds, worst_T, verdict.critical_c)
-    total = math.comb(p, t)
-    if total > enumeration_budget:
-        raise BudgetExceeded(
-            f"uniform check over {total} supports of size {t} exceeds the "
-            f"budget of {enumeration_budget}"
-        )
-    for T in itertools.combinations(range(p), t):
-        verdict = rn_check(ns, ConeSpec(T=T, c=c))
-        if not verdict.holds:
-            return RNUniformResult(False, T, None)
-    return RNUniformResult(True, (), None)
+    holds, worst_T, critical = True, (), math.inf
+    for r in _rays(ns, enumeration_budget):
+        order = np.argsort(-np.abs(r), kind="stable")
+        T = tuple(sorted(int(j) for j in order[:t]))
+        ratio = cone_split(r, T)[2]
+        if not worst_T or ratio < critical:
+            worst_T, critical = T, ratio
+        holds = holds and not in_cone(r, ConeSpec(T=T, c=c))
+    return RNUniformResult(holds, worst_T, critical)
 
 
 def re_upper_bound(

@@ -243,6 +243,15 @@ def test_run_refuses_overflow_at_k0_without_warning(scale_X, scale_Y):
             next(iterate(X, Y, BoostingConfig(max_iterations=0)))
 
 
+def test_run_refuses_overflowing_squared_norm_of_Y_without_warning():
+    # X'Y is finite, but the floor test's ||residual||^2 is not
+    X, Y = np.eye(3), 1e200 * np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the squared norm of Y overflows; rescale Y$"):
+            run(X, Y, BoostingConfig())
+
+
 # --- the engine keeps every bit ---------------------------------------------
 
 

@@ -62,7 +62,6 @@ def test_rn_check_exact_on_construction(inst25):
     holds = rn_check(ns, spec_hold)
     fails = rn_check(ns, spec_fail)
     assert holds.holds and holds.witness is None
-    assert holds.method == "exact-1d"
     assert abs(holds.critical_c - 4.2) <= 1e-12
     assert not fails.holds
     # the witness is the nullspace ray itself (last coordinate 1)
@@ -86,24 +85,29 @@ def test_rn_check_trivial_nullspace():
     assert verdict.critical_c == math.inf
 
 
-def test_rn_check_heuristic_finds_interior_witness():
+def test_rn_check_multidimensional_finds_interior_witness():
+    # the ray (1, 0, -1, 0) carries all its mass on T = {0, 2}
     ns = nullspace(X_DUP_PAIRS)
     assert ns.shape == (4, 2)
     verdict = rn_check(ns, ConeSpec(T=(0, 2), c=1.0))
     assert not verdict.holds
-    assert verdict.method == "heuristic"
+    assert verdict.critical_c == 0.0
     w = verdict.witness
     assert np.max(np.abs(X_DUP_PAIRS @ w)) <= 1e-9
     assert in_cone(w, ConeSpec(T=(0, 2), c=1.0))
 
 
-def test_rn_check_heuristic_holds_case():
+def test_rn_check_multidimensional_holds_case():
     # every nullspace vector (a, b, -a, -b) splits its mass evenly over
-    # T = {0, 1}, so no witness exists below c = 1
+    # T = {0, 1}, so no witness exists below c = 1, and at c = 1 the
+    # closed cone takes every ray
     ns = nullspace(X_DUP_PAIRS)
     verdict = rn_check(ns, ConeSpec(T=(0, 1), c=0.5))
-    assert verdict.holds
-    assert verdict.method == "heuristic"
+    assert verdict.holds and verdict.witness is None
+    assert verdict.critical_c == 1.0
+    at_boundary = rn_check(ns, ConeSpec(T=(0, 1), c=1.0))
+    assert not at_boundary.holds
+    assert in_cone(at_boundary.witness, ConeSpec(T=(0, 1), c=1.0))
 
 
 def _rn_uniform_by_scan(ns, t, c):
@@ -166,20 +170,26 @@ def test_rn_uniform_trivial_nullspace():
 def test_rn_uniform_multidimensional_nullspace():
     ns = nullspace(X_DUP_PAIRS)
     holds, worst, crit = rn_uniform(ns, 1, 0.5)
-    assert holds and crit is None
+    assert holds and crit == 1.0
+    # the first ray, (0, -1, 0, 1), has the least ratio and its worst
+    # support is its first largest entry
     fails, worst_T, _ = rn_uniform(ns, 1, 2.0)
     assert not fails
-    assert worst_T == (0,)
+    assert worst_T == worst == (1,)
 
 
 def test_rn_uniform_budget_refusal(inst9):
-    # the budget bounds the support enumeration, which only a nullspace
-    # of dimension two or more runs: C(4, 2) = 6 supports here
+    # the budget bounds the rays, one per row subset of size d - 1:
+    # C(4, 1) = 4 here
     ns = nullspace(X_DUP_PAIRS)
-    with pytest.raises(BudgetExceeded):
-        rn_uniform(ns, 2, 1.0, enumeration_budget=5)
-    assert rn_uniform(ns, 2, 1.0, enumeration_budget=6).holds is False
-    # a one-dimensional nullspace is decided on one support, unbudgeted
+    for certify in (
+        lambda budget: rn_uniform(ns, 2, 1.0, enumeration_budget=budget),
+        lambda budget: rn_check(ns, ConeSpec(T=(0, 1), c=1.0), enumeration_budget=budget),
+    ):
+        with pytest.raises(BudgetExceeded):
+            certify(3)
+        assert certify(4).holds is False
+    # a one-dimensional nullspace has one ray
     ns9 = nullspace(inst9.X)
     assert rn_uniform(ns9, 3, 1.0, enumeration_budget=1).holds
 
@@ -230,25 +240,63 @@ def test_nullspace_certifiers_refuse_what_is_not_a_basis():
 
 
 def _rn_uniform_one_at_a_time(ns, t, c):
-    for T in itertools.combinations(range(ns.shape[0]), t):
-        if not rn_check(ns, ConeSpec(T=T, c=c)).holds:
-            return False, T, None
-    return True, (), None
+    """The uniform check as a scan of rn_check over every size-t support:
+    it holds iff every support holds, at the least critical constant."""
+    verdicts = [
+        rn_check(ns, ConeSpec(T=T, c=c))
+        for T in itertools.combinations(range(ns.shape[0]), t)
+    ]
+    return all(v.holds for v in verdicts), min(v.critical_c for v in verdicts)
 
 
 def test_rn_uniform_matches_one_support_at_a_time_scan():
-    # each support gets the verdict of its own rn_check; a search drawn
-    # once per call instead of once per support must keep this
     X = np.random.default_rng(11).standard_normal((12, 14))
     ns = nullspace(X)
     assert ns.shape == (14, 2)
     verdicts = set()
     for t in (1, 2):
-        for c in (0.05, 0.2, 0.5, 1.0, 3.0):
-            expected = _rn_uniform_one_at_a_time(ns, t, c)
-            assert rn_uniform(ns, t, c) == expected
-            verdicts.add(expected[0])
+        for c in (0.05, 0.2, 0.5, 1.0, 1.5527, 3.0):
+            holds, critical = _rn_uniform_one_at_a_time(ns, t, c)
+            fast = rn_uniform(ns, t, c)
+            assert (fast.holds, fast.critical_c) == (holds, critical)
+            # the worst support attains the least critical constant
+            assert rn_check(ns, ConeSpec(T=fast.worst_T, c=c)).critical_c == critical
+            verdicts.add(holds)
     assert verdicts == {True, False}
+
+
+# seeded Gaussian designs (rows, columns, seed) with nullspaces of
+# dimension 3, 4, 5 and 4, and their critical constants at t = 2
+GAUSSIAN_RN_CASES = [
+    ((4, 7, 7), 0.4458),
+    ((10, 14, 3), 1.0234),
+    ((9, 14, 5), 1.0079),
+    ((8, 12, 2), 0.8505),
+]
+
+
+@pytest.mark.parametrize("design, critical", GAUSSIAN_RN_CASES)
+def test_rn_uniform_is_exact_on_either_side_of_the_critical_constant(design, critical):
+    m, q, seed = design
+    X = np.random.default_rng(seed).standard_normal((m, q))
+    ns = nullspace(X)
+    assert ns.shape[1] >= 3
+    # 0.1 % either side of the critical constant decides the verdict
+    assert not rn_uniform(ns, 2, 1.001 * critical).holds
+    assert rn_uniform(ns, 2, 0.999 * critical).holds
+    _, worst_T, crit = rn_uniform(ns, 2, 1.0)
+    assert crit == pytest.approx(critical, abs=1e-4)
+    # the witness is a nullspace vector in the cone of the worst support
+    spec = ConeSpec(T=worst_T, c=1.001 * crit)
+    verdict = rn_check(ns, spec)
+    assert not verdict.holds
+    w = verdict.witness
+    assert np.linalg.norm(X @ w) <= 1e-12 * np.linalg.norm(w)
+    assert in_cone(w, spec)
+    # no sampled direction goes below the critical constant
+    Z = np.abs(ns @ np.random.default_rng(0).standard_normal((ns.shape[1], 20_000)))
+    top = np.sort(Z, axis=0)[-2:].sum(axis=0)
+    assert np.min((Z.sum(axis=0) - top) / top) >= crit
 
 
 def test_re_upper_bound_identity():

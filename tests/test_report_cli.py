@@ -278,9 +278,9 @@ CERTIFY_ARGS = {
 
 # sha256 of `certify --out` with the files X.txt and Y.txt in the working
 # directory (the certificate echoes the relative paths): on the n=9
-# instance, whose nullspace is one ray (exact cone checks) ...
+# instance, whose nullspace is one ray ...
 CERTIFY_C1_DIGESTS = {
-    "rn": "75c1d69cdbfc64d859333b2c54d2c9d5b590bb058cb29fab6439e2d40f7394bc",
+    "rn": "ba629f2c89ef4ef6887e8de5e65bea6c98dc8d488ef20e5cfa7d0d22c2fd2ebe",
     "rn_uniform": "7314c821f461c63c9e7e0b834b976de8d047aeb349900d76b28d1935f339f467",
     "re": "1c982a284d86cd45c131c056685d76a272f66c18c81b8fe2d6381f12a813d732",
     "rip": "889b1d31f1e05278305d9abc284a2eb694a406dc8e42f4b8cef1ae985f678dab",
@@ -290,11 +290,11 @@ CERTIFY_C1_DIGESTS = {
 }
 
 # ... and on a seeded 4 x 7 Gaussian design with a 2-sparse truth, whose
-# nullspace has dimension 3 (heuristic cone checks, a null critical
-# constant and a witness array)
+# nullspace has dimension 3 (cone checks over C(7, 2) = 21 rays, a
+# witness array)
 CERTIFY_GAUSSIAN_DIGESTS = {
-    "rn": "bfbd34d822ea5ed3d5e86940e1b5bb1fa092a81cfc7de498ee35ec22cd02ab6a",
-    "rn_uniform": "704a5aecbffdbbdf3a41283fb755b234830ed19c3463ab7ca1d255b2b6e4d805",
+    "rn": "77847c6665a1cb77648aca6390e016a05712a698d6c95bf1836bdda06c5fa855",
+    "rn_uniform": "24ed22de49e0cd0ca01e6f45efe1554685eaa5ff29866397b3ccd9a76dfb306b",
     "re": "fbadae35ff45b66eda584c25cb3a238d7e0ac2958f1638efbfdbd05c2571f484",
     "rip": "4ddc8c63ad1452d46c4b7d985858deb9b7d4de2e859154713adaa6f664d48e22",
     "spark": "ed1b88c91f963d79c739577b98a77b2553bc5f34e25757ac33128837bb6941f0",
@@ -475,6 +475,7 @@ BOUNDARY_FILES = {
     "count.txt": "2 3\n1 0 1\n",
     "token.txt": "2 3\n1 0 x\n0 1 1\n",
     "zero_cols.txt": "2 0\n",
+    "wide.txt": "1 4\n1 1 1 1\n",
     "empty.txt": "",
 }
 
@@ -513,6 +514,7 @@ def _address_space_cap():
         (CERTIFY + ["X.txt", "--property", "spark", "--budget", "0"], 2),
         (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--samples", "0"], 2),
         (CERTIFY + ["X.txt", "--property", "rip", "--t", "2", "--budget", "1"], 3),
+        (CERTIFY + ["wide.txt", "--property", "rn", "--t", "1", "--budget", "5"], 3),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "0"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "-1e-4"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "nan"], 2),
@@ -557,6 +559,7 @@ def _address_space_cap():
         "certify-budget-0",
         "re-samples-0",
         "rip-budget-refusal",
+        "rn-budget-refusal",
         "lambda-min-0",
         "lambda-min-negative",
         "lambda-min-nan",
