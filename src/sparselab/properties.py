@@ -141,9 +141,10 @@ def _mask(p: int, T) -> np.ndarray:
 
 
 def cone_splitter(p: int, T):
-    """The cone split of a length-p vector about T, with its index sets
+    """The cone split of length-p vectors about T, with its index sets
     built once: a function from the magnitudes |delta| to (on-mass,
-    off-mass, ratio).
+    off-mass, ratio), reduced over the last axis.  A vector gives three
+    floats; a stack of vectors gives three arrays, row for row the same.
 
     The ratio is off / on; with zero on-mass it is inf, or nan when the
     off-mass is zero too.
@@ -151,27 +152,36 @@ def cone_splitter(p: int, T):
     mask = _mask(p, T)
     on_idx, off_idx = np.flatnonzero(mask), np.flatnonzero(~mask)
 
-    def split(mags: np.ndarray) -> tuple[float, float, float]:
-        on = float(mags.take(on_idx).sum())
-        off = float(mags.take(off_idx).sum())
-        if on == 0.0:
-            return on, off, math.nan if off == 0.0 else math.inf
-        return on, off, off / on
+    def split(mags: np.ndarray):
+        on = mags.take(on_idx, axis=-1).sum(axis=-1)
+        off = mags.take(off_idx, axis=-1).sum(axis=-1)
+        # zero on-mass takes the rule's value, never IEEE off / on: numpy's
+        # 0 / 0 is a nan with its sign bit set, the rule's is math.nan
+        empty = np.where(off == 0.0, math.nan, math.inf)
+        ratio = np.divide(off, on, out=empty, where=on != 0.0)
+        if mags.ndim == 1:
+            return float(on), float(off), float(ratio)
+        return on, off, ratio
 
     return split
 
 
-def cone_split(delta, T) -> tuple[float, float, float]:
+def cone_split(delta, T):
     """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T,
-    by the rule of ``cone_splitter``."""
+    by the rule of ``cone_splitter``, over delta's last axis."""
     mags = np.abs(np.asarray(delta, dtype=float))
-    return cone_splitter(mags.size, T)(mags)
+    return cone_splitter(mags.shape[-1], T)(mags)
+
+
+def _in_closed_cone(on: float, off: float, c: float) -> bool:
+    """The closed-cone rule on a computed split: off-mass <= c * on-mass."""
+    return off <= c * on
 
 
 def in_cone(b, spec: ConeSpec) -> bool:
     """Exact membership test, no tolerance: off-mass <= c * on-mass."""
     on, off, _ = cone_split(b, spec.T)
-    return off <= spec.c * on
+    return _in_closed_cone(on, off, spec.c)
 
 
 def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
@@ -236,8 +246,9 @@ def rn_check(
     split = cone_splitter(p, spec.T)
     critical, witness = math.inf, None
     for r in _rays(ns, enumeration_budget):
-        critical = min(critical, split(np.abs(r))[2])
-        if witness is None and in_cone(r, spec):
+        on, off, ratio = split(np.abs(r))
+        critical = min(critical, ratio)
+        if witness is None and _in_closed_cone(on, off, spec.c):
             witness = r.copy()
     return RNVerdict(holds=witness is None, witness=witness, critical_c=critical)
 
@@ -260,10 +271,10 @@ def rn_uniform(
     for r in _rays(ns, enumeration_budget):
         order = np.argsort(-np.abs(r), kind="stable")
         T = tuple(sorted(int(j) for j in order[:t]))
-        ratio = cone_split(r, T)[2]
+        on, off, ratio = cone_split(r, T)
         if not worst_T or ratio < critical:
             worst_T, critical = T, ratio
-        holds = holds and not in_cone(r, ConeSpec(T=T, c=c))
+        holds = holds and not _in_closed_cone(on, off, c)
     return RNUniformResult(holds, worst_T, critical)
 
 
@@ -291,10 +302,10 @@ def re_upper_bound(
     candidates: list[np.ndarray] = []
     if ns is not None:
         for v in ns.T:
-            if in_cone(v, spec):
+            on, off, _ = cone_split(v, spec.T)
+            if _in_closed_cone(on, off, spec.c):
                 candidates.append(v.copy())
                 continue
-            on, off, _ = cone_split(v, spec.T)
             if on > 0.0 and off > 0.0:
                 projected = v.copy()
                 projected[~mask] *= spec.c * on / off

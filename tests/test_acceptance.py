@@ -32,8 +32,8 @@ from sparselab import (
     spark,
     unique_sparsest,
 )
-from sparselab.properties import ConeSpec
-from sparselab.report import cone_split, detect_cone_exit
+from sparselab.properties import ConeSpec, cone_split
+from sparselab.report import detect_cone_exit
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from sparselab import (
     select_index,
 )
 from sparselab.boosting import TIE_RTOL, thin
-from sparselab.report import TrajectoryRow, boosting_trajectory
+from sparselab.report import TRAJECTORY_BLOCK, TrajectoryRow, boosting_trajectory
 
 
 def _random_problem(rng, n, p):
@@ -412,13 +412,51 @@ def test_engine_matches_reference_bit_for_bit(name):
         assert all(float.fromhex(applied) == 0.0 for _, _, applied, *_ in got[4:])
 
 
+def _assert_rows_match_reference(X, Y, config, truth, S):
+    rows = boosting_trajectory(X, Y, config, truth=truth, S=S)
+    assert [_row_bits(r) for r in rows] == [
+        _row_bits(r) for r in _reference_trajectory(X, Y, config, truth=truth, S=S)
+    ]
+    return rows
+
+
 def test_engine_stops_at_the_floor_like_reference():
     # the default floor ends the run once the residual is exhausted
-    X, Y, config, _, _ = _exhausted_residual()
+    X, Y, _, truth, S = _exhausted_residual()
     config = BoostingConfig(nu=1.0, max_iterations=12)
     got = [_item_bits(item) for item in iterate(X, Y, config)]
     assert got == [_item_bits(item) for item in _reference_iterate(X, Y, config)]
     assert len(got) == 4
+    _assert_rows_match_reference(X, Y, config, truth, S)
+
+
+def test_trajectory_floor_stop_mid_block_matches_reference():
+    # an orthonormal design fits Y exactly, one column per step, so the
+    # default floor stops the run in the middle of the second block
+    m = TRAJECTORY_BLOCK * 3 // 2
+    Y = np.arange(1.0, m + 1.0)
+    config = BoostingConfig(nu=1.0, max_iterations=10 * m)
+    rows = _assert_rows_match_reference(np.eye(m), Y, config, Y, (0, 1, 2))
+    assert len(rows) == m + 1 and rows[-1].resid_l2 == 0.0
+
+
+def _gaussian_wide():
+    # p > 128: numpy sums each row's magnitudes in pairwise blocks of 128
+    rng = np.random.default_rng(53)
+    X, Y = _random_problem(rng, 30, 300)
+    truth = np.zeros(300)
+    truth[[4, 150, 299]] = (1.0, -0.5, 2.0)
+    return X, Y, BoostingConfig(nu=0.3), truth, (4, 150, 299)
+
+
+@pytest.mark.parametrize("design", [_family(1.0, 0.1), _gaussian_wide], ids=["n9", "wide"])
+@pytest.mark.parametrize(
+    "K", [0, TRAJECTORY_BLOCK - 1, TRAJECTORY_BLOCK, TRAJECTORY_BLOCK + 1]
+)
+def test_trajectory_blocks_match_reference(design, K):
+    X, Y, config, truth, S = design()
+    config = BoostingConfig(nu=config.nu, max_iterations=K, residual_stop=0.0)
+    assert len(_assert_rows_match_reference(X, Y, config, truth, S)) == K + 1
 
 
 def test_select_index_matches_reference_bit_for_bit():

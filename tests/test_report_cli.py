@@ -28,12 +28,12 @@ from sparselab.report import (
     PATH_HEADER,
     TRAJECTORY_HEADER,
     boosting_trajectory,
-    cone_split,
     detect_cone_exit,
     reproduce,
     verdict_failures,
 )
 from sparselab.boosting import thin
+from sparselab.properties import cone_split
 
 
 # --- file formats -----------------------------------------------------------
@@ -91,6 +91,19 @@ def test_cone_split_conventions():
     assert (on, off, ratio) == (0.0, 2.0, math.inf)
     on, off, ratio = cone_split(np.array([1.0, -2.0, 3.0]), (0, 2))
     assert (on, off, ratio) == (4.0, 2.0, 0.5)
+    # a stack of vectors splits row by row, by the same rule and to the bit;
+    # the empty split's nan is math.nan, sign bit clear
+    rng = np.random.default_rng(7)
+    block = np.vstack([np.zeros(300), np.eye(300)[1], rng.standard_normal((3, 300))])
+    on, off, ratio = cone_split(block, (0, 2, 299))
+    assert math.isnan(ratio[0]) and not np.signbit(ratio[0])
+    empty = cone_split(block[0], (0,))[2]
+    assert math.isnan(empty) and not np.signbit(empty)
+    assert (on[1], off[1], ratio[1]) == (0.0, 1.0, math.inf)
+    for i, row in enumerate(block[1:], 1):
+        want = cone_split(row, (0, 2, 299))
+        assert all(isinstance(v, float) for v in want)
+        assert [float.hex(v) for v in (on[i], off[i], ratio[i])] == list(map(float.hex, want))
 
 
 def test_detect_cone_exit():
@@ -128,6 +141,17 @@ def test_trajectory_initial_row(inst9):
     assert rows[0].dist_l1 == 3.0
     assert rows[0].cone_ratio == 0.0
     assert len(rows) == 4
+
+
+def test_trajectory_refuses_a_bad_truth(inst9):
+    config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
+    p = inst9.X.shape[1]
+    with pytest.raises(ValueError, match=rf"shape \({p},\), got shape \({p - 1},\)$"):
+        boosting_trajectory(inst9.X, inst9.Y, config, truth=inst9.beta[1:], S=inst9.S)
+    truth = inst9.beta.copy()
+    truth[0] = math.nan
+    with pytest.raises(ValueError, match=r"^truth must be a finite vector"):
+        boosting_trajectory(inst9.X, inst9.Y, config, truth=truth, S=inst9.S)
 
 
 def test_trajectory_without_truth(inst9):
