@@ -51,7 +51,6 @@ from .lasso import (
 from .linalg import lq_norm, nullspace
 from .properties import (
     BudgetExceeded,
-    ConeSpec,
     REEstimate,
     RIPResult,
     RNUniformResult,
@@ -77,7 +76,6 @@ __all__ = [
     "BoostingConfig",
     "BoostingState",
     "BudgetExceeded",
-    "ConeSpec",
     "InvariantViolation",
     "PathPoint",
     "REEstimate",

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import column_sq, design, integer
+
 # Relative window for declaring two |rho| values tied.  The stall designs
 # produce exact ties across a whole block that floating point may perturb;
 # without a window the realized order would depend on rounding noise.
@@ -39,12 +41,19 @@ class BoostingConfig:
     residual_stop: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if self.residual_stop < 0.0:
-            raise ValueError("residual_stop must be non-negative")
+        step_length(self.nu)
+        integer("max_iterations", self.max_iterations, 0)
+        if not 0.0 <= self.residual_stop < math.inf:
+            raise ValueError(
+                f"residual_stop must be non-negative and finite, got {self.residual_stop!r}"
+            )
+
+
+def step_length(nu) -> float:
+    """The step length nu as a float in (0, 1], or a one-line ValueError."""
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+    return float(nu)
 
 
 @dataclass(frozen=True)
@@ -66,25 +75,11 @@ class BoostingState:
     history_steps: np.ndarray
 
 
-def _column_norms(X):
-    norms = np.sqrt(np.sum(X * X, axis=0))
-    dead = np.flatnonzero(norms == 0.0)
-    if dead.size:
-        raise ValueError(f"column {int(dead[0])} has zero norm")
-    return norms
-
-
-def correlations(X, R) -> np.ndarray:
-    """Normalized correlations rho_j = <R, X_j / ||X_j||_2>."""
-    X = np.asarray(X, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a matrix, got shape {X.shape}")
-    if R.ndim != 1 or R.size != X.shape[0]:
-        raise ValueError(
-            f"residual length {R.size} does not match row count {X.shape[0]}"
-        )
-    return (X.T @ R) / _column_norms(X)
+def correlations(X, Y) -> np.ndarray:
+    """Normalized correlations rho_j = <Y, X_j / ||X_j||_2> of a response
+    or residual Y; X and Y must pass ``linalg.design``."""
+    X, Y = design(X, Y)
+    return (X.T @ Y) / np.sqrt(column_sq(X))
 
 
 def select_index(rho) -> int:
@@ -120,20 +115,14 @@ def iterate(X, Y, config: BoostingConfig):
     residual is exhausted.  An iteration costs O(n p) at any k: the
     column norms are computed once and no history is carried.  Every
     step yields fresh arrays, and yielded arrays are never written to.
-    Non-finite input, and finite input whose first correlations or
-    squared residual norm overflow, are refused before the k = 0 state.
+    Input that fails ``linalg.design``, and finite input whose first
+    correlations or squared residual norm overflow, are refused before
+    the k = 0 state.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 1:
-        raise ValueError(f"Y must be one-dimensional, got shape {Y.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    if not np.isfinite(Y).all():
-        raise ValueError("Y must be finite")
+    X, Y = design(X, Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = correlations(X, Y)
-        norms = _column_norms(X)
+        norms = np.sqrt(column_sq(X))
+        rho = (X.T @ Y) / norms
         y_sq = Y.dot(Y)
     if not (np.isfinite(rho).all() and np.isfinite(norms).all()):
         raise ValueError("the correlations overflow; rescale X or Y")

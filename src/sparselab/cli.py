@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -99,15 +98,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _read_response(path: str, X):
-    Y = files.read_vector(path)
-    if Y.size != X.shape[0]:
-        raise ValueError(
-            f"Y has length {Y.size} but the matrix has {X.shape[0]} rows"
-        )
-    return Y
-
-
 def _certificate(args) -> dict:
     """The property, its parameters, and every other field of the
     certifier's result record."""
@@ -118,14 +108,14 @@ def _certificate(args) -> dict:
         raise ValueError(f"property {name} requires --t")
     if name in ("rn", "re"):
         ns = nullspace(X)
-        spec = properties.ConeSpec(T=tuple(range(args.t)), c=args.c)
-        params.update({"T": spec.T, "c": args.c})
+        T = tuple(range(args.t))
+        params.update({"T": T, "c": args.c})
     if name == "rn":
-        result = properties.rn_check(ns, spec, args.budget)
+        result = properties.rn_check(ns, T, args.c, args.budget)
     elif name == "re":
         params["samples"] = args.samples
         result = properties.re_upper_bound(
-            X, spec, samples=args.samples, seed=args.seed, ns=ns
+            X, T, args.c, samples=args.samples, seed=args.seed, ns=ns
         )
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
@@ -138,7 +128,7 @@ def _certificate(args) -> dict:
     elif name == "unique_sparsest":
         if args.y is None or args.s is None:
             raise ValueError("property unique_sparsest requires --y and --s")
-        Y = _read_response(args.y, X)
+        Y = files.read_vector(args.y)
         params.update({"y": args.y, "s": args.s})
         result = properties.unique_sparsest(X, Y, args.s, args.budget)
     else:
@@ -158,10 +148,11 @@ def cmd_certify(args) -> int:
 
 def cmd_compare(args) -> int:
     X = files.read_matrix(args.matrix)
-    Y = _read_response(args.y, X)
+    Y = files.read_vector(args.y)
     config = BoostingConfig(nu=args.nu, max_iterations=args.iters, residual_stop=0.0)
-    rows = report.boosting_trajectory(X, Y, config)
+    # the path first: it refuses a bad --lambda-min before any boosting runs
     points = lasso_path(X, Y, args.lambda_min)
+    rows = report.boosting_trajectory(X, Y, config)
     path_rows = report.path_rows_from_points(points, None, ())
     written = _write_curves(args.out, rows, path_rows)
     print(f"boosting: {len(rows) - 1} iterations, final resid_l2 {rows[-1].resid_l2:.6g}")
@@ -182,19 +173,6 @@ def cmd_compare(args) -> int:
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-def _positive(kind):
-    """argparse type: a finite number of ``kind`` above zero."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its errors
-    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None, help="directory for CSV/JSON artifacts")
     p_rep.add_argument(
         "--lambda-min-factor",
-        type=_positive(float),
+        type=float,
         default=report.LAMBDA_MIN_FACTOR,
         help="terminal path penalty as a fraction of lambda_max",
     )
-    p_rep.add_argument("--window", type=_positive(int), default=report.CONE_WINDOW)
-    p_rep.add_argument("--budget", type=_positive(int), default=properties.ENUMERATION_BUDGET)
+    p_rep.add_argument("--window", type=int, default=report.CONE_WINDOW)
+    p_rep.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_cert = sub.add_parser("certify", help="run one property certifier")
@@ -244,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--c", type=float, default=1.0)
     p_cert.add_argument("--s", type=int, default=None)
     p_cert.add_argument("--y", default=None, help="response vector file")
-    p_cert.add_argument("--samples", type=_positive(int), default=10_000)
+    p_cert.add_argument("--samples", type=int, default=10_000)
     p_cert.add_argument("--seed", type=int, default=0, help="seeds re's sampling only")
-    p_cert.add_argument("--budget", type=_positive(int), default=properties.ENUMERATION_BUDGET)
+    p_cert.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
     p_cert.add_argument("--out", default=None, help="certificate JSON path")
     p_cert.set_defaults(func=cmd_certify)
 
@@ -254,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--matrix", required=True)
     p_cmp.add_argument("--y", required=True)
     p_cmp.add_argument("--nu", type=float, default=1.0)
-    p_cmp.add_argument("--lambda-min", type=_positive(float), required=True)
+    p_cmp.add_argument("--lambda-min", type=float, required=True)
     p_cmp.add_argument("--iters", type=int, default=1000)
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
+from .linalg import positive
 
 # Tolerance for the [0, 1] box on reduced coordinates; violations beyond
 # this would falsify the form invariant, not just accumulate roundoff.
@@ -79,8 +80,7 @@ def _block_size(c: float) -> int:
 
 def construct(c: float) -> SparseInstance:
     """Smallest admissible instance whose cone margin exceeds ``c``."""
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be a positive finite number, got {c!r}")
+    c = positive("c", c)
     N = _block_size(c)
     n, s, p = N * N, N, N * N + 1
     gamma = n
@@ -111,7 +111,7 @@ def construct(c: float) -> SparseInstance:
         n=n,
         p=p,
         gamma=float(gamma),
-        c_target=float(c),
+        c_target=c,
         z=z_i.astype(float),
     )
 
@@ -165,8 +165,7 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     would falsify the form invariant the construction is built on.  An
     all-zero correlation vector is a no-op, matching the matrix side.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+    nu = boosting.step_length(nu)
     rho, mixed = _reduced_rho(state, inst)
     j = boosting.select_index(rho)
     c_mid, c_p = state.c_mid.copy(), state.c_p

@@ -19,6 +19,7 @@ import tempfile
 import numpy as np
 
 from .counterexample import SparseInstance
+from .linalg import design
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -35,10 +36,9 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def write_matrix(path: str, X) -> None:
-    """Header line "n p", then n rows of p repr-formatted decimals."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {X.shape}")
+    """Header line "n p", then n rows of p repr-formatted decimals; X must
+    pass ``linalg.design``, as every matrix ``read_matrix`` accepts does."""
+    X = design(X)
     n, p = X.shape
     lines = [f"{n} {p}"]
     for i in range(n):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import EXACT_FIT_RTOL, least_squares_batch, lq_norm
+from .linalg import EXACT_FIT_RTOL, column_sq, design, least_squares_batch, lq_norm, positive
 
 # Slack for the per-sweep objective monotonicity guard, relative to the
 # current objective scale.  Exact arithmetic decreases the objective
@@ -94,6 +94,16 @@ def _kkt(g, b, half: float, idx) -> float:
     return worst
 
 
+def _coefficients(name: str, b, p: int) -> np.ndarray:
+    """b as a finite float vector of length p, or a one-line ValueError."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (p,):
+        raise ValueError(f"{name} has shape {b.shape}, expected {(p,)}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} must be finite")
+    return b
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def kkt_residual(X, Y, b, lam: float) -> float:
     """Distance to stationarity for the penalized objective.
@@ -102,46 +112,16 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     b_j != 0 it must equal (lam/2) * sign(b_j).  Returns the largest
     violation over coordinates, 0 at an exact minimizer, inf on overflow.
     """
-    X, Y = _design(X, Y)
-    lam = _penalty("lam", lam)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (X.shape[1],):
-        raise ValueError(f"b has shape {b.shape}, expected {(X.shape[1],)}")
-    if not np.isfinite(b).all():
-        raise ValueError("b must be finite")
+    X, Y = design(X, Y)
+    lam = positive("lam", lam)
+    b = _coefficients("b", b, X.shape[1])
     return _kkt((X.T @ (Y - X @ b)).tolist(), b.tolist(), 0.5 * lam, range(b.size))
-
-
-def _penalty(name: str, value) -> float:
-    """A penalty as a positive finite float, or a one-line ValueError."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _design(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as finite float arrays: an n x p matrix with p >= 1 and a
-    length-n vector, or a ValueError naming both shapes or the non-finite
-    argument."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0 or Y.ndim != 1 or Y.size != X.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: X {X.shape}, Y {Y.shape}; "
-            "X needs at least one column and a row per entry of Y"
-        )
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    if not np.isfinite(Y).all():
-        raise ValueError("Y must be finite")
-    return X, Y
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def lambda_max(X, Y) -> float:
     """Smallest penalty whose solution is identically zero."""
-    X, Y = _design(X, Y)
+    X, Y = design(X, Y)
     top = 2.0 * float(np.max(np.abs(X.T @ Y)))
     if not math.isfinite(top):
         raise ValueError("X'Y overflows; rescale X and Y")
@@ -162,21 +142,12 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     objective beyond roundoff raises RuntimeError since the update rule
     forbids it.
     """
-    X, Y = _design(X, Y)
-    lam = _penalty("lam", lam)
+    X, Y = design(X, Y)
+    lam = positive("lam", lam)
     n, p = X.shape
-    col_sq = np.sum(X * X, axis=0)
-    dead = np.flatnonzero(col_sq == 0.0)
-    if dead.size:
-        raise ValueError(f"column {int(dead[0])} has zero norm")
+    col_sq = column_sq(X)
     if warm_start is not None:
-        b = np.asarray(warm_start, dtype=float).copy()
-        if b.shape != (p,):
-            raise ValueError(
-                f"warm start has shape {b.shape}, expected {(p,)}"
-            )
-        if not np.isfinite(b).all():
-            raise ValueError("warm start must be finite")
+        b = _coefficients("warm start", warm_start, p).copy()
         r = Y - X @ b
     else:
         b = np.zeros(p)
@@ -254,8 +225,8 @@ def lasso_path(X, Y, lambda_min: float) -> list[PathPoint]:
     PATH_DECAY per point, and the final point is clamped to exactly
     ``lambda_min`` so callers can rely on the terminal penalty.
     """
-    X, Y = _design(X, Y)
-    lambda_min = _penalty("lambda_min", lambda_min)
+    X, Y = design(X, Y)
+    lambda_min = positive("lambda_min", lambda_min)
     start = lambda_max(X, Y)
     if start == 0.0:
         # Y is orthogonal to every column; the whole path is zero.
@@ -285,7 +256,7 @@ def basis_pursuit(X, Y, lambda_min: float) -> np.ndarray:
     path did not get close enough and the caller should lower
     ``lambda_min``.
     """
-    X, Y = _design(X, Y)
+    X, Y = design(X, Y)
     # Y = 0 takes lasso_path's all-zero path, so lambda_min is checked there
     terminal = lasso_path(X, Y, lambda_min)[-1].beta
     peak = float(np.max(np.abs(terminal)))

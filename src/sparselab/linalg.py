@@ -8,7 +8,8 @@ exactly.  Least squares solves a whole block of equal-size supports
 in stacked numpy calls: the normal equations where they are well posed,
 the minimum-norm solution where they are numerically singular.  Every
 rank decision uses the one tolerance DEFAULT_RANK_TOL, and every "exact
-fit" test the one tolerance EXACT_FIT_RTOL.
+fit" test the one tolerance EXACT_FIT_RTOL.  ``design``, ``column_sq``,
+``positive`` and ``integer`` are the argument checks every module shares.
 """
 
 import math
@@ -22,6 +23,56 @@ DEFAULT_RANK_TOL = 1e-10
 # A fit whose residual is at most this fraction of ||Y||_2 reproduces Y
 # exactly, up to roundoff.
 EXACT_FIT_RTOL = 1e-8
+
+
+def design(X, Y=None):
+    """X as a finite float matrix with at least one column, or (X, Y) with
+    Y a finite vector of one entry per row of X; else a one-line
+    ValueError naming the shapes or the argument that is not finite.
+    The arrays are ``np.asarray(..., dtype=float)``: no copy, the same
+    memory order."""
+    X = np.asarray(X, dtype=float)
+    shapes, needs = f"X {X.shape}", "X must be a matrix with at least one column"
+    if Y is not None:
+        Y = np.asarray(Y, dtype=float)
+        shapes, needs = f"{shapes}, Y {Y.shape}", f"{needs} and a row per entry of Y"
+    if X.ndim != 2 or X.shape[1] == 0 or Y is not None and Y.shape != X.shape[:1]:
+        raise ValueError(f"incompatible shapes: {shapes}; {needs}")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if Y is None:
+        return X
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
+    return X, Y
+
+
+def column_sq(X: np.ndarray) -> np.ndarray:
+    """Squared l2 norms of the columns of X; a zero-norm column is refused."""
+    col_sq = np.sum(X * X, axis=0)
+    dead = np.flatnonzero(col_sq == 0.0)
+    if dead.size:
+        raise ValueError(f"column {int(dead[0])} has zero norm")
+    return col_sq
+
+
+def positive(name: str, value) -> float:
+    """A constant as a positive finite float, or a one-line ValueError."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def integer(name: str, value, low: int, high: int | None = None) -> int:
+    """A count as an int in [low, high] (no upper end when high is None),
+    or a one-line ValueError; a bool or a float is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < low or high is not None and value > high:
+        bounds = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bounds}, got {value}")
+    return int(value)
 
 
 def lq_norm(v, q) -> float:
@@ -87,9 +138,10 @@ def nullspace(X) -> np.ndarray:
         coordinate equals 1; d = 0 for a trivial nullspace.  Pivots below
         DEFAULT_RANK_TOL times the largest absolute entry of X count as
         zero, and each column v is checked to satisfy
-        ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.
+        ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.  X must pass
+        ``design``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = design(X)
     n, p = X.shape
     R, pivot_cols = _rref(X)
     free_cols = [c for c in range(p) if c not in pivot_cols]
@@ -107,7 +159,8 @@ def nullspace(X) -> np.ndarray:
     scale = float(np.max(np.abs(X))) if X.size else 0.0
     for v in basis:
         resid = lq_norm(X @ v, 2)
-        if resid > DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:
+        # a nan residual fails too
+        if not resid <= DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:
             raise RuntimeError(
                 f"nullspace vector fails the residual check: ||Xv|| = {resid:.3e} "
                 f"against tolerance {DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:.3e}"

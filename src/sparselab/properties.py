@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,9 +25,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_RANK_TOL,
     EXACT_FIT_RTOL,
+    design,
+    integer,
     least_squares_batch,
     lq_norm,
     nullspace,
+    positive,
     submatrices,
 )
 
@@ -42,26 +44,6 @@ ENUMERATION_BLOCK = 256
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would overrun its subset budget; refusing to guess."""
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """The cone of vectors whose l1 mass off T is at most c times the mass on T."""
-
-    T: tuple[int, ...]
-    c: float
-
-    def __post_init__(self):
-        T = tuple(int(j) for j in self.T)
-        object.__setattr__(self, "T", T)
-        if len(T) == 0:
-            raise ValueError("T must be non-empty")
-        if len(set(T)) != len(T):
-            raise ValueError("T contains repeated indices")
-        if min(T) < 0:
-            raise ValueError("T contains negative indices")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
 class RNVerdict(NamedTuple):
@@ -131,12 +113,24 @@ def _blocks(p: int, size: int):
         yield np.fromiter(flat, np.intp, len(block) * size).reshape(len(block), size)
 
 
+def _budget(enumeration_budget) -> int:
+    """The subset budget of every enumerator, as a positive int."""
+    return integer("enumeration_budget", enumeration_budget, 1)
+
+
 def _mask(p: int, T) -> np.ndarray:
+    """The support T as a length-p boolean mask.  T must be a non-empty
+    collection of distinct integer indices in [0, p); anything else is
+    refused with a one-line ValueError."""
+    T = tuple(T)
+    if not T:
+        raise ValueError("T must be non-empty")
+    if not all(isinstance(j, (int, np.integer)) and 0 <= j < p for j in T):
+        raise ValueError(f"T must hold indices in [0, {p - 1}], got {T}")
     mask = np.zeros(p, dtype=bool)
-    try:
-        mask[list(T)] = True
-    except IndexError:
-        raise ValueError(f"indices {tuple(T)} out of range for dimension {p}") from None
+    mask[list(T)] = True
+    if np.count_nonzero(mask) != len(T):
+        raise ValueError(f"T repeats an index: {T}")
     return mask
 
 
@@ -149,7 +143,11 @@ def cone_splitter(p: int, T):
     The ratio is off / on; with zero on-mass it is inf, or nan when the
     off-mass is zero too.
     """
-    mask = _mask(p, T)
+    return _splitter(_mask(p, T))
+
+
+def _splitter(mask: np.ndarray):
+    """The split of ``cone_splitter`` about the support that ``mask`` marks."""
     on_idx, off_idx = np.flatnonzero(mask), np.flatnonzero(~mask)
 
     def split(mags: np.ndarray):
@@ -178,17 +176,19 @@ def _in_closed_cone(on: float, off: float, c: float) -> bool:
     return off <= c * on
 
 
-def in_cone(b, spec: ConeSpec) -> bool:
-    """Exact membership test, no tolerance: off-mass <= c * on-mass."""
-    on, off, _ = cone_split(b, spec.T)
-    return _in_closed_cone(on, off, spec.c)
+def in_cone(b, T, c: float) -> bool:
+    """Exact membership of b in the cone of support T and constant c, no
+    tolerance: off-mass <= c * on-mass."""
+    c = positive("c", c)
+    on, off, _ = cone_split(b, T)
+    return _in_closed_cone(on, off, c)
 
 
-def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
+def _basis_shape(ns) -> tuple[int, int]:
     """(p, d) of a nullspace basis as ``linalg.nullspace`` returns it: a
     finite (p, d) array, d <= p, each column ending in a last nonzero
-    coordinate of exactly 1.  Anything else, or a budget that is not an
-    integer, is refused with a one-line ValueError."""
+    coordinate of exactly 1.  Anything else is refused with a one-line
+    ValueError."""
     if not isinstance(ns, np.ndarray) or ns.ndim != 2:
         raise ValueError(f"the nullspace basis must be a (p, d) array, got {np.shape(ns)}")
     p, d = ns.shape
@@ -205,8 +205,6 @@ def _basis_shape(ns, budget: int = ENUMERATION_BUDGET) -> tuple[int, int]:
             "each nullspace basis column must end in a last nonzero coordinate of 1, "
             "as nullspace(X) returns them"
         )
-    if not isinstance(budget, (int, np.integer)):
-        raise ValueError(f"enumeration_budget must be an integer, got {type(budget).__name__}")
     return p, d
 
 
@@ -236,19 +234,22 @@ def _rays(ns: np.ndarray, budget: int):
 
 
 def rn_check(
-    ns: np.ndarray, spec: ConeSpec, enumeration_budget: int = ENUMERATION_BUDGET
+    ns: np.ndarray, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET
 ) -> RNVerdict:
-    """Does the nullspace, the (p, d) basis ``ns``, meet the cone only at zero?
+    """Does the nullspace, the (p, d) basis ``ns``, meet the cone of
+    support T and constant c only at zero?
 
     Exactly when no ray of ``_rays`` lies in the closed cone (``in_cone``);
     a trivial nullspace holds vacuously."""
-    p, _ = _basis_shape(ns, enumeration_budget)
-    split = cone_splitter(p, spec.T)
+    p, _ = _basis_shape(ns)
+    c = positive("c", c)
+    budget = _budget(enumeration_budget)
+    split = cone_splitter(p, T)
     critical, witness = math.inf, None
-    for r in _rays(ns, enumeration_budget):
+    for r in _rays(ns, budget):
         on, off, ratio = split(np.abs(r))
         critical = min(critical, ratio)
-        if witness is None and _in_closed_cone(on, off, spec.c):
+        if witness is None and _in_closed_cone(on, off, c):
             witness = r.copy()
     return RNVerdict(holds=witness is None, witness=witness, critical_c=critical)
 
@@ -262,53 +263,58 @@ def rn_uniform(
     harder, and on a ray r the worst of them is the t largest |r_i|
     (stable order on ties).  So each ray of ``_rays`` is tested against
     its own worst support, and the budget counts rays, not supports."""
-    p, _ = _basis_shape(ns, enumeration_budget)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be positive and finite, got {c}")
-    if not 1 <= t <= p:
-        raise ValueError(f"t must lie in [1, {p}], got {t}")
+    p, _ = _basis_shape(ns)
+    c = positive("c", c)
+    t = integer("t", t, 1, p)
+    budget = _budget(enumeration_budget)
     holds, worst_T, critical = True, (), math.inf
-    for r in _rays(ns, enumeration_budget):
-        order = np.argsort(-np.abs(r), kind="stable")
-        T = tuple(sorted(int(j) for j in order[:t]))
-        on, off, ratio = cone_split(r, T)
+    for r in _rays(ns, budget):
+        mags = np.abs(r)
+        worst = np.zeros(p, dtype=bool)
+        worst[np.argsort(-mags, kind="stable")[:t]] = True
+        on, off, ratio = _splitter(worst)(mags)
         if not worst_T or ratio < critical:
-            worst_T, critical = T, ratio
+            worst_T, critical = tuple(np.flatnonzero(worst).tolist()), ratio
         holds = holds and not _in_closed_cone(on, off, c)
     return RNUniformResult(holds, worst_T, critical)
 
 
 def re_upper_bound(
     X,
-    spec: ConeSpec,
+    T,
+    c: float,
     samples: int,
     seed: int = 0,
     ns: np.ndarray | None = None,
 ) -> REEstimate:
     """Sampled upper bound on the restricted eigenvalue constant.
 
-    Draws random cone members (Gaussian on T, off-T mass scaled to a
-    uniform fraction of the cone bound) and, when a (p, d) nullspace basis
-    is supplied, includes each basis column and its cone-projected version,
-    so a nullspace direction inside the cone drives the estimate to zero.
+    Draws random members of the cone of T and c (Gaussian on T, off-T mass
+    scaled to a uniform fraction of the cone bound) and, when X's (p, d)
+    nullspace basis is supplied, includes each basis column and its
+    cone-projected version, so a nullspace direction inside the cone
+    drives the estimate to zero.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    X = np.asarray(X, dtype=float)
+    X = design(X)
     p = X.shape[1]
-    mask = _mask(p, spec.T)
+    mask = _mask(p, T)
+    c = positive("c", c)
+    samples = integer("samples", samples, 1)
+    if ns is not None and _basis_shape(ns)[0] != p:
+        raise ValueError(f"the nullspace basis has {ns.shape[0]} rows, X has {p} columns")
     rng = np.random.default_rng(seed)
 
     candidates: list[np.ndarray] = []
     if ns is not None:
+        split = _splitter(mask)
         for v in ns.T:
-            on, off, _ = cone_split(v, spec.T)
-            if _in_closed_cone(on, off, spec.c):
+            on, off, _ = split(np.abs(v))
+            if _in_closed_cone(on, off, c):
                 candidates.append(v.copy())
                 continue
             if on > 0.0 and off > 0.0:
                 projected = v.copy()
-                projected[~mask] *= spec.c * on / off
+                projected[~mask] *= c * on / off
                 candidates.append(projected)
     while len(candidates) < samples:
         g = rng.standard_normal(p)
@@ -319,7 +325,7 @@ def re_upper_bound(
             continue
         off_raw = np.abs(g[~mask]).sum()
         if off_raw > 0.0:
-            b[~mask] = g[~mask] * (rng.uniform() * spec.c * on / off_raw)
+            b[~mask] = g[~mask] * (rng.uniform() * c * on / off_raw)
         candidates.append(b)
     phi_estimate, witness = math.inf, candidates[0]
     for b in candidates:
@@ -339,15 +345,15 @@ def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIP
     size-exactly-t subsets suffice because the extreme eigenvalues of a
     principal submatrix are bracketed by those of any superset.
     """
-    X = np.asarray(X, dtype=float)
+    X = design(X)
     p = X.shape[1]
-    if not 1 <= t <= p:
-        raise ValueError(f"t must lie in [1, {p}], got {t}")
+    t = integer("t", t, 1, p)
+    budget = _budget(enumeration_budget)
     total = math.comb(p, t)
-    if total > enumeration_budget:
+    if total > budget:
         raise BudgetExceeded(
             f"restricted isometry scan over {total} subsets of size {t} "
-            f"exceeds the budget of {enumeration_budget}"
+            f"exceeds the budget of {budget}"
         )
     if not np.isfinite(X.T @ X).all():
         raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
@@ -393,8 +399,10 @@ def rip_implies_rn_test(
     keeps the implication non-vacuous.  Every applicable draw asserts
     rn_uniform(t, 1); violations are counted, never repaired.
     """
-    if n < 2 or trials < 1 or t < 1:
-        raise ValueError("need n >= 2, trials >= 1, t >= 1")
+    n = integer("n", n, 2)
+    trials = integer("trials", trials, 1)
+    # the isometry scan takes supports of size 2t among the n + 1 columns
+    t = integer("t", t, 1, (n + 1) // 2)
     p = n + 1
     rng = np.random.default_rng(seed)
     families = ("gaussian", "orthonormal-extended", "near-tight-frame")
@@ -446,11 +454,12 @@ def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificat
     A subset is dependent when its numerical rank, at DEFAULT_RANK_TOL
     times its largest absolute entry, is below its size.
     """
-    X = np.asarray(X, dtype=float)
+    X = design(X)
     p = X.shape[1]
+    budget = _budget(enumeration_budget)
     tested = 0
     for size in range(1, p + 1):
-        if tested + math.comb(p, size) > enumeration_budget:
+        if tested + math.comb(p, size) > budget:
             return SparsityCertificate(
                 spark=None,
                 witness_columns=None,
@@ -522,21 +531,19 @@ def unique_sparsest(
     and uniqueness means exactly one support of that size fits.  The
     whole minimal size is always enumerated before deciding.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = design(X, Y)
     p = X.shape[1]
-    if s < 0 or s > p:
-        raise ValueError(f"s must lie in [0, {p}], got {s}")
+    s = integer("s", s, 0, p)
+    budget = _budget(enumeration_budget)
     y_norm = lq_norm(Y, 2)
     if not math.isfinite(y_norm):
         raise ValueError("the norm of Y overflows; rescale Y")
     tol = EXACT_FIT_RTOL * y_norm
     tested = 0
     for size in range(0, s + 1):
-        if tested + math.comb(p, size) > enumeration_budget:
+        if tested + math.comb(p, size) > budget:
             raise BudgetExceeded(
-                f"sparsest-solution scan exceeds the budget of "
-                f"{enumeration_budget} at size {size}"
+                f"sparsest-solution scan exceeds the budget of {budget} at size {size}"
             )
         fits: list[tuple[int, ...]] = []
         for block in _blocks(p, size):

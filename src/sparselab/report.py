@@ -21,7 +21,7 @@ import numpy as np
 from . import boosting, properties
 from .counterexample import SparseInstance, construct
 from .lasso import lambda_max, lasso_path
-from .linalg import lq_norm, nullspace
+from .linalg import integer, lq_norm, nullspace, positive
 
 # l1 distance at or below this counts as recovery, for both solvers; it
 # sits far below the stall floor s so the two verdicts cannot blur.
@@ -164,6 +164,15 @@ def reproduce(
     The k = 0 error ratio is 0, so a sustained cone exit needs at least
     ``cone_window`` iterations; a shorter run is refused up front.
     """
+    lambda_min_factor = positive("lambda_min_factor", lambda_min_factor)
+    cone_window = integer("cone_window", cone_window, 1)
+    # residual_stop = 0 keeps the trajectory at full length; the matrix
+    # side of this family never reaches an exactly zero correlation
+    # within any realistic budget, and the sustained-window cone
+    # detection needs uninterrupted per-iteration data.
+    config = boosting.BoostingConfig(
+        nu=nu, max_iterations=iterations, residual_stop=0.0
+    )
     if iterations < cone_window:
         raise ValueError(
             f"iterations {iterations} is below the cone window {cone_window}; "
@@ -194,13 +203,6 @@ def reproduce(
             "ok": bool(spark_ok),
         }
 
-    # residual_stop = 0 keeps the trajectory at full length; the matrix
-    # side of this family never reaches an exactly zero correlation
-    # within any realistic budget, and the sustained-window cone
-    # detection needs uninterrupted per-iteration data.
-    config = boosting.BoostingConfig(
-        nu=nu, max_iterations=iterations, residual_stop=0.0
-    )
     rows = boosting_trajectory(inst.X, inst.Y, config, truth=inst.beta, S=inst.S)
 
     threshold = (inst.n + 1 - math.sqrt(inst.n)) / (2.0 * math.sqrt(inst.n))

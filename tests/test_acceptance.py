@@ -32,7 +32,7 @@ from sparselab import (
     spark,
     unique_sparsest,
 )
-from sparselab.properties import ConeSpec, cone_split
+from sparselab.properties import cone_split
 from sparselab.report import detect_cone_exit
 
 
@@ -199,8 +199,8 @@ def test_criterion_06_uniform_cone_constant(inst25):
         for name, crit in (("closed form", crit_fast), ("enumeration", crit_slow)):
             if abs(crit - 4.2) > 1e-12:
                 failures.append(f"{name} critical constant {crit!r} is not 21/5")
-        holding = rn_check(ns, ConeSpec(T=inst25.S, c=4.0))
-        failing = rn_check(ns, ConeSpec(T=inst25.S, c=5.0))
+        holding = rn_check(ns, inst25.S, 4.0)
+        failing = rn_check(ns, inst25.S, 5.0)
         if not holding.holds:
             failures.append("property should hold at c = 4")
         if failing.holds:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselab import lq_norm, nullspace
+from sparselab import linalg, lq_norm, nullspace
 from sparselab.linalg import least_squares_batch
 
 
@@ -42,6 +42,21 @@ def test_nullspace_columns_form_one_c_ordered_array():
     assert ns.shape == (4, 2) and ns.flags.c_contiguous
     np.testing.assert_array_equal(ns, [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(X @ ns, np.zeros((2, 2)))
+
+
+def test_nullspace_residual_check_refuses_a_nan_residual(monkeypatch):
+    # a nan in the reduced form's free column would give a nan basis
+    # vector, whose nan residual passes a `resid > tol` test
+    rref = linalg._rref
+
+    def poisoned(X):
+        R, pivot_cols = rref(X)
+        R[0, 2] = math.nan
+        return R, pivot_cols
+
+    monkeypatch.setattr(linalg, "_rref", poisoned)
+    with pytest.raises(RuntimeError, match="^nullspace vector fails the residual check"):
+        nullspace(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
 
 
 def test_nullspace_vectors_annihilate(inst25):

@@ -6,7 +6,6 @@ import pytest
 
 from sparselab import (
     BudgetExceeded,
-    ConeSpec,
     in_cone,
     nullspace,
     re_upper_bound,
@@ -26,61 +25,57 @@ from sparselab.properties import ENUMERATION_BLOCK, cone_split
 X_DUP_PAIRS = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
 
-def test_cone_spec_validation():
-    for bad in (
-        dict(T=(), c=1.0),
-        dict(T=(0, 0), c=1.0),
-        dict(T=(-1,), c=1.0),
-        dict(T=(0,), c=0.0),
-        dict(T=(0,), c=math.inf),
+def test_cone_arguments_validation():
+    for T, c in (
+        ((), 1.0),
+        ((0, 0), 1.0),
+        ((-1,), 1.0),
+        ((0,), 0.0),
+        ((0,), math.inf),
     ):
         with pytest.raises(ValueError):
-            ConeSpec(**bad)
+            in_cone([1.0, 1.0], T, c)
 
 
 def test_in_cone_boundary_is_inclusive():
-    spec = ConeSpec(T=(0,), c=1.0)
-    assert in_cone([1.0, 1.0], spec)
-    assert not in_cone([1.0, 1.0 + 1e-9], spec)
-    assert in_cone([0.0, 0.0], spec)
+    assert in_cone([1.0, 1.0], (0,), 1.0)
+    assert not in_cone([1.0, 1.0 + 1e-9], (0,), 1.0)
+    assert in_cone([0.0, 0.0], (0,), 1.0)
 
 
 def test_in_cone_scale_invariance():
     rng = np.random.default_rng(31)
-    spec = ConeSpec(T=(1, 3), c=0.8)
     for _ in range(25):
         b = rng.standard_normal(6)
-        base = in_cone(b, spec)
+        base = in_cone(b, (1, 3), 0.8)
         for scale in (1e-6, 3.7, 1e6):
-            assert in_cone(scale * b, spec) == base
+            assert in_cone(scale * b, (1, 3), 0.8) == base
 
 
 def test_rn_check_exact_on_construction(inst25):
     ns = nullspace(inst25.X)
-    spec_hold = ConeSpec(T=inst25.S, c=4.0)
-    spec_fail = ConeSpec(T=inst25.S, c=5.0)
-    holds = rn_check(ns, spec_hold)
-    fails = rn_check(ns, spec_fail)
+    holds = rn_check(ns, inst25.S, 4.0)
+    fails = rn_check(ns, inst25.S, 5.0)
     assert holds.holds and holds.witness is None
     assert abs(holds.critical_c - 4.2) <= 1e-12
     assert not fails.holds
     # the witness is the nullspace ray itself (last coordinate 1)
     np.testing.assert_allclose(fails.witness, inst25.z, atol=1e-9)
-    assert in_cone(fails.witness, spec_fail)
+    assert in_cone(fails.witness, inst25.S, 5.0)
 
 
 def test_rn_check_smaller_instance(inst9):
     ns = nullspace(inst9.X)
-    verdict = rn_check(ns, ConeSpec(T=inst9.S, c=2.0))
+    verdict = rn_check(ns, inst9.S, 2.0)
     assert verdict.holds
     assert verdict.critical_c == pytest.approx(7.0 / 3.0, abs=1e-12)
     # at the critical constant the ray sits inside the (closed) cone
-    at_boundary = rn_check(ns, ConeSpec(T=inst9.S, c=7.0 / 3.0))
+    at_boundary = rn_check(ns, inst9.S, 7.0 / 3.0)
     assert not at_boundary.holds
 
 
 def test_rn_check_trivial_nullspace():
-    verdict = rn_check(nullspace(np.eye(3)), ConeSpec(T=(0,), c=1.0))
+    verdict = rn_check(nullspace(np.eye(3)), (0,), 1.0)
     assert verdict.holds
     assert verdict.critical_c == math.inf
 
@@ -89,12 +84,12 @@ def test_rn_check_multidimensional_finds_interior_witness():
     # the ray (1, 0, -1, 0) carries all its mass on T = {0, 2}
     ns = nullspace(X_DUP_PAIRS)
     assert ns.shape == (4, 2)
-    verdict = rn_check(ns, ConeSpec(T=(0, 2), c=1.0))
+    verdict = rn_check(ns, (0, 2), 1.0)
     assert not verdict.holds
     assert verdict.critical_c == 0.0
     w = verdict.witness
     assert np.max(np.abs(X_DUP_PAIRS @ w)) <= 1e-9
-    assert in_cone(w, ConeSpec(T=(0, 2), c=1.0))
+    assert in_cone(w, (0, 2), 1.0)
 
 
 def test_rn_check_multidimensional_holds_case():
@@ -102,12 +97,12 @@ def test_rn_check_multidimensional_holds_case():
     # T = {0, 1}, so no witness exists below c = 1, and at c = 1 the
     # closed cone takes every ray
     ns = nullspace(X_DUP_PAIRS)
-    verdict = rn_check(ns, ConeSpec(T=(0, 1), c=0.5))
+    verdict = rn_check(ns, (0, 1), 0.5)
     assert verdict.holds and verdict.witness is None
     assert verdict.critical_c == 1.0
-    at_boundary = rn_check(ns, ConeSpec(T=(0, 1), c=1.0))
+    at_boundary = rn_check(ns, (0, 1), 1.0)
     assert not at_boundary.holds
-    assert in_cone(at_boundary.witness, ConeSpec(T=(0, 1), c=1.0))
+    assert in_cone(at_boundary.witness, (0, 1), 1.0)
 
 
 def _rn_uniform_by_scan(ns, t, c):
@@ -118,7 +113,7 @@ def _rn_uniform_by_scan(ns, t, c):
         itertools.combinations(range(z.size), t),
         key=lambda T: cone_split(z, T)[2],
     )
-    verdict = rn_check(ns, ConeSpec(T=worst_T, c=c))
+    verdict = rn_check(ns, worst_T, c)
     return verdict.holds, worst_T, verdict.critical_c
 
 
@@ -141,11 +136,11 @@ def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
     X = np.array([[9.0, 14.0]])
     ns = nullspace(X)
     critical = rn_uniform(ns, 1, 1.0)[2]
-    assert critical == rn_check(ns, ConeSpec(T=(0,), c=1.0)).critical_c
+    assert critical == rn_check(ns, (0,), 1.0).critical_c
     verdicts = []
     for c in (np.nextafter(critical, 0.0), critical, np.nextafter(critical, 2.0)):
         c = float(c)
-        expected = (rn_check(ns, ConeSpec(T=(0,), c=c)).holds, (0,), critical)
+        expected = (rn_check(ns, (0,), c).holds, (0,), critical)
         assert rn_uniform(ns, 1, c) == expected
         assert _rn_uniform_by_scan(ns, 1, c) == expected
         verdicts.append(expected[0])
@@ -184,7 +179,7 @@ def test_rn_uniform_budget_refusal(inst9):
     ns = nullspace(X_DUP_PAIRS)
     for certify in (
         lambda budget: rn_uniform(ns, 2, 1.0, enumeration_budget=budget),
-        lambda budget: rn_check(ns, ConeSpec(T=(0, 1), c=1.0), enumeration_budget=budget),
+        lambda budget: rn_check(ns, (0, 1), 1.0, enumeration_budget=budget),
     ):
         with pytest.raises(BudgetExceeded):
             certify(3)
@@ -225,7 +220,7 @@ def test_nullspace_certifiers_refuse_what_is_not_a_basis():
         (ray.tolist(), r"^the nullspace basis must be a \(p, d\) array, got \(3, 2\)$"),
     ]:
         for certify in (
-            lambda ns: rn_check(ns, ConeSpec(T=(0,), c=1.0)),
+            lambda ns: rn_check(ns, (0,), 1.0),
             lambda ns: rn_uniform(ns, 1, 1.0),
             spark_from_nullspace,
         ):
@@ -234,7 +229,7 @@ def test_nullspace_certifiers_refuse_what_is_not_a_basis():
     # nullspace's own bases pass, trivial ones included
     for X in (np.eye(3), X_DUP_PAIRS, np.array([[1.0, 2.0, 3.0]])):
         ns = nullspace(X)
-        rn_check(ns, ConeSpec(T=(0,), c=1.0))
+        rn_check(ns, (0,), 1.0)
         rn_uniform(ns, 1, 1.0, np.int64(10))
         spark_from_nullspace(ns)
 
@@ -243,7 +238,7 @@ def _rn_uniform_one_at_a_time(ns, t, c):
     """The uniform check as a scan of rn_check over every size-t support:
     it holds iff every support holds, at the least critical constant."""
     verdicts = [
-        rn_check(ns, ConeSpec(T=T, c=c))
+        rn_check(ns, T, c)
         for T in itertools.combinations(range(ns.shape[0]), t)
     ]
     return all(v.holds for v in verdicts), min(v.critical_c for v in verdicts)
@@ -260,7 +255,7 @@ def test_rn_uniform_matches_one_support_at_a_time_scan():
             fast = rn_uniform(ns, t, c)
             assert (fast.holds, fast.critical_c) == (holds, critical)
             # the worst support attains the least critical constant
-            assert rn_check(ns, ConeSpec(T=fast.worst_T, c=c)).critical_c == critical
+            assert rn_check(ns, fast.worst_T, c).critical_c == critical
             verdicts.add(holds)
     assert verdicts == {True, False}
 
@@ -287,12 +282,12 @@ def test_rn_uniform_is_exact_on_either_side_of_the_critical_constant(design, cri
     _, worst_T, crit = rn_uniform(ns, 2, 1.0)
     assert crit == pytest.approx(critical, abs=1e-4)
     # the witness is a nullspace vector in the cone of the worst support
-    spec = ConeSpec(T=worst_T, c=1.001 * crit)
-    verdict = rn_check(ns, spec)
+    c = 1.001 * crit
+    verdict = rn_check(ns, worst_T, c)
     assert not verdict.holds
     w = verdict.witness
     assert np.linalg.norm(X @ w) <= 1e-12 * np.linalg.norm(w)
-    assert in_cone(w, spec)
+    assert in_cone(w, worst_T, c)
     # no sampled direction goes below the critical constant
     Z = np.abs(ns @ np.random.default_rng(0).standard_normal((ns.shape[1], 20_000)))
     top = np.sort(Z, axis=0)[-2:].sum(axis=0)
@@ -300,14 +295,14 @@ def test_rn_uniform_is_exact_on_either_side_of_the_critical_constant(design, cri
 
 
 def test_re_upper_bound_identity():
-    est = re_upper_bound(np.eye(4), ConeSpec(T=(0, 1), c=1.0), samples=50, seed=0)
+    est = re_upper_bound(np.eye(4), (0, 1), 1.0, samples=50, seed=0)
     assert est.phi_estimate == 1.0
 
 
 def test_re_upper_bound_sees_nullspace_ray(inst9):
     ns = nullspace(inst9.X)
     est = re_upper_bound(
-        inst9.X, ConeSpec(T=inst9.S, c=3.0), samples=32, seed=0, ns=ns
+        inst9.X, inst9.S, 3.0, samples=32, seed=0, ns=ns
     )
     # c = 3 admits the flat ray, which the design maps to zero
     assert est.phi_estimate == 0.0
@@ -316,7 +311,7 @@ def test_re_upper_bound_sees_nullspace_ray(inst9):
 
 def test_re_upper_bound_validates_samples():
     with pytest.raises(ValueError):
-        re_upper_bound(np.eye(2), ConeSpec(T=(0,), c=1.0), samples=0)
+        re_upper_bound(np.eye(2), (0,), 1.0, samples=0)
 
 
 def test_rip_identity_is_perfect():
