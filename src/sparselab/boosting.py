@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import column_sq, design, integer
+from .linalg import column_sq, design, integer, real
 
 # Relative window for declaring two |rho| values tied.  The stall designs
 # produce exact ties across a whole block that floating point may perturb;
@@ -43,7 +43,7 @@ class BoostingConfig:
     def __post_init__(self):
         step_length(self.nu)
         integer("max_iterations", self.max_iterations, 0)
-        if not 0.0 <= self.residual_stop < math.inf:
+        if not 0.0 <= real("residual_stop", self.residual_stop) < math.inf:
             raise ValueError(
                 f"residual_stop must be non-negative and finite, got {self.residual_stop!r}"
             )
@@ -51,9 +51,10 @@ class BoostingConfig:
 
 def step_length(nu) -> float:
     """The step length nu as a float in (0, 1], or a one-line ValueError."""
+    nu = real("nu", nu)
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    return float(nu)
+    return nu
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,8 @@ def iterate(X, Y, config: BoostingConfig):
     # the residual norm never grows, so this covers every floor test
     if not math.isfinite(y_sq):
         raise ValueError("the squared norm of Y overflows; rescale Y")
-    nu, floor = config.nu, config.residual_stop
+    # a numpy float32 nu would round every step to float32
+    nu, floor = float(config.nu), float(config.residual_stop)
     XT = X.T
     cols, scale = list(XT), norms.tolist()
     k, residual, beta = 0, Y.copy(), np.zeros(X.shape[1])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .linalg import positive
+from .linalg import integer, positive
 
 # Tolerance for the [0, 1] box on reduced coordinates; violations beyond
 # this would falsify the form invariant, not just accumulate roundoff.
@@ -201,6 +201,7 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     trajectories; a differing selection raises immediately, naming the
     iteration.
     """
+    iterations = integer("iterations", iterations, 0)
     config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
     astate = initial_analytic_state(inst)
     s, n = inst.s, inst.n

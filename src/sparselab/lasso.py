@@ -20,9 +20,23 @@ full sweep.  Once the residual's running drift passes the budget, the
 rest of that sweep visits every index and the next g certifies anew.
 While a certificate holds, the KKT stop reads only the uncertified
 coordinates: a certified one is zero with |g_j| <= lam/2, so its violation
-is exactly 0.0.  The dots use strided column views of X, the same BLAS
-ddot as ``X[:, j] @ r``; a contiguous copy could take a SIMD kernel whose
-summation order moves bits.
+is exactly 0.0.
+
+A column with one nonzero entry x, at row i, is updated in scalar
+arithmetic: every column of the constructed family but the mixed one has
+that shape.  Its dot with r is x * r[i], which is the BLAS ddot's result
+in any summation order, with or without FMA: every other product is a
+signed zero, which cannot change a nonzero sum, and a zero sum arises only
+with old == 0, where the soft-threshold returns 0.0 for either sign.  Its
+update r[i] + x * step has the two roundings of the ufunc pair
+r + step * X_j, whose other entries only gain a signed zero; no signed
+zero of r reaches beta, the KKT value, the objective or the certificate.
+So every iterate, sweep count and KKT value keeps its bits on finite
+data.  A sweep that overflows raises the same ValueError at the same
+sweep, but the objective it names may read inf where the ufunc pair, whose
+0 * inf spreads nan over r, read nan.  Every other column is read as a
+strided view of X, with the same BLAS ddot as ``X[:, j] @ r``; a
+contiguous copy could take a SIMD kernel whose summation order moves bits.
 """
 
 from __future__ import annotations
@@ -32,7 +46,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import EXACT_FIT_RTOL, column_sq, design, least_squares_batch, lq_norm, positive
+from .linalg import (
+    EXACT_FIT_RTOL,
+    coefficients,
+    column_sq,
+    design,
+    least_squares_batch,
+    lq_norm,
+    positive,
+)
 
 # Slack for the per-sweep objective monotonicity guard, relative to the
 # current objective scale.  Exact arithmetic decreases the objective
@@ -94,16 +116,6 @@ def _kkt(g, b, half: float, idx) -> float:
     return worst
 
 
-def _coefficients(name: str, b, p: int) -> np.ndarray:
-    """b as a finite float vector of length p, or a one-line ValueError."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (p,):
-        raise ValueError(f"{name} has shape {b.shape}, expected {(p,)}")
-    if not np.isfinite(b).all():
-        raise ValueError(f"{name} must be finite")
-    return b
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def kkt_residual(X, Y, b, lam: float) -> float:
     """Distance to stationarity for the penalized objective.
@@ -114,7 +126,7 @@ def kkt_residual(X, Y, b, lam: float) -> float:
     """
     X, Y = design(X, Y)
     lam = positive("lam", lam)
-    b = _coefficients("b", b, X.shape[1])
+    b = coefficients("b", b, X.shape[1])
     return _kkt((X.T @ (Y - X @ b)).tolist(), b.tolist(), 0.5 * lam, range(b.size))
 
 
@@ -134,7 +146,8 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     from ``warm_start`` (zero when None).
 
     Coordinates sweep in fixed order 0..p-1, skipping the zero
-    coordinates a certificate shows inert (see the module docstring).
+    coordinates a certificate shows inert, and a column with one nonzero
+    entry takes scalar arithmetic (see the module docstring).
     The run stops when the stationarity residual reaches KKT_TOLERANCE;
     hitting MAX_SWEEPS first returns the current iterate with
     ``converged=False`` rather than raising.  A sweep whose objective
@@ -147,7 +160,7 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     n, p = X.shape
     col_sq = column_sq(X)
     if warm_start is not None:
-        b = _coefficients("warm start", warm_start, p).copy()
+        b = coefficients("warm start", warm_start, p).copy()
         r = Y - X @ b
     else:
         b = np.zeros(p)
@@ -157,6 +170,13 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     # r + tmp has the two roundings of r += step * X_j without a temporary.
     cols = [X[:, j] for j in range(p)]
     dots = [col.dot for col in cols]
+    # rows[j] and entry[j] locate column j's one nonzero entry; rows[j] is
+    # -1 when the column has more (see the module docstring)
+    nonzero = X != 0.0
+    first = nonzero.argmax(axis=0)
+    rows = np.where(nonzero.sum(axis=0) == 1, first, -1).tolist()
+    entry = X[first, np.arange(p)].tolist()
+    item = r.item
     bl = b.tolist()
     tmp, abs_b = np.empty(n), np.empty(p)
     multiply, add, copysign = np.multiply, np.add, math.copysign
@@ -176,12 +196,20 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
             j = visit[k]
             k += 1
             old = bl[j]
-            full_corr = float(dots[j](r)) + sq[j] * old
+            i = rows[j]
+            if i < 0:
+                full_corr = float(dots[j](r)) + sq[j] * old
+            else:
+                r_i = item(i)
+                full_corr = entry[j] * r_i + sq[j] * old
             mag = abs(full_corr) - half
             new = 0.0 if mag <= 0.0 else copysign(mag, full_corr) / sq[j]
             if new != old:
                 step = old - new
-                add(r, multiply(cols[j], step, tmp), r)
+                if i < 0:
+                    add(r, multiply(cols[j], step, tmp), r)
+                else:
+                    r[i] = r_i + entry[j] * step
                 b[j] = bl[j] = new
                 drift += abs(step) * col_norm[j] + _ROUNDOFF * (r0_norm + drift)
                 if drift > budget:

@@ -8,8 +8,9 @@ exactly.  Least squares solves a whole block of equal-size supports
 in stacked numpy calls: the normal equations where they are well posed,
 the minimum-norm solution where they are numerically singular.  Every
 rank decision uses the one tolerance DEFAULT_RANK_TOL, and every "exact
-fit" test the one tolerance EXACT_FIT_RTOL.  ``design``, ``column_sq``,
-``positive`` and ``integer`` are the argument checks every module shares.
+fit" test the one tolerance EXACT_FIT_RTOL.  ``design``, ``coefficients``,
+``column_sq``, ``real``, ``positive`` and ``integer`` are the argument
+checks every module shares.
 """
 
 import math
@@ -47,6 +48,16 @@ def design(X, Y=None):
     return X, Y
 
 
+def coefficients(name: str, b, p: int) -> np.ndarray:
+    """b as a finite float vector of length p, or a one-line ValueError."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (p,):
+        raise ValueError(f"{name} has shape {b.shape}, expected {(p,)}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} must be finite")
+    return b
+
+
 def column_sq(X: np.ndarray) -> np.ndarray:
     """Squared l2 norms of the columns of X; a zero-norm column is refused."""
     col_sq = np.sum(X * X, axis=0)
@@ -56,9 +67,17 @@ def column_sq(X: np.ndarray) -> np.ndarray:
     return col_sq
 
 
+def real(name: str, value) -> float:
+    """A Python or numpy int or float as a float, or a one-line ValueError;
+    a bool or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def positive(name: str, value) -> float:
     """A constant as a positive finite float, or a one-line ValueError."""
-    value = float(value)
+    value = real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value

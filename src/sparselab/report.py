@@ -21,7 +21,7 @@ import numpy as np
 from . import boosting, properties
 from .counterexample import SparseInstance, construct
 from .lasso import lambda_max, lasso_path
-from .linalg import integer, lq_norm, nullspace, positive
+from .linalg import coefficients, design, integer, lq_norm, nullspace, positive
 
 # l1 distance at or below this counts as recovery, for both solvers; it
 # sits far below the stall floor s so the two verdicts cannot blur.
@@ -106,13 +106,10 @@ def boosting_trajectory(
     k = 0 row has no selected index.  A truth that is not a finite
     length-p vector is refused.
     """
-    X, split = np.asarray(X, dtype=float), None
+    X, Y = design(X, Y)
+    split = None
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != X.shape[1:2] or not np.isfinite(truth).all():
-            raise ValueError(
-                f"truth must be a finite vector of shape {X.shape[1:2]}, got shape {truth.shape}"
-            )
+        truth = coefficients("truth", truth, X.shape[1])
         split = properties.cone_splitter(truth.size, S)
     rows: list[TrajectoryRow] = []
     steps = boosting.iterate(X, Y, config)
@@ -166,6 +163,7 @@ def reproduce(
     """
     lambda_min_factor = positive("lambda_min_factor", lambda_min_factor)
     cone_window = integer("cone_window", cone_window, 1)
+    iterations = integer("iterations", iterations, 0)
     # residual_stop = 0 keeps the trajectory at full length; the matrix
     # side of this family never reaches an exactly zero correlation
     # within any realistic budget, and the sustained-window cone

@@ -114,6 +114,15 @@ CASES = [
      "lam must be positive and finite, got nan"),
     ("reproduce-factor-zero", lambda: reproduce(1.0, 1.0, 200, lambda_min_factor=0.0), ValueError,
      r"lambda_min_factor must be positive and finite, got 0\.0"),
+    # constants are numbers: a bool or a string is not taken as one
+    ("construct-c-string", lambda: construct("4"), ValueError, "c must be a number, got str"),
+    ("construct-c-none", lambda: construct(None), ValueError, "c must be a number, got NoneType"),
+    ("lasso-lam-bool", lambda: lasso(np.eye(2), np.ones(2), True), ValueError,
+     "lam must be a number, got bool"),
+    ("lasso-path-numpy-bool", lambda: lasso_path(X, Y, np.True_), ValueError,
+     "lambda_min must be a number, got bool"),
+    ("rn-uniform-c-string", lambda: rn_uniform(NS, 1, "1.5"), ValueError,
+     "c must be a number, got str"),
     # counts: integers in range
     ("rn-uniform-t-zero", lambda: rn_uniform(NS, 0, 1.0), ValueError,
      r"t must lie in \[1, 3\], got 0"),
@@ -161,6 +170,11 @@ CASES = [
     # the boosting step, iteration cap and floor
     ("config-nu-nan", lambda: BoostingConfig(nu=math.nan), ValueError,
      r"nu must lie in \(0, 1\], got nan"),
+    ("config-nu-bool", lambda: BoostingConfig(nu=True), ValueError, "nu must be a number, got bool"),
+    ("config-nu-string", lambda: BoostingConfig(nu="0.5"), ValueError,
+     "nu must be a number, got str"),
+    ("analytic-step-nu-bool", lambda: analytic_step(initial_analytic_state(INST), INST, True),
+     ValueError, "nu must be a number, got bool"),
     ("config-iterations-float", lambda: BoostingConfig(max_iterations=2.5), ValueError,
      "max_iterations must be an integer, got float"),
     ("config-iterations-bool", lambda: BoostingConfig(max_iterations=True), ValueError,
@@ -171,6 +185,15 @@ CASES = [
      "residual_stop must be non-negative and finite, got nan"),
     ("config-floor-inf", lambda: BoostingConfig(residual_stop=math.inf), ValueError,
      "residual_stop must be non-negative and finite, got inf"),
+    ("config-floor-string", lambda: BoostingConfig(residual_stop="0"), ValueError,
+     "residual_stop must be a number, got str"),
+    # the caller's own iteration count is named, not BoostingConfig's field
+    ("reproduce-iterations-float", lambda: reproduce(1.0, 1.0, 200.5), ValueError,
+     "iterations must be an integer, got float"),
+    ("equivalence-iterations-float", lambda: equivalence_check(INST, 1.0, 20.5), ValueError,
+     "iterations must be an integer, got float"),
+    ("equivalence-iterations-negative", lambda: equivalence_check(INST, 1.0, -1), ValueError,
+     "iterations must be at least 0, got -1"),
     ("analytic-step-nu", lambda: analytic_step(initial_analytic_state(INST), INST, 1.5),
      ValueError, r"nu must lie in \(0, 1\], got 1\.5"),
     ("equivalence-nu", lambda: equivalence_check(INST, 0.0, 10), ValueError,
@@ -200,3 +223,17 @@ def test_bad_argument_is_refused_in_one_line(call, error, message):
             call()
     assert info.type is error
     assert re.fullmatch(message, str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value", [4, 4.0, np.int64(4), np.int8(4), np.float32(4.0), np.float64(4.0)],
+    ids=["int", "float", "int64", "int8", "float32", "float64"],
+)
+def test_python_and_numpy_numbers_are_taken(value):
+    # only a bool or a non-number is refused: every int and float type counts
+    assert construct(value).n == 25
+    assert BoostingConfig(nu=value / 4, residual_stop=value).nu == 1.0
+    assert lasso(np.eye(2), np.ones(2), value / 2).beta.tolist() == [0.0, 0.0]
+    # the boosting steps keep float64 bits whatever the type of nu
+    steps = run(X, Y, BoostingConfig(nu=value / 8, max_iterations=5))[-1].history_steps
+    assert steps.tobytes() == run(X, Y, BoostingConfig(nu=0.5, max_iterations=5))[-1].history_steps.tobytes()

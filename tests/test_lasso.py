@@ -99,10 +99,16 @@ HUGE_X, HUGE_Y = np.array([[1e200, 1.0], [1.0, 1.0]]), np.array([1e200, 1.0])
             lambda: lasso(HUGE_X, HUGE_Y, 1.0),
             "coordinate sweep 1 overflowed to objective nan; rescale X and Y",
         ),
+        # a single-entry column's scalar update overflows r[0] and beta[0]
+        # alone, where the ufunc pair spread nan over r
+        (
+            lambda: lasso(np.diag([1e-150, 1.0]), np.array([1e300, 1.0]), 1.0),
+            "coordinate sweep 1 overflowed to objective inf; rescale X and Y",
+        ),
     ],
     ids=[
         "lambda_max", "lasso_path", "lasso", "basis_pursuit", "X", "warm-start",
-        "kkt_residual-b", "lambda_max-overflow", "lasso-overflow",
+        "kkt_residual-b", "lambda_max-overflow", "lasso-overflow", "lasso-single-entry-overflow",
     ],
 )
 def test_solvers_refuse_non_finite_input(call, message):
@@ -351,6 +357,49 @@ def _headroom_runs_out():
     return X, rng.standard_normal(6), 0.1
 
 
+def _diagonal_and_dense(diagonal_first):
+    # [D | G] or [G | D]: a diagonal D, with negative entries, of columns
+    # that each have one nonzero entry, beside dense Gaussian columns
+    def design():
+        rng = np.random.default_rng(41)
+        D = np.diag(rng.uniform(0.5, 2.0, 12) * rng.choice([-1.0, 1.0], 12))
+        G = rng.standard_normal((12, 4))
+        X = np.hstack([D, G] if diagonal_first else [G, D])
+        beta = np.zeros(16)
+        beta[[1, 6, 13]] = (1.5, -2.0, 0.75)
+        return X, X @ beta + 0.1 * rng.standard_normal(12), 1e-4
+
+    return design
+
+
+def _single_entries_share_a_row():
+    # columns 2 and 8 have their one nonzero entry on row 2
+    rng = np.random.default_rng(43)
+    X = np.hstack([np.diag(rng.uniform(0.5, 2.0, 8)), rng.standard_normal((8, 3))])
+    X[:, 8] = 0.0
+    X[2, 8] = -0.5
+    return X, rng.standard_normal(8), 1e-4
+
+
+def _signed_zero_response():
+    # rows 1 and 4 hold a single-entry column's one nonzero entry, and Y is
+    # 0.0 on row 1 and -0.0 on row 4
+    rng = np.random.default_rng(47)
+    D = np.diag(rng.uniform(0.5, 2.0, 6) * [1, -1, 1, -1, 1, -1])
+    X = np.hstack([D, rng.standard_normal((6, 2))])
+    Y = rng.standard_normal(6)
+    Y[1], Y[4] = 0.0, -0.0
+    return X, Y, 1e-4
+
+
+def _single_entry_runs_out():
+    # see test_screening_runs_out_on_a_single_entry_column
+    rng = np.random.default_rng(254)
+    D = np.diag(rng.uniform(0.2, 2.0, 4) * rng.choice([-1, 1], 4))
+    X = np.hstack([D, rng.standard_normal((4, 3))])
+    return X, rng.standard_normal(4), 0.2
+
+
 def _family(c):
     def design():
         inst = construct(c)
@@ -374,6 +423,11 @@ SCREENING_CASES = {
     "gaussian-60x120": (_gaussian_p_above_n, _path),
     "duplicate-column": (_duplicate_column, _path),
     "headroom-runs-out": (_headroom_runs_out, _cold_solve),
+    "diagonal-then-dense": (_diagonal_and_dense(True), _path),
+    "dense-then-diagonal": (_diagonal_and_dense(False), _path),
+    "single-entries-share-a-row": (_single_entries_share_a_row, _path),
+    "signed-zero-response": (_signed_zero_response, _path),
+    "single-entry-runs-out": (_single_entry_runs_out, _cold_solve),
 }
 
 
@@ -416,3 +470,25 @@ def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
     assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * lam
     assert first.beta[0] != 0.0 and second.beta[0] == 0.0
     assert second.beta[3] != 0.0
+
+
+def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
+    # Columns 0-3 each have one nonzero entry.  After the first sweep the
+    # dense column 4 is the zero coordinate with the most headroom, so the
+    # certificate, whose budget is a quarter of that headroom, skips it.
+    # The second sweep drops column 1 from the support, a move of a
+    # single-entry column that runs the certificate out; column 4 comes
+    # later in that same sweep and must be visited, because it enters there.
+    X, Y, factor = _single_entry_runs_out()
+    lam = factor * lambda_max(X, Y)
+    assert np.count_nonzero(X, axis=0).tolist() == [1, 1, 1, 1, 4, 4, 4]
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 1)
+    first = lasso(X, Y, lam)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 2)
+    second = lasso(X, Y, lam)
+    g = X.T @ (Y - X @ first.beta)
+    zero = np.flatnonzero(first.beta == 0.0)
+    head = (0.5 * lam - abs(g[zero])) / np.linalg.norm(X[:, zero], axis=0)
+    assert zero[np.argmax(head)] == 4
+    assert first.beta[1] != 0.0 and second.beta[1] == 0.0
+    assert first.beta[4] == 0.0 and second.beta[4] != 0.0

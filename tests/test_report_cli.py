@@ -35,6 +35,9 @@ from sparselab.report import (
 from sparselab.boosting import thin
 from sparselab.properties import cone_split
 
+# the package exports the function lasso under the module's name
+LASSO = importlib.import_module("sparselab.lasso")
+
 
 # --- file formats -----------------------------------------------------------
 
@@ -146,11 +149,11 @@ def test_trajectory_initial_row(inst9):
 def test_trajectory_refuses_a_bad_truth(inst9):
     config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
     p = inst9.X.shape[1]
-    with pytest.raises(ValueError, match=rf"shape \({p},\), got shape \({p - 1},\)$"):
+    with pytest.raises(ValueError, match=rf"^truth has shape \({p - 1},\), expected \({p},\)$"):
         boosting_trajectory(inst9.X, inst9.Y, config, truth=inst9.beta[1:], S=inst9.S)
     truth = inst9.beta.copy()
     truth[0] = math.nan
-    with pytest.raises(ValueError, match=r"^truth must be a finite vector"):
+    with pytest.raises(ValueError, match=r"^truth must be finite$"):
         boosting_trajectory(inst9.X, inst9.Y, config, truth=truth, S=inst9.S)
 
 
@@ -287,6 +290,50 @@ def test_cli_reproduce_artifact_digests(tmp_path, capsys, nu):
         for path in out.iterdir()
     }
     assert digests == REPRODUCE_C1_DIGESTS[nu]
+
+
+# sha256 of every `reproduce --iters 2000 --out` artifact on the n=25
+# instance at nu = 1 and the n=49 instance at nu = 0.1, with the total
+# coordinate descent sweeps of each lasso path
+REPRODUCE_LARGE = {
+    ("4.0", "1.0"): (50_742, {
+        "X.txt": "3933d6df1160835469876b6ba04e0a07eb2bb41e07ae8788978eefe397e8ef4e",
+        "boosting_trajectory.csv": "b82064c5d7e5078fbe244f7d78c3b341a897bcbae2a2761709655e6a1d643c38",
+        "instance.json": "cae1ff5f7ef1e2627a8504d7f09c4c7d203256d93fc3ad44b1768d4c51af859f",
+        "lasso_path.csv": "8220064d417be9ab0f312b82254726b64036e79578734cbbd92fe81187a3558a",
+        "report.json": "8c5c8a0a62473d3354d51153d17e744859029de0a9bae7930aa9a33baa8dcc26",
+    }),
+    ("6.0", "0.1"): (122_057, {
+        "X.txt": "734cc60c6f2a8054f60be44bf87471663181a947f4b3c41e959a6fe5946e329f",
+        "boosting_trajectory.csv": "d3cdafe66cae1b131e3b9f3c8be8dc7bd25422b9884596c2e169596bbc78b4f7",
+        "instance.json": "ca320098c1c0a71ffd064960476499f6dfa2586f72e4e03b7879353e33961630",
+        "lasso_path.csv": "2272c9ac47c55e1b242435c4a9a1191e49070d13daa8ffe94a50f8efcf8e6051",
+        "report.json": "d63333d2e66d94437a70bc6200246e6ad80da451e4b1cbb6e8be9145fcac0585",
+    }),
+}
+
+
+@pytest.mark.parametrize("c, nu", sorted(REPRODUCE_LARGE), ids=["n25", "n49"])
+def test_cli_reproduce_large_artifact_digests(tmp_path, capsys, monkeypatch, c, nu):
+    sweeps, expected = REPRODUCE_LARGE[c, nu]
+    solve, points = LASSO.lasso, []
+
+    def counted(*args, **kwargs):
+        points.append(solve(*args, **kwargs))
+        return points[-1]
+
+    # lasso_path looks LASSO.lasso up per point, so the wrapper sees every solve
+    monkeypatch.setattr(LASSO, "lasso", counted)
+    out = tmp_path / "out"
+    argv = ["reproduce", "--c", c, "--nu", nu, "--iters", "2000", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+    }
+    assert digests == expected
+    assert sum(point.sweeps for point in points) == sweeps
 
 
 # `certify` arguments after --matrix X.txt; Y.txt is the response
@@ -458,7 +505,7 @@ def test_cli_compare_warns_on_unconverged_lasso(tmp_path, capsys, inst9, monkeyp
     out, err = capsys.readouterr()
     assert "worst KKT residual" in out and ", 0 unconverged" in out
     assert err == ""
-    monkeypatch.setattr(importlib.import_module("sparselab.lasso"), "MAX_SWEEPS", 1)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 1)
     points = lasso_path(inst9.X, inst9.Y, 1e-4)
     unconverged = sum(not point.converged for point in points)
     assert 0 < unconverged < len(points)
