@@ -6,6 +6,8 @@ nullspace's coordinate arrangement), sampled restricted-eigenvalue upper
 bounds, restricted isometry constants by subset enumeration, spark, and
 sparsest-solution uniqueness.  The nullspace certifiers take the
 nullspace alone, as the (p, d) basis array of ``linalg.nullspace``.
+Every l1 mass on and off a support comes from ``_split``, which each
+public entry reaches after checking its own input once.
 Enumerating operations take an explicit subset budget and refuse loudly
 instead of silently subsampling; they walk each subset size in blocks of
 at most ENUMERATION_BLOCK subsets and give each block one stacked numpy
@@ -25,6 +27,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_RANK_TOL,
     EXACT_FIT_RTOL,
+    coefficients,
     design,
     integer,
     least_squares_batch,
@@ -134,41 +137,33 @@ def _mask(p: int, T) -> np.ndarray:
     return mask
 
 
-def cone_splitter(p: int, T):
-    """The cone split of length-p vectors about T, with its index sets
-    built once: a function from the magnitudes |delta| to (on-mass,
-    off-mass, ratio), reduced over the last axis.  A vector gives three
-    floats; a stack of vectors gives three arrays, row for row the same.
-
-    The ratio is off / on; with zero on-mass it is inf, or nan when the
-    off-mass is zero too.
-    """
-    return _splitter(_mask(p, T))
-
-
-def _splitter(mask: np.ndarray):
-    """The split of ``cone_splitter`` about the support that ``mask`` marks."""
-    on_idx, off_idx = np.flatnonzero(mask), np.flatnonzero(~mask)
-
-    def split(mags: np.ndarray):
-        on = mags.take(on_idx, axis=-1).sum(axis=-1)
-        off = mags.take(off_idx, axis=-1).sum(axis=-1)
-        # zero on-mass takes the rule's value, never IEEE off / on: numpy's
-        # 0 / 0 is a nan with its sign bit set, the rule's is math.nan
-        empty = np.where(off == 0.0, math.nan, math.inf)
-        ratio = np.divide(off, on, out=empty, where=on != 0.0)
-        if mags.ndim == 1:
-            return float(on), float(off), float(ratio)
-        return on, off, ratio
-
-    return split
+def _split(mags: np.ndarray, mask: np.ndarray):
+    """(on-mass, off-mass, ratio) of the magnitudes |delta| on and off the
+    support that ``mask`` marks, reduced over the last axis: three floats
+    for a vector, three arrays for a stack, row for row the same.  The
+    ratio is off / on; with zero on-mass it is inf, or nan when the
+    off-mass is zero too.  The one copy of the split; it checks nothing."""
+    # take, not a boolean index: that returns an F-ordered stack, whose
+    # row sums round differently
+    on = mags.take(np.flatnonzero(mask), axis=-1).sum(axis=-1)
+    off = mags.take(np.flatnonzero(~mask), axis=-1).sum(axis=-1)
+    # zero on-mass takes the rule's value, never IEEE off / on: numpy's
+    # 0 / 0 is a nan with its sign bit set, the rule's is math.nan
+    empty = np.where(off == 0.0, math.nan, math.inf)
+    ratio = np.divide(off, on, out=empty, where=on != 0.0)
+    if mags.ndim == 1:
+        return float(on), float(off), float(ratio)
+    return on, off, ratio
 
 
 def cone_split(delta, T):
-    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T,
-    by the rule of ``cone_splitter``, over delta's last axis."""
+    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T, by
+    the rule of ``_split``, over delta's last axis.  delta must be a
+    finite vector or stack of vectors."""
     mags = np.abs(np.asarray(delta, dtype=float))
-    return cone_splitter(mags.shape[-1], T)(mags)
+    if mags.ndim == 0 or not np.isfinite(mags).all():
+        raise ValueError("delta must be a finite vector or stack of vectors")
+    return _split(mags, _mask(mags.shape[-1], T))
 
 
 def _in_closed_cone(on: float, off: float, c: float) -> bool:
@@ -177,10 +172,11 @@ def _in_closed_cone(on: float, off: float, c: float) -> bool:
 
 
 def in_cone(b, T, c: float) -> bool:
-    """Exact membership of b in the cone of support T and constant c, no
-    tolerance: off-mass <= c * on-mass."""
+    """Exact membership of the finite vector b in the cone of support T and
+    constant c, no tolerance: off-mass <= c * on-mass."""
     c = positive("c", c)
-    on, off, _ = cone_split(b, T)
+    b = coefficients("b", b, np.size(b))
+    on, off, _ = _split(np.abs(b), _mask(b.size, T))
     return _in_closed_cone(on, off, c)
 
 
@@ -244,10 +240,10 @@ def rn_check(
     p, _ = _basis_shape(ns)
     c = positive("c", c)
     budget = _budget(enumeration_budget)
-    split = cone_splitter(p, T)
+    mask = _mask(p, T)
     critical, witness = math.inf, None
     for r in _rays(ns, budget):
-        on, off, ratio = split(np.abs(r))
+        on, off, ratio = _split(np.abs(r), mask)
         critical = min(critical, ratio)
         if witness is None and _in_closed_cone(on, off, c):
             witness = r.copy()
@@ -272,7 +268,7 @@ def rn_uniform(
         mags = np.abs(r)
         worst = np.zeros(p, dtype=bool)
         worst[np.argsort(-mags, kind="stable")[:t]] = True
-        on, off, ratio = _splitter(worst)(mags)
+        on, off, ratio = _split(mags, worst)
         if not worst_T or ratio < critical:
             worst_T, critical = tuple(np.flatnonzero(worst).tolist()), ratio
         holds = holds and not _in_closed_cone(on, off, c)
@@ -306,9 +302,8 @@ def re_upper_bound(
 
     candidates: list[np.ndarray] = []
     if ns is not None:
-        split = _splitter(mask)
         for v in ns.T:
-            on, off, _ = split(np.abs(v))
+            on, off, _ = _split(np.abs(v), mask)
             if _in_closed_cone(on, off, c):
                 candidates.append(v.copy())
                 continue
@@ -318,15 +313,11 @@ def re_upper_bound(
                 candidates.append(projected)
     while len(candidates) < samples:
         g = rng.standard_normal(p)
-        b = np.zeros(p)
-        b[mask] = g[mask]
-        on = float(np.sum(np.abs(b[mask])))
+        on, off, _ = _split(np.abs(g), mask)
         if on == 0.0:
             continue
-        off_raw = np.abs(g[~mask]).sum()
-        if off_raw > 0.0:
-            b[~mask] = g[~mask] * (rng.uniform() * c * on / off_raw)
-        candidates.append(b)
+        scale = rng.uniform() * c * on / off if off > 0.0 else 0.0
+        candidates.append(np.where(mask, g, g * scale))
     phi_estimate, witness = math.inf, candidates[0]
     for b in candidates:
         denom = float(b @ b)
@@ -529,10 +520,12 @@ def unique_sparsest(
     Supports are enumerated by ascending size; the first size with any
     exact fit (residual <= EXACT_FIT_RTOL * ||Y||_2) is the minimal one,
     and uniqueness means exactly one support of that size fits.  The
-    whole minimal size is always enumerated before deciding.
+    whole minimal size is always enumerated before deciding.  Sizes above
+    the n rows are never scanned: some n columns span range(X), so if no
+    support of at most n columns fits, no larger one does.
     """
     X, Y = design(X, Y)
-    p = X.shape[1]
+    n, p = X.shape
     s = integer("s", s, 0, p)
     budget = _budget(enumeration_budget)
     y_norm = lq_norm(Y, 2)
@@ -540,7 +533,7 @@ def unique_sparsest(
         raise ValueError("the norm of Y overflows; rescale Y")
     tol = EXACT_FIT_RTOL * y_norm
     tested = 0
-    for size in range(0, s + 1):
+    for size in range(0, min(s, n) + 1):
         if tested + math.comb(p, size) > budget:
             raise BudgetExceeded(
                 f"sparsest-solution scan exceeds the budget of {budget} at size {size}"

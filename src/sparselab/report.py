@@ -82,14 +82,15 @@ class RecoveryReport(NamedTuple):
     path_rows: list[PathRow]
 
 
-def _error_columns(betas, truth, split) -> list[list[float]]:
-    """Per-row l1 distance, on-mass, off-mass and cone ratio of the stacked
-    betas minus truth, by ``split``; all nan without a truth vector.  Each
-    row reduces alone, so every value has the bits of its own 1-D sum."""
+def _error_columns(betas, truth, S) -> list[list[float]]:
+    """Per-row l1 distance, on-mass, off-mass and cone ratio about S of the
+    stacked betas minus truth; all nan without a truth vector.  Each row
+    reduces alone, so every value has the bits of its own 1-D sum."""
     if truth is None:
         return [[math.nan] * len(betas)] * 4
     mags = abs(np.subtract(np.array(betas), truth))
-    return [mags.sum(axis=1).tolist(), *(column.tolist() for column in split(mags))]
+    split = properties.cone_split(mags, S)
+    return [mags.sum(axis=1).tolist(), *(column.tolist() for column in split)]
 
 
 def boosting_trajectory(
@@ -104,27 +105,26 @@ def boosting_trajectory(
 
     Without a truth vector the distance and cone columns are nan; the
     k = 0 row has no selected index.  A truth that is not a finite
-    length-p vector is refused.
+    length-p vector, or a truth without its support S, is refused.
     """
     X, Y = design(X, Y)
-    split = None
     if truth is not None:
         truth = coefficients("truth", truth, X.shape[1])
-        split = properties.cone_splitter(truth.size, S)
+        if not S:
+            raise ValueError("S must be non-empty when truth is given")
     rows: list[TrajectoryRow] = []
     steps = boosting.iterate(X, Y, config)
     while block := list(itertools.islice(steps, TRAJECTORY_BLOCK)):
         ks, js, _, betas, residuals, rhos = zip(*block)
         rho_max = abs(np.array(rhos)).max(axis=1).tolist()
         resid_l2 = [math.sqrt(r.dot(r)) for r in residuals]
-        dist, _, _, ratio = _error_columns(betas, truth, split)
+        dist, _, _, ratio = _error_columns(betas, truth, S)
         rows.extend(map(TrajectoryRow, ks, js, rho_max, resid_l2, dist, ratio))
     return rows
 
 
 def path_rows_from_points(points, truth, S) -> list[PathRow]:
-    split = None if truth is None else properties.cone_splitter(len(truth), S)
-    errors = _error_columns([point.beta for point in points], truth, split)
+    errors = _error_columns([point.beta for point in points], truth, S)
     return [
         PathRow(point.lam, lq_norm(point.beta, 1), point.kkt, dist, ratio, on, off)
         for point, dist, on, off, ratio in zip(points, *errors)
@@ -133,6 +133,7 @@ def path_rows_from_points(points, truth, S) -> list[PathRow]:
 
 def detect_cone_exit(ratios: list[float], threshold: float, window: int) -> int | None:
     """First index whose next ``window`` ratios all clear the threshold."""
+    window = integer("window", window, 1)
     run = 0
     for idx, ratio in enumerate(ratios):
         if ratio > threshold:

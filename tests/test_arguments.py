@@ -42,6 +42,8 @@ from sparselab import (
     spark_from_nullspace,
     unique_sparsest,
 )
+from sparselab.properties import cone_split
+from sparselab.report import detect_cone_exit
 
 # a 2 x 3 design whose nullspace is the ray (-1, -1, 1)
 X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -143,6 +145,12 @@ CASES = [
      "trials must be at least 1, got 0"),
     ("reproduce-window-zero", lambda: reproduce(1.0, 1.0, 200, cone_window=0), ValueError,
      "cone_window must be at least 1, got 0"),
+    ("cone-exit-window-zero", lambda: detect_cone_exit([0.0, 5.0], 1.0, 0), ValueError,
+     "window must be at least 1, got 0"),
+    ("cone-exit-window-negative", lambda: detect_cone_exit([5.0], 1.0, -2), ValueError,
+     "window must be at least 1, got -2"),
+    ("cone-exit-window-float", lambda: detect_cone_exit([5.0], 1.0, 1.0), ValueError,
+     "window must be an integer, got float"),
     # the enumeration budget: a positive integer, and large enough
     ("spark-budget-bool", lambda: spark(X, True), ValueError,
      "enumeration_budget must be an integer, got bool"),
@@ -206,6 +214,21 @@ CASES = [
      r"the nullspace basis has 3 columns in dimension 2; pass nullspace\(X\), not X"),
     ("re-basis-of-another-design", lambda: re_upper_bound(X, (0,), 1.0, 10, ns=NS_PLANE),
      ValueError, "the nullspace basis has 4 rows, X has 3 columns"),
+    # the vectors of the cone split: finite, and for in_cone one vector
+    ("in-cone-inf", lambda: in_cone([math.inf, 1.0], (0,), 1.0), ValueError,
+     "b must be finite"),
+    ("in-cone-nan", lambda: in_cone([math.nan, 1.0], (0,), 1.0), ValueError,
+     "b must be finite"),
+    ("in-cone-matrix", lambda: in_cone([[1.0, 2.0]], (0,), 1.0), ValueError,
+     r"b has shape \(1, 2\), expected \(2,\)"),
+    ("in-cone-scalar", lambda: in_cone(1.0, (0,), 1.0), ValueError,
+     r"b has shape \(\), expected \(1,\)"),
+    ("cone-split-inf", lambda: cone_split([math.inf, math.inf], (0,)), ValueError,
+     "delta must be a finite vector or stack of vectors"),
+    ("cone-split-nan-row", lambda: cone_split([[1.0, 1.0], [math.nan, 1.0]], (0,)), ValueError,
+     "delta must be a finite vector or stack of vectors"),
+    ("cone-split-scalar", lambda: cone_split(1.0, (0,)), ValueError,
+     "delta must be a finite vector or stack of vectors"),
     # the coefficient vectors of the lasso
     ("kkt-b-shape", lambda: kkt_residual(X, Y, np.zeros(2), 1.0), ValueError,
      r"b has shape \(2,\), expected \(3,\)"),

@@ -447,6 +447,17 @@ def test_unique_sparsest_no_fit_raises():
         unique_sparsest(np.eye(2), np.array([1.0, 1.0]), 1)
 
 
+def test_unique_sparsest_scans_no_size_above_the_rows():
+    # no support of at most n = 2 columns fits, so none larger can: the
+    # scan stops at size 2 and refuses with its own line, not the kernel's
+    with pytest.raises(ValueError, match=r"^no 3-sparse least-squares fit matches Y"):
+        unique_sparsest(np.ones((2, 3)), [1.0, 2.0], 3)
+    # s = n still scans size n whole, where the first fit lies here
+    X = np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    result = unique_sparsest(X, [1.0, 2.0, 1.0], 3)
+    assert (result.size, result.supports_tested) == (3, 1 + 4 + 6 + 4)
+
+
 def test_unique_sparsest_budget_refusal(inst9):
     with pytest.raises(BudgetExceeded):
         unique_sparsest(inst9.X, inst9.Y, 3, enumeration_budget=5)

@@ -157,6 +157,14 @@ def test_trajectory_refuses_a_bad_truth(inst9):
         boosting_trajectory(inst9.X, inst9.Y, config, truth=truth, S=inst9.S)
 
 
+def test_trajectory_refuses_a_truth_without_its_support(inst9, monkeypatch):
+    # refused before the engine runs, naming S, the argument left out
+    monkeypatch.setattr(sparselab.boosting, "iterate", None)
+    config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
+    with pytest.raises(ValueError, match=r"^S must be non-empty when truth is given$"):
+        boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta)
+
+
 def test_trajectory_without_truth(inst9):
     config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
     rows = boosting_trajectory(inst9.X, inst9.Y, config)
