@@ -66,8 +66,6 @@ def cmd_reproduce(args) -> int:
         iterations=args.iters,
         seed=args.seed,
         lambda_min_factor=args.lambda_min_factor,
-        cone_window=args.window,
-        enumeration_budget=args.budget,
     )
     summary = rep.summary
     info, stall, l1 = summary["instance"], summary["boosting"], summary["lasso"]
@@ -107,16 +105,13 @@ def _certificate(args) -> dict:
     if name in ("rn", "rn_uniform", "re", "rip") and args.t is None:
         raise ValueError(f"property {name} requires --t")
     if name in ("rn", "re"):
-        ns = nullspace(X)
         T = tuple(range(args.t))
         params.update({"T": T, "c": args.c})
     if name == "rn":
-        result = properties.rn_check(ns, T, args.c, args.budget)
+        result = properties.rn_check(nullspace(X), T, args.c, args.budget)
     elif name == "re":
         params["samples"] = args.samples
-        result = properties.re_upper_bound(
-            X, T, args.c, samples=args.samples, seed=args.seed, ns=ns
-        )
+        result = properties.re_upper_bound(X, T, args.c, args.samples, args.seed)
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
         result = properties.rn_uniform(nullspace(X), args.t, args.c, args.budget)
@@ -207,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=report.LAMBDA_MIN_FACTOR,
         help="terminal path penalty as a fraction of lambda_max",
     )
-    p_rep.add_argument("--window", type=int, default=report.CONE_WINDOW)
-    p_rep.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_cert = sub.add_parser("certify", help="run one property certifier")

@@ -121,19 +121,19 @@ def _budget(enumeration_budget) -> int:
     return integer("enumeration_budget", enumeration_budget, 1)
 
 
-def _mask(p: int, T) -> np.ndarray:
-    """The support T as a length-p boolean mask.  T must be a non-empty
-    collection of distinct integer indices in [0, p); anything else is
-    refused with a one-line ValueError."""
+def _mask(name: str, T, p: int) -> np.ndarray:
+    """The support T, the caller's argument ``name``, as a length-p boolean
+    mask.  T must be a non-empty collection of distinct integer indices in
+    [0, p); anything else is refused with a one-line ValueError."""
     T = tuple(T)
     if not T:
-        raise ValueError("T must be non-empty")
+        raise ValueError(f"{name} must be non-empty")
     if not all(isinstance(j, (int, np.integer)) and 0 <= j < p for j in T):
-        raise ValueError(f"T must hold indices in [0, {p - 1}], got {T}")
+        raise ValueError(f"{name} must hold indices in [0, {p - 1}], got {T}")
     mask = np.zeros(p, dtype=bool)
     mask[list(T)] = True
     if np.count_nonzero(mask) != len(T):
-        raise ValueError(f"T repeats an index: {T}")
+        raise ValueError(f"{name} repeats an index: {T}")
     return mask
 
 
@@ -163,7 +163,7 @@ def cone_split(delta, T):
     mags = np.abs(np.asarray(delta, dtype=float))
     if mags.ndim == 0 or not np.isfinite(mags).all():
         raise ValueError("delta must be a finite vector or stack of vectors")
-    return _split(mags, _mask(mags.shape[-1], T))
+    return _split(mags, _mask("T", T, mags.shape[-1]))
 
 
 def _in_closed_cone(on: float, off: float, c: float) -> bool:
@@ -176,7 +176,7 @@ def in_cone(b, T, c: float) -> bool:
     constant c, no tolerance: off-mass <= c * on-mass."""
     c = positive("c", c)
     b = coefficients("b", b, np.size(b))
-    on, off, _ = _split(np.abs(b), _mask(b.size, T))
+    on, off, _ = _split(np.abs(b), _mask("T", T, b.size))
     return _in_closed_cone(on, off, c)
 
 
@@ -240,7 +240,7 @@ def rn_check(
     p, _ = _basis_shape(ns)
     c = positive("c", c)
     budget = _budget(enumeration_budget)
-    mask = _mask(p, T)
+    mask = _mask("T", T, p)
     critical, witness = math.inf, None
     for r in _rays(ns, budget):
         on, off, ratio = _split(np.abs(r), mask)
@@ -275,42 +275,31 @@ def rn_uniform(
     return RNUniformResult(holds, worst_T, critical)
 
 
-def re_upper_bound(
-    X,
-    T,
-    c: float,
-    samples: int,
-    seed: int = 0,
-    ns: np.ndarray | None = None,
-) -> REEstimate:
+def re_upper_bound(X, T, c: float, samples: int, seed: int = 0) -> REEstimate:
     """Sampled upper bound on the restricted eigenvalue constant.
 
     Draws random members of the cone of T and c (Gaussian on T, off-T mass
-    scaled to a uniform fraction of the cone bound) and, when X's (p, d)
-    nullspace basis is supplied, includes each basis column and its
-    cone-projected version, so a nullspace direction inside the cone
-    drives the estimate to zero.
+    scaled to a uniform fraction of the cone bound) and includes each
+    column of ``nullspace(X)`` and its cone-projected version, so a
+    nullspace direction inside the cone drives the estimate to zero.
     """
     X = design(X)
     p = X.shape[1]
-    mask = _mask(p, T)
+    mask = _mask("T", T, p)
     c = positive("c", c)
     samples = integer("samples", samples, 1)
-    if ns is not None and _basis_shape(ns)[0] != p:
-        raise ValueError(f"the nullspace basis has {ns.shape[0]} rows, X has {p} columns")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
 
     candidates: list[np.ndarray] = []
-    if ns is not None:
-        for v in ns.T:
-            on, off, _ = _split(np.abs(v), mask)
-            if _in_closed_cone(on, off, c):
-                candidates.append(v.copy())
-                continue
-            if on > 0.0 and off > 0.0:
-                projected = v.copy()
-                projected[~mask] *= c * on / off
-                candidates.append(projected)
+    for v in nullspace(X).T:
+        on, off, _ = _split(np.abs(v), mask)
+        if _in_closed_cone(on, off, c):
+            candidates.append(v.copy())
+            continue
+        if on > 0.0 and off > 0.0:
+            projected = v.copy()
+            projected[~mask] *= c * on / off
+            candidates.append(projected)
     while len(candidates) < samples:
         g = rng.standard_normal(p)
         on, off, _ = _split(np.abs(g), mask)
@@ -373,13 +362,7 @@ def _simplex_frame(n: int) -> np.ndarray:
     return F / np.sqrt(np.sum(F * F, axis=0))
 
 
-def rip_implies_rn_test(
-    n: int,
-    trials: int,
-    t: int,
-    seed: int = 0,
-    enumeration_budget: int = ENUMERATION_BUDGET,
-) -> dict:
+def rip_implies_rn_test(n: int, trials: int, t: int, seed: int = 0) -> dict:
     """Sampled check that delta_{2t} < 1/3 forces the uniform cone property.
 
     Draws unit-column n x (n+1) designs from three families: raw
@@ -395,7 +378,7 @@ def rip_implies_rn_test(
     # the isometry scan takes supports of size 2t among the n + 1 columns
     t = integer("t", t, 1, (n + 1) // 2)
     p = n + 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     families = ("gaussian", "orthonormal-extended", "near-tight-frame")
     counts = {name: {"drawn": 0, "applicable": 0} for name in families}
     applicable = 0
@@ -416,12 +399,12 @@ def rip_implies_rn_test(
             scale = 10.0 ** rng.uniform(-4.0, -1.5)
             M = base_frame + scale * rng.standard_normal((n, p))
         X = M / np.sqrt(np.sum(M * M, axis=0))
-        result = rip_constant(X, 2 * t, enumeration_budget)
+        result = rip_constant(X, 2 * t)
         min_delta = min(min_delta, result.delta_t)
         if result.delta_t < 1.0 / 3.0:
             applicable += 1
             counts[family]["applicable"] += 1
-            holds, _, _ = rn_uniform(nullspace(X), t, 1.0, enumeration_budget)
+            holds, _, _ = rn_uniform(nullspace(X), t, 1.0)
             if not holds:
                 violations += 1
         else:

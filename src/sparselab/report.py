@@ -105,13 +105,15 @@ def boosting_trajectory(
 
     Without a truth vector the distance and cone columns are nan; the
     k = 0 row has no selected index.  A truth that is not a finite
-    length-p vector, or a truth without its support S, is refused.
+    length-p vector, or a truth without a valid support S, is refused
+    before the engine runs.
     """
     X, Y = design(X, Y)
     if truth is not None:
         truth = coefficients("truth", truth, X.shape[1])
         if not S:
             raise ValueError("S must be non-empty when truth is given")
+        properties._mask("S", S, X.shape[1])
     rows: list[TrajectoryRow] = []
     steps = boosting.iterate(X, Y, config)
     while block := list(itertools.islice(steps, TRAJECTORY_BLOCK)):
@@ -151,8 +153,6 @@ def reproduce(
     iterations: int,
     seed: int = 0,
     lambda_min_factor: float = LAMBDA_MIN_FACTOR,
-    cone_window: int = CONE_WINDOW,
-    enumeration_budget: int = properties.ENUMERATION_BUDGET,
 ) -> RecoveryReport:
     """Run the whole contrast experiment on construct(c) and grade it.
 
@@ -160,11 +160,12 @@ def reproduce(
     certificates, extremes, verdicts and their expected values.
 
     The k = 0 error ratio is 0, so a sustained cone exit needs at least
-    ``cone_window`` iterations; a shorter run is refused up front.
+    CONE_WINDOW iterations; a shorter run is refused up front.  ``seed``
+    is only recorded in report.json.
     """
     lambda_min_factor = positive("lambda_min_factor", lambda_min_factor)
-    cone_window = integer("cone_window", cone_window, 1)
     iterations = integer("iterations", iterations, 0)
+    seed = integer("seed", seed, 0)
     # residual_stop = 0 keeps the trajectory at full length; the matrix
     # side of this family never reaches an exactly zero correlation
     # within any realistic budget, and the sustained-window cone
@@ -172,19 +173,17 @@ def reproduce(
     config = boosting.BoostingConfig(
         nu=nu, max_iterations=iterations, residual_stop=0.0
     )
-    if iterations < cone_window:
+    if iterations < CONE_WINDOW:
         raise ValueError(
-            f"iterations {iterations} is below the cone window {cone_window}; "
+            f"iterations {iterations} is below the cone window {CONE_WINDOW}; "
             "no sustained cone exit can fit"
         )
     inst = construct(c)
     ns = nullspace(inst.X)
-    rn_holds, _, critical_c = properties.rn_uniform(ns, inst.s, c, enumeration_budget)
+    rn_holds, _, critical_c = properties.rn_uniform(ns, inst.s, c)
 
     if inst.n <= 25:
-        fit = properties.unique_sparsest(
-            inst.X, inst.Y, inst.s, enumeration_budget
-        )
+        fit = properties.unique_sparsest(inst.X, inst.Y, inst.s)
         uniqueness = {
             "method": "enumeration",
             "unique": fit.unique,
@@ -205,7 +204,7 @@ def reproduce(
     rows = boosting_trajectory(inst.X, inst.Y, config, truth=inst.beta, S=inst.S)
 
     threshold = (inst.n + 1 - math.sqrt(inst.n)) / (2.0 * math.sqrt(inst.n))
-    exit_k = detect_cone_exit([row.cone_ratio for row in rows], threshold, cone_window)
+    exit_k = detect_cone_exit([row.cone_ratio for row in rows], threshold, CONE_WINDOW)
 
     lam_max = lambda_max(inst.X, inst.Y)
     lam_min = lambda_min_factor * lam_max
@@ -248,7 +247,7 @@ def reproduce(
         "run": {
             "nu": float(nu),
             "iterations": int(iterations),
-            "seed": int(seed),
+            "seed": seed,
         },
         "certificates": {
             "critical_c": critical_c,
@@ -260,7 +259,7 @@ def reproduce(
             "final_dist_l1": rows[-1].dist_l1,
             "final_resid_l2": rows[-1].resid_l2,
             "cone_threshold": threshold,
-            "cone_window": cone_window,
+            "cone_window": CONE_WINDOW,
             "cone_exit_k": exit_k,
             "limit_cone_ratio": rows[-1].cone_ratio,
         },

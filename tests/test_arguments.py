@@ -143,8 +143,21 @@ CASES = [
      "n must be at least 2, got 1"),
     ("rip-implies-rn-trials", lambda: rip_implies_rn_test(3, 0, 1), ValueError,
      "trials must be at least 1, got 0"),
-    ("reproduce-window-zero", lambda: reproduce(1.0, 1.0, 200, cone_window=0), ValueError,
-     "cone_window must be at least 1, got 0"),
+    # seeds: non-negative integers, refused before any work
+    ("reproduce-seed-float", lambda: reproduce(1.0, 1.0, 200, seed=2.7), ValueError,
+     "seed must be an integer, got float"),
+    ("reproduce-seed-bool", lambda: reproduce(1.0, 1.0, 200, seed=True), ValueError,
+     "seed must be an integer, got bool"),
+    ("reproduce-seed-string", lambda: reproduce(1.0, 1.0, 200, seed="abc"), ValueError,
+     "seed must be an integer, got str"),
+    ("reproduce-seed-negative", lambda: reproduce(1.0, 1.0, 200, seed=-1), ValueError,
+     "seed must be at least 0, got -1"),
+    ("re-seed-float", lambda: re_upper_bound(X, (0,), 1.0, 10, seed=1.5), ValueError,
+     "seed must be an integer, got float"),
+    ("re-seed-negative", lambda: re_upper_bound(X, (0,), 1.0, 10, seed=-1), ValueError,
+     "seed must be at least 0, got -1"),
+    ("rip-implies-rn-seed-float", lambda: rip_implies_rn_test(3, 3, 1, seed=0.5), ValueError,
+     "seed must be an integer, got float"),
     ("cone-exit-window-zero", lambda: detect_cone_exit([0.0, 5.0], 1.0, 0), ValueError,
      "window must be at least 1, got 0"),
     ("cone-exit-window-negative", lambda: detect_cone_exit([5.0], 1.0, -2), ValueError,
@@ -212,8 +225,6 @@ CASES = [
     # the nullspace basis, as nullspace returns it
     ("spark-from-design", lambda: spark_from_nullspace(X), ValueError,
      r"the nullspace basis has 3 columns in dimension 2; pass nullspace\(X\), not X"),
-    ("re-basis-of-another-design", lambda: re_upper_bound(X, (0,), 1.0, 10, ns=NS_PLANE),
-     ValueError, "the nullspace basis has 4 rows, X has 3 columns"),
     # the vectors of the cone split: finite, and for in_cone one vector
     ("in-cone-inf", lambda: in_cone([math.inf, 1.0], (0,), 1.0), ValueError,
      "b must be finite"),

@@ -165,6 +165,18 @@ def test_trajectory_refuses_a_truth_without_its_support(inst9, monkeypatch):
         boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta)
 
 
+@pytest.mark.parametrize("S, message", [
+    ((99,), r"^S must hold indices in \[0, 9\], got \(99,\)$"),
+    ((0, 0), r"^S repeats an index: \(0, 0\)$"),
+], ids=["out-of-range", "repeated"])
+def test_trajectory_refuses_a_bad_support_before_the_engine(inst9, monkeypatch, S, message):
+    # checked up front and named S, not at the first trajectory block as T
+    monkeypatch.setattr(sparselab.boosting, "iterate", None)
+    config = BoostingConfig(nu=1.0, max_iterations=50, residual_stop=0.0)
+    with pytest.raises(ValueError, match=message):
+        boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta, S)
+
+
 def test_trajectory_without_truth(inst9):
     config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
     rows = boosting_trajectory(inst9.X, inst9.Y, config)
@@ -256,8 +268,6 @@ def test_reproduce_refuses_iterations_below_the_cone_window():
     # no sustained cone exit fits in fewer iterations than the window
     with pytest.raises(ValueError, match="cone window"):
         reproduce(c=1.0, nu=1.0, iterations=50)
-    with pytest.raises(ValueError, match="cone window"):
-        reproduce(c=1.0, nu=1.0, iterations=9, cone_window=10)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
@@ -597,9 +607,9 @@ def _address_space_cap():
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "0"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "-1e-4"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "nan"], 2),
-        (["reproduce", "--c", "1", "--window", "0"], 2),
-        (["reproduce", "--c", "1", "--window", "-3"], 2),
-        (["reproduce", "--c", "1", "--budget", "0"], 2),
+        (["reproduce", "--c", "1", "--window", "5"], 2),
+        (["reproduce", "--c", "1", "--seed", "-1"], 2),
+        (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--seed", "-1"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "0"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "-1e-8"], 2),
         (CERTIFY + ["X.txt", "--property", "rn_uniform", "--t", "1", "--c", "0"], 2),
@@ -642,9 +652,9 @@ def _address_space_cap():
         "lambda-min-0",
         "lambda-min-negative",
         "lambda-min-nan",
-        "window-0",
-        "window-negative",
-        "reproduce-budget-0",
+        "window-unrecognized",
+        "reproduce-seed-negative",
+        "re-seed-negative",
         "lambda-min-factor-0",
         "lambda-min-factor-negative",
         "rn-uniform-c-0",
@@ -694,3 +704,8 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
         assert lines[0].startswith(f"error: c = {c!r} "), proc.stderr
         if c < 1e300:
             assert " n = " in lines[0] and " p = " in lines[0], proc.stderr
+    # a retired flag is unrecognized, and a bad seed is refused by name
+    named = {"--window": "error: unrecognized arguments: --window 5",
+             "--seed": "error: seed must be at least 0, got -1"}
+    if argv[-2] in named:
+        assert lines[0] == named[argv[-2]], proc.stderr
