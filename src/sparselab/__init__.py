@@ -22,13 +22,9 @@ from .counterexample import (
     AnalyticState,
     InvariantViolation,
     SparseInstance,
-    analytic_beta,
-    analytic_rho,
     analytic_step,
-    column_norms,
     construct,
     equivalence_check,
-    initial_analytic_state,
 )
 from .io import (
     jsonable,
@@ -86,16 +82,12 @@ __all__ = [
     "SparseInstance",
     "SparsityCertificate",
     "UniqueSparsestResult",
-    "analytic_beta",
-    "analytic_rho",
     "analytic_step",
     "basis_pursuit",
-    "column_norms",
     "construct",
     "correlations",
     "equivalence_check",
     "in_cone",
-    "initial_analytic_state",
     "iterate",
     "jsonable",
     "kkt_residual",

@@ -25,7 +25,7 @@ from . import properties, report
 from .boosting import BoostingConfig, thin
 from .counterexample import construct
 from .lasso import KKT_TOLERANCE, lasso_path
-from .linalg import nullspace
+from .linalg import integer, nullspace, positive
 
 
 def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
@@ -99,6 +99,11 @@ def cmd_reproduce(args) -> int:
 def _certificate(args) -> dict:
     """The property, its parameters, and every other field of the
     certifier's result record."""
+    # each flag is checked whichever property reads it
+    positive("c", args.c)
+    integer("samples", args.samples, 1)
+    integer("seed", args.seed, 0)
+    integer("enumeration_budget", args.budget, 1)
     X = files.read_matrix(args.matrix)
     name = args.property
     params: dict = {"matrix": args.matrix}

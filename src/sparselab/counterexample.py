@@ -116,26 +116,10 @@ def construct(c: float) -> SparseInstance:
     )
 
 
-def column_norms(inst: SparseInstance) -> np.ndarray:
-    """Closed-form column norms: gamma, then ones, then the mixed column."""
-    g = inst.gamma
-    last = math.sqrt((g * g - 1.0) * inst.s + inst.n)
-    return np.concatenate(
-        [np.full(inst.s, g), np.ones(inst.n - inst.s), [last]]
-    )
-
-
-def initial_analytic_state(inst: SparseInstance) -> AnalyticState:
-    return AnalyticState(c_mid=np.zeros(inst.n - inst.s), c_p=0.0, k=0)
-
-
-def analytic_beta(state: AnalyticState, inst: SparseInstance) -> np.ndarray:
-    """Embed the reduced coordinates back into a full parameter vector."""
-    return np.concatenate([np.zeros(inst.s), -state.c_mid, [state.c_p]])
-
-
 def _reduced_rho(state: AnalyticState, inst: SparseInstance) -> tuple[np.ndarray, float]:
-    """analytic_rho, and the numerator of its mixed entry."""
+    """Correlations of a parameter in reduced form, and the numerator of the
+    mixed entry: rho_j = gamma * (1 - c_p) on the leading block, c_j - c_p
+    on the middle block, and the norm-weighted mixture on the last column."""
     g, s, n = inst.gamma, inst.s, inst.n
     mid = state.c_mid - state.c_p
     mixed = s * g * g * (1.0 - state.c_p) + float(mid.sum())
@@ -144,15 +128,6 @@ def _reduced_rho(state: AnalyticState, inst: SparseInstance) -> tuple[np.ndarray
     rho[s:n] = mid
     rho[n] = mixed / math.sqrt((g * g - 1.0) * s + n)
     return rho, mixed
-
-
-def analytic_rho(state: AnalyticState, inst: SparseInstance) -> np.ndarray:
-    """Correlations induced by a parameter in reduced form.
-
-    rho_j = gamma * (1 - c_p) on the leading block, c_j - c_p on the
-    middle block, and the norm-weighted mixture on the last column.
-    """
-    return _reduced_rho(state, inst)[0]
 
 
 def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> AnalyticState:
@@ -203,10 +178,10 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     """
     iterations = integer("iterations", iterations, 0)
     config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
-    astate = initial_analytic_state(inst)
     s, n = inst.s, inst.n
-    # analytic_beta - beta is -(beta + shift) exactly, with the shift
-    # (0, ..., 0, c_{s+1}, ..., c_n, -c_p)
+    astate = AnalyticState(np.zeros(n - s), 0.0, 0)
+    # the reduced parameter (0, ..., 0, -c_{s+1}, ..., -c_n, c_p) minus beta
+    # is -(beta + shift) exactly, with the shift (0, ..., 0, c_{s+1}, ..., c_n, -c_p)
     shift, gap = np.zeros(inst.p), np.empty(inst.p)
     deviation = 0.0
     for k, jm, _, beta, _, _ in boosting.iterate(inst.X, inst.Y, config):

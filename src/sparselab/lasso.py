@@ -140,10 +140,18 @@ def lambda_max(X, Y) -> float:
     return top
 
 
+def lasso(X, Y, lam: float) -> PathPoint:
+    """The lasso minimizer at penalty lam, by coordinate descent from zero."""
+    X, Y = design(X, Y)
+    lam = positive("lam", lam)
+    return _descend(X, Y, lam, np.zeros(X.shape[1]), Y.copy())
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
-    """Cyclic coordinate descent with an in-place residual, at penalty lam
-    from ``warm_start`` (zero when None).
+def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
+    """Cyclic coordinate descent at penalty lam from b, whose residual
+    Y - X b is r; both are updated in place.  The caller has checked X, Y
+    and lam.
 
     Coordinates sweep in fixed order 0..p-1, skipping the zero
     coordinates a certificate shows inert, and a column with one nonzero
@@ -155,16 +163,8 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     objective beyond roundoff raises RuntimeError since the update rule
     forbids it.
     """
-    X, Y = design(X, Y)
-    lam = positive("lam", lam)
     n, p = X.shape
     col_sq = column_sq(X)
-    if warm_start is not None:
-        b = coefficients("warm start", warm_start, p).copy()
-        r = Y - X @ b
-    else:
-        b = np.zeros(p)
-        r = Y.copy()
     half = 0.5 * lam
     # b is read through its Python-float mirror bl; tmp takes step * X_j, so
     # r + tmp has the two roundings of r += step * X_j without a temporary.
@@ -246,6 +246,7 @@ def lasso(X, Y, lam: float, warm_start=None) -> PathPoint:
     return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lasso_path(X, Y, lambda_min: float) -> list[PathPoint]:
     """Warm-started solves along a geometrically decaying penalty grid.
 
@@ -270,7 +271,7 @@ def lasso_path(X, Y, lambda_min: float) -> list[PathPoint]:
     points: list[PathPoint] = []
     warm = np.zeros(X.shape[1])
     for lam in grid:
-        points.append(lasso(X, Y, lam, warm_start=warm))
+        points.append(_descend(X, Y, lam, warm.copy(), Y - X @ warm))
         warm = points[-1].beta
     return points
 

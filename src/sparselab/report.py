@@ -105,8 +105,8 @@ def boosting_trajectory(
 
     Without a truth vector the distance and cone columns are nan; the
     k = 0 row has no selected index.  A truth that is not a finite
-    length-p vector, or a truth without a valid support S, is refused
-    before the engine runs.
+    length-p vector, a truth without a valid support S, or an S without
+    a truth is refused before the engine runs.
     """
     X, Y = design(X, Y)
     if truth is not None:
@@ -114,6 +114,8 @@ def boosting_trajectory(
         if not S:
             raise ValueError("S must be non-empty when truth is given")
         properties._mask("S", S, X.shape[1])
+    elif S:
+        raise ValueError("S must be empty when truth is None")
     rows: list[TrajectoryRow] = []
     steps = boosting.iterate(X, Y, config)
     while block := list(itertools.islice(steps, TRAJECTORY_BLOCK)):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from sparselab import (
+    AnalyticState,
     BoostingConfig,
     BudgetExceeded,
     analytic_step,
@@ -23,7 +24,6 @@ from sparselab import (
     correlations,
     equivalence_check,
     in_cone,
-    initial_analytic_state,
     iterate,
     kkt_residual,
     lambda_max,
@@ -56,6 +56,7 @@ NAN_Y = np.array([1.0, math.nan])
 # with C(4, 1) = 4 candidate rays
 NS_PLANE = nullspace([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 INST = construct(1.0)
+START = AnalyticState(np.zeros(INST.n - INST.s), 0.0, 0)
 CONFIG = BoostingConfig()
 
 SHAPES_1D = r"incompatible shapes: X \(3,\); X must be a matrix with at least one column"
@@ -194,7 +195,7 @@ CASES = [
     ("config-nu-bool", lambda: BoostingConfig(nu=True), ValueError, "nu must be a number, got bool"),
     ("config-nu-string", lambda: BoostingConfig(nu="0.5"), ValueError,
      "nu must be a number, got str"),
-    ("analytic-step-nu-bool", lambda: analytic_step(initial_analytic_state(INST), INST, True),
+    ("analytic-step-nu-bool", lambda: analytic_step(START, INST, True),
      ValueError, "nu must be a number, got bool"),
     ("config-iterations-float", lambda: BoostingConfig(max_iterations=2.5), ValueError,
      "max_iterations must be an integer, got float"),
@@ -215,7 +216,7 @@ CASES = [
      "iterations must be an integer, got float"),
     ("equivalence-iterations-negative", lambda: equivalence_check(INST, 1.0, -1), ValueError,
      "iterations must be at least 0, got -1"),
-    ("analytic-step-nu", lambda: analytic_step(initial_analytic_state(INST), INST, 1.5),
+    ("analytic-step-nu", lambda: analytic_step(START, INST, 1.5),
      ValueError, r"nu must lie in \(0, 1\], got 1\.5"),
     ("equivalence-nu", lambda: equivalence_check(INST, 0.0, 10), ValueError,
      r"nu must lie in \(0, 1\], got 0\.0"),
@@ -240,11 +241,9 @@ CASES = [
      "delta must be a finite vector or stack of vectors"),
     ("cone-split-scalar", lambda: cone_split(1.0, (0,)), ValueError,
      "delta must be a finite vector or stack of vectors"),
-    # the coefficient vectors of the lasso
+    # the coefficient vector of the lasso's stationarity check
     ("kkt-b-shape", lambda: kkt_residual(X, Y, np.zeros(2), 1.0), ValueError,
      r"b has shape \(2,\), expected \(3,\)"),
-    ("lasso-warm-nan", lambda: lasso(X, Y, 1.0, warm_start=[0.0, math.nan, 0.0]), ValueError,
-     "warm start must be finite"),
 ]
 
 

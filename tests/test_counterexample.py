@@ -7,19 +7,15 @@ from sparselab import (
     AnalyticState,
     BoostingConfig,
     InvariantViolation,
-    analytic_beta,
-    analytic_rho,
     analytic_step,
-    column_norms,
     construct,
     correlations,
     equivalence_check,
-    initial_analytic_state,
     iterate,
     run,
     select_index,
 )
-from sparselab.counterexample import COORD_SLACK, _block_size
+from sparselab.counterexample import COORD_SLACK, _block_size, _reduced_rho
 
 
 def _counting_block_size(c):
@@ -69,16 +65,9 @@ def test_construct_is_exact(inst25):
     assert np.all(inst25.beta[inst25.s :] == 0.0)
 
 
-def test_column_norms_closed_form(inst9, inst25):
-    for inst in (inst9, inst25):
-        np.testing.assert_array_equal(
-            column_norms(inst), np.linalg.norm(inst.X, axis=0)
-        )
-
-
 def test_initial_correlations_match(inst25):
-    state = initial_analytic_state(inst25)
-    rho_a = analytic_rho(state, inst25)
+    state = AnalyticState(np.zeros(20), 0.0, 0)
+    rho_a = _reduced_rho(state, inst25)[0]
     rho_m = correlations(inst25.X, inst25.Y)
     np.testing.assert_array_equal(rho_a, rho_m)
     # mixed column dominates at the start: s * gamma^2 / ||X_p||
@@ -96,7 +85,7 @@ def test_first_selections_frozen(inst9, inst25):
 
 
 def test_first_analytic_step_closed_form(inst25):
-    state = initial_analytic_state(inst25)
+    state = AnalyticState(np.zeros(20), 0.0, 0)
     after = analytic_step(state, inst25, nu=1.0)
     assert after.c_p == 3125.0 / 3145.0
     assert np.all(after.c_mid == 0.0)
@@ -105,16 +94,8 @@ def test_first_analytic_step_closed_form(inst25):
     assert state.j is None and after.j == inst25.n
 
 
-def test_analytic_beta_embedding(inst9):
-    state = AnalyticState(c_mid=np.full(6, 0.25), c_p=0.5, k=3)
-    beta = analytic_beta(state, inst9)
-    assert np.all(beta[:3] == 0.0)
-    assert np.all(beta[3:9] == -0.25)
-    assert beta[9] == 0.5
-
-
 def test_analytic_step_rejects_bad_nu(inst9):
-    state = initial_analytic_state(inst9)
+    state = AnalyticState(np.zeros(6), 0.0, 0)
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             analytic_step(state, inst9, nu=bad)
@@ -129,14 +110,14 @@ def test_analytic_step_flags_box_escape(inst9):
 
 
 def test_analytic_saturation_is_a_noop(inst9):
-    state = initial_analytic_state(inst9)
+    state = AnalyticState(np.zeros(6), 0.0, 0)
     for _ in range(200):
         state = analytic_step(state, inst9, nu=1.0)
     # the undamped recursion parks at the all-ones corner where every
     # correlation is exactly zero and further steps change nothing
     assert state.c_p == 1.0
     assert np.all(state.c_mid == 1.0)
-    assert np.all(analytic_rho(state, inst9) == 0.0)
+    assert np.all(_reduced_rho(state, inst9)[0] == 0.0)
     again = analytic_step(state, inst9, nu=1.0)
     assert again.c_p == 1.0
     assert np.all(again.c_mid == 1.0)
@@ -171,7 +152,7 @@ def test_equivalence_deep_damped_run_mismatch_is_pinned(inst25):
 
 def _reference_analytic_step(state, inst, nu):
     """Reference: analytic_step before it selected once, verbatim (its
-    correlations from the unchanged public analytic_rho formula)."""
+    correlations from the unchanged _reduced_rho formula)."""
     g, s, n = inst.gamma, inst.s, inst.n
     rho = np.empty(inst.p)
     rho[:s] = g * (1.0 - state.c_p)
@@ -213,7 +194,7 @@ def _reference_lockstep(inst, nu, iterations):
     verbatim, returning the deviation (or the mismatch message) and every
     reduced state."""
     config = BoostingConfig(nu=nu, max_iterations=iterations)
-    astate = initial_analytic_state(inst)
+    astate = AnalyticState(np.zeros(inst.n - inst.s), 0.0, 0)
     states, deviation = [], 0.0
     for k, jm, _, beta, _, _ in iterate(inst.X, inst.Y, config):
         if k:
@@ -224,10 +205,8 @@ def _reference_lockstep(inst, nu, iterations):
                     f"selection mismatch at iteration {k}: "
                     f"matrix picked {jm}, recursion picked {astate.j}"
                 ), states
-            deviation = max(
-                deviation,
-                float(np.abs(analytic_beta(astate, inst) - beta).max()),
-            )
+            reduced = np.concatenate([np.zeros(inst.s), -astate.c_mid, [astate.c_p]])
+            deviation = max(deviation, float(np.abs(reduced - beta).max()))
     return float.hex(deviation), states
 
 
@@ -248,7 +227,7 @@ def test_lockstep_matches_reference_bit_for_bit(c, nu, iterations):
     except RuntimeError as exc:
         got = str(exc)
     assert got == outcome
-    astate = initial_analytic_state(inst)
+    astate = AnalyticState(np.zeros(inst.n - inst.s), 0.0, 0)
     for want in states:
         astate = analytic_step(astate, inst, nu)
         assert _state_bits(astate) == _state_bits(want)

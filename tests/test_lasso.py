@@ -87,10 +87,6 @@ HUGE_X, HUGE_Y = np.array([[1e200, 1.0], [1.0, 1.0]]), np.array([1e200, 1.0])
         (lambda: lasso(np.eye(3), NAN_Y, 1.0), "Y must be finite"),
         (lambda: basis_pursuit(np.eye(3), NAN_Y, 1e-3), "Y must be finite"),
         (lambda: lasso(np.diag([1.0, math.inf, 1.0]), np.ones(3), 1.0), "X must be finite"),
-        (
-            lambda: lasso(np.eye(3), np.ones(3), 1.0, warm_start=[0.0, math.inf, 0.0]),
-            "warm start must be finite",
-        ),
         (lambda: kkt_residual(np.eye(3), np.ones(3), [math.nan, 0.0, 0.0], 1.0), "b must be finite"),
         # finite input that overflows: from an infinite lambda_max,
         # lasso_path would grow its penalty grid without end
@@ -107,7 +103,7 @@ HUGE_X, HUGE_Y = np.array([[1e200, 1.0], [1.0, 1.0]]), np.array([1e200, 1.0])
         ),
     ],
     ids=[
-        "lambda_max", "lasso_path", "lasso", "basis_pursuit", "X", "warm-start",
+        "lambda_max", "lasso_path", "lasso", "basis_pursuit", "X",
         "kkt_residual-b", "lambda_max-overflow", "lasso-overflow", "lasso-single-entry-overflow",
     ],
 )
@@ -168,6 +164,12 @@ def test_warm_path_matches_cold_solves():
         cold = lasso(X, Y, point.lam)
         assert cold.converged and point.converged
         assert np.max(np.abs(cold.beta - point.beta)) <= 1e-6
+
+
+def test_lasso_starts_from_zero_only():
+    # the warm start is lasso_path's own; a single solve takes none
+    with pytest.raises(TypeError):
+        lasso(np.eye(2), np.ones(2), 1.0, warm_start=np.zeros(2))
 
 
 def test_path_grid_shape(inst9):
@@ -268,33 +270,18 @@ def _reference_soft(value, threshold):
     return math.copysign(mag, value)
 
 
-def _full_sweep_lasso(X, Y, lam, warm_start=None):
-    """Reference: the coordinate descent before screening, verbatim.
+def _full_sweep_lasso(X, Y, lam, b, r):
+    """Reference: the coordinate descent before screening, verbatim, from
+    b with residual r, as lasso and lasso_path start it.
 
     Every sweep visits all p coordinates, so it pins what screened sweeps
     must reproduce bit for bit.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.ndim != 1 or Y.size != X.shape[0]:
-        raise ValueError(
-            f"incompatible shapes: X {X.shape}, Y {np.shape(Y)}"
-        )
     p = X.shape[1]
     col_sq = np.sum(X * X, axis=0)
     dead = np.flatnonzero(col_sq == 0.0)
     if dead.size:
         raise ValueError(f"column {int(dead[0])} has zero norm")
-    if warm_start is not None:
-        b = np.asarray(warm_start, dtype=float).copy()
-        if b.shape != (p,):
-            raise ValueError(
-                f"warm start has shape {b.shape}, expected {(p,)}"
-            )
-        r = Y - X @ b
-    else:
-        b = np.zeros(p)
-        r = Y.copy()
     half = 0.5 * lam
     prev_obj = float(r @ r + lam * np.sum(np.abs(b)))
     kkt = math.inf
@@ -408,7 +395,8 @@ def _family(c):
     return design
 
 
-# LASSO.lasso is looked up at call time, so the test can swap in the reference
+# lasso and lasso_path look LASSO._descend up at call time, so the test can
+# swap in the reference
 def _path(X, Y, factor):
     return LASSO.lasso_path(X, Y, factor * lambda_max(X, Y))
 
@@ -436,8 +424,16 @@ def test_screened_solves_match_full_sweeps_bit_for_bit(name, monkeypatch):
     design, solve = SCREENING_CASES[name]
     X, Y, factor = design()
     points = solve(X, Y, factor)
-    monkeypatch.setattr(LASSO, "lasso", _full_sweep_lasso)
+    calls = []
+
+    def reference_solve(*args):
+        calls.append(args[2])
+        return _full_sweep_lasso(*args)
+
+    monkeypatch.setattr(LASSO, "_descend", reference_solve)
     reference = solve(X, Y, factor)
+    # the reference solved every point, not the screened solver
+    assert calls == [p.lam for p in points]
     assert [_bits(p) for p in points] == [_bits(p) for p in reference]
     if name == "family-n25":
         assert sum(p.sweeps for p in points) == 50_742

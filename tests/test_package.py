@@ -13,9 +13,69 @@ def test_all_names_resolve_and_star_import_works():
     assert set(sparselab.__all__) <= set(namespace)
 
 
+# The public names.  A new export must be added here on purpose.
+EXPORTED = {
+    "AnalyticState",
+    "BoostingConfig",
+    "BoostingState",
+    "BudgetExceeded",
+    "InvariantViolation",
+    "PathPoint",
+    "REEstimate",
+    "RIPResult",
+    "RNUniformResult",
+    "RNVerdict",
+    "RecoveryReport",
+    "SparseInstance",
+    "SparsityCertificate",
+    "UniqueSparsestResult",
+    "analytic_step",
+    "basis_pursuit",
+    "construct",
+    "correlations",
+    "equivalence_check",
+    "in_cone",
+    "iterate",
+    "jsonable",
+    "kkt_residual",
+    "lambda_max",
+    "lasso",
+    "lasso_path",
+    "lq_norm",
+    "nullspace",
+    "re_upper_bound",
+    "read_matrix",
+    "read_vector",
+    "reproduce",
+    "rip_constant",
+    "rip_implies_rn_test",
+    "rn_check",
+    "rn_uniform",
+    "run",
+    "select_index",
+    "spark",
+    "spark_from_nullspace",
+    "unique_sparsest",
+    "verdict_failures",
+    "write_csv",
+    "write_instance",
+    "write_json",
+    "write_matrix",
+    "write_vector",
+}
+
+
+def test_exported_names_are_pinned():
+    assert set(sparselab.__all__) == EXPORTED
+
+
 def test_removed_names_are_not_exported():
     for name in (
         "LeastSquaresFit",
+        "analytic_beta",
+        "analytic_rho",
+        "column_norms",
+        "initial_analytic_state",
         "least_squares_on_support",
         "re_lower_bound",
     ):
@@ -31,7 +91,6 @@ SETTABLE = {
     "BoostingConfig.nu",
     "BoostingConfig.max_iterations",
     "BoostingConfig.residual_stop",
-    "lasso(warm_start)",
     "re_upper_bound(seed)",
     "reproduce(seed)",
     "reproduce(lambda_min_factor)",

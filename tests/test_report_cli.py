@@ -165,6 +165,14 @@ def test_trajectory_refuses_a_truth_without_its_support(inst9, monkeypatch):
         boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta)
 
 
+def test_trajectory_refuses_a_support_without_its_truth(inst9, monkeypatch):
+    # without a truth S would be ignored, so it is refused before the engine runs
+    monkeypatch.setattr(sparselab.boosting, "iterate", None)
+    config = BoostingConfig(nu=1.0, max_iterations=3, residual_stop=0.0)
+    with pytest.raises(ValueError, match=r"^S must be empty when truth is None$"):
+        boosting_trajectory(inst9.X, inst9.Y, config, None, (99,))
+
+
 @pytest.mark.parametrize("S, message", [
     ((99,), r"^S must hold indices in \[0, 9\], got \(99,\)$"),
     ((0, 0), r"^S repeats an index: \(0, 0\)$"),
@@ -334,14 +342,14 @@ REPRODUCE_LARGE = {
 @pytest.mark.parametrize("c, nu", sorted(REPRODUCE_LARGE), ids=["n25", "n49"])
 def test_cli_reproduce_large_artifact_digests(tmp_path, capsys, monkeypatch, c, nu):
     sweeps, expected = REPRODUCE_LARGE[c, nu]
-    solve, points = LASSO.lasso, []
+    solve, points = LASSO._descend, []
 
-    def counted(*args, **kwargs):
-        points.append(solve(*args, **kwargs))
+    def counted(*args):
+        points.append(solve(*args))
         return points[-1]
 
-    # lasso_path looks LASSO.lasso up per point, so the wrapper sees every solve
-    monkeypatch.setattr(LASSO, "lasso", counted)
+    # lasso_path looks LASSO._descend up per point, so the wrapper sees every solve
+    monkeypatch.setattr(LASSO, "_descend", counted)
     out = tmp_path / "out"
     argv = ["reproduce", "--c", c, "--nu", nu, "--iters", "2000", "--out", str(out)]
     assert main(argv) == 0
@@ -610,6 +618,10 @@ def _address_space_cap():
         (["reproduce", "--c", "1", "--window", "5"], 2),
         (["reproduce", "--c", "1", "--seed", "-1"], 2),
         (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--seed", "-1"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--seed", "-1"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--c", "-1"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--samples", "0"], 2),
+        (CERTIFY + ["X.txt", "--property", "re", "--t", "2", "--budget", "0"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "0"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "-1e-8"], 2),
         (CERTIFY + ["X.txt", "--property", "rn_uniform", "--t", "1", "--c", "0"], 2),
@@ -655,6 +667,10 @@ def _address_space_cap():
         "window-unrecognized",
         "reproduce-seed-negative",
         "re-seed-negative",
+        "spark-seed-negative",
+        "spark-c-negative",
+        "spark-samples-0",
+        "re-budget-0",
         "lambda-min-factor-0",
         "lambda-min-factor-negative",
         "rn-uniform-c-0",
@@ -704,8 +720,12 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
         assert lines[0].startswith(f"error: c = {c!r} "), proc.stderr
         if c < 1e300:
             assert " n = " in lines[0] and " p = " in lines[0], proc.stderr
-    # a retired flag is unrecognized, and a bad seed is refused by name
-    named = {"--window": "error: unrecognized arguments: --window 5",
-             "--seed": "error: seed must be at least 0, got -1"}
-    if argv[-2] in named:
-        assert lines[0] == named[argv[-2]], proc.stderr
+    # a retired flag is unrecognized, and a bad value is refused by name,
+    # whichever property reads it
+    named = {("--window", "5"): "error: unrecognized arguments: --window 5",
+             ("--seed", "-1"): "error: seed must be at least 0, got -1",
+             ("--c", "-1"): "error: c must be positive and finite, got -1.0",
+             ("--samples", "0"): "error: samples must be at least 1, got 0",
+             ("--budget", "0"): "error: enumeration_budget must be at least 1, got 0"}
+    if tuple(argv[-2:]) in named:
+        assert lines[0] == named[tuple(argv[-2:])], proc.stderr
