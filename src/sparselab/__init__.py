@@ -44,7 +44,7 @@ from .lasso import (
     lasso,
     lasso_path,
 )
-from .linalg import lq_norm, nullspace
+from .linalg import nullspace
 from .properties import (
     BudgetExceeded,
     REEstimate,
@@ -94,7 +94,6 @@ __all__ = [
     "lambda_max",
     "lasso",
     "lasso_path",
-    "lq_norm",
     "nullspace",
     "re_upper_bound",
     "read_matrix",

@@ -25,7 +25,7 @@ from . import properties, report
 from .boosting import BoostingConfig, thin
 from .counterexample import construct
 from .lasso import KKT_TOLERANCE, lasso_path
-from .linalg import integer, nullspace, positive
+from .linalg import design, integer, nullspace, positive
 
 
 def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
@@ -105,6 +105,10 @@ def _certificate(args) -> dict:
     integer("seed", args.seed, 0)
     integer("enumeration_budget", args.budget, 1)
     X = files.read_matrix(args.matrix)
+    for flag, low in (("t", 1), ("s", 0)):
+        if getattr(args, flag) is not None:
+            integer(flag, getattr(args, flag), low, X.shape[1])
+    Y = None if args.y is None else design(X, files.read_vector(args.y))[1]
     name = args.property
     params: dict = {"matrix": args.matrix}
     if name in ("rn", "rn_uniform", "re", "rip") and args.t is None:
@@ -126,9 +130,8 @@ def _certificate(args) -> dict:
     elif name == "spark":
         result = properties.spark(X, args.budget)
     elif name == "unique_sparsest":
-        if args.y is None or args.s is None:
+        if Y is None or args.s is None:
             raise ValueError("property unique_sparsest requires --y and --s")
-        Y = files.read_vector(args.y)
         params.update({"y": args.y, "s": args.s})
         result = properties.unique_sparsest(X, Y, args.s, args.budget)
     else:

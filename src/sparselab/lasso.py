@@ -52,7 +52,6 @@ from .linalg import (
     column_sq,
     design,
     least_squares_batch,
-    lq_norm,
     positive,
 )
 
@@ -292,7 +291,8 @@ def basis_pursuit(X, Y, lambda_min: float) -> np.ndarray:
     support = np.flatnonzero(np.abs(terminal) > SUPPORT_THRESHOLD * peak)
     polished = np.zeros(X.shape[1])
     polished[support] = least_squares_batch(X, Y, support[None, :])[0][0]
-    if lq_norm(Y - X @ polished, 2) > EXACT_FIT_RTOL * lq_norm(Y, 2):
+    gap = Y - X @ polished
+    if math.sqrt(gap.dot(gap)) > EXACT_FIT_RTOL * math.sqrt(Y.dot(Y)):
         raise RuntimeError(
             "terminal path solution did not reach a feasible interpolant; "
             "decrease lambda_min"

@@ -94,22 +94,6 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def lq_norm(v, q) -> float:
-    """l_q norm of a vector for q in {1, 2, inf}."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if v.size == 0:
-        return 0.0
-    if q == 1:
-        return float(np.abs(v).sum())
-    if q == 2:
-        return float(math.sqrt(np.dot(v, v)))
-    if q == math.inf:
-        return float(np.max(np.abs(v)))
-    raise ValueError(f"unsupported norm order {q!r}; use 1, 2 or math.inf")
-
-
 def _rref(X: np.ndarray):
     """Reduced row echelon form with partial pivoting.
 
@@ -177,12 +161,14 @@ def nullspace(X) -> np.ndarray:
         basis.append(v)
     scale = float(np.max(np.abs(X))) if X.size else 0.0
     for v in basis:
-        resid = lq_norm(X @ v, 2)
+        Xv = X @ v
+        resid = math.sqrt(Xv.dot(Xv))
+        tol = DEFAULT_RANK_TOL * math.sqrt(v.dot(v)) * scale
         # a nan residual fails too
-        if not resid <= DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:
+        if not resid <= tol:
             raise RuntimeError(
                 f"nullspace vector fails the residual check: ||Xv|| = {resid:.3e} "
-                f"against tolerance {DEFAULT_RANK_TOL * lq_norm(v, 2) * scale:.3e}"
+                f"against tolerance {tol:.3e}"
             )
     # C order (column_stack's) keeps products such as B @ V on one BLAS path
     return np.column_stack(basis) if basis else np.zeros((p, 0))
@@ -204,9 +190,8 @@ def least_squares_batch(X, Y, supports) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Parameters
     ----------
-    X : array_like, shape (n, p)
-    Y : array_like, shape (n,)
-    supports : integer array, shape (m, k)
+    X, Y : ndarray, shapes (n, p) and (n,), as ``design`` returns them
+    supports : integer ndarray, shape (m, k)
         One support per row; the caller guarantees valid, unique indices.
 
     Returns
@@ -218,15 +203,12 @@ def least_squares_batch(X, Y, supports) -> tuple[np.ndarray, np.ndarray, np.ndar
         largest absolute entry; it gets the minimum-norm solution, every
         other support the solution of its normal equations.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    supports = np.asarray(supports, dtype=np.intp)
     n = X.shape[0]
     m, k = supports.shape
     if k > n:
         raise ValueError(f"support size {k} exceeds the number of rows {n}")
     if k == 0:
-        return np.zeros((m, 0)), np.full(m, lq_norm(Y, 2)), np.zeros(m, dtype=bool)
+        return np.zeros((m, 0)), np.full(m, math.sqrt(Y.dot(Y))), np.zeros(m, dtype=bool)
     A = submatrices(X, supports)
     At = A.swapaxes(1, 2)
     G = At @ A

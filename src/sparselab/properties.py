@@ -31,7 +31,6 @@ from .linalg import (
     design,
     integer,
     least_squares_batch,
-    lq_norm,
     nullspace,
     positive,
     submatrices,
@@ -159,10 +158,12 @@ def _split(mags: np.ndarray, mask: np.ndarray):
 def cone_split(delta, T):
     """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T, by
     the rule of ``_split``, over delta's last axis.  delta must be a
-    finite vector or stack of vectors."""
+    finite, non-empty vector or stack of vectors."""
     mags = np.abs(np.asarray(delta, dtype=float))
     if mags.ndim == 0 or not np.isfinite(mags).all():
         raise ValueError("delta must be a finite vector or stack of vectors")
+    if not mags.shape[-1]:
+        raise ValueError("delta must be non-empty")
     return _split(mags, _mask("T", T, mags.shape[-1]))
 
 
@@ -172,9 +173,11 @@ def _in_closed_cone(on: float, off: float, c: float) -> bool:
 
 
 def in_cone(b, T, c: float) -> bool:
-    """Exact membership of the finite vector b in the cone of support T and
-    constant c, no tolerance: off-mass <= c * on-mass."""
+    """Exact membership of the finite, non-empty vector b in the cone of
+    support T and constant c, no tolerance: off-mass <= c * on-mass."""
     c = positive("c", c)
+    if not np.size(b):
+        raise ValueError("b must be non-empty")
     b = coefficients("b", b, np.size(b))
     on, off, _ = _split(np.abs(b), _mask("T", T, b.size))
     return _in_closed_cone(on, off, c)
@@ -511,7 +514,7 @@ def unique_sparsest(
     n, p = X.shape
     s = integer("s", s, 0, p)
     budget = _budget(enumeration_budget)
-    y_norm = lq_norm(Y, 2)
+    y_norm = math.sqrt(Y.dot(Y))
     if not math.isfinite(y_norm):
         raise ValueError("the norm of Y overflows; rescale Y")
     tol = EXACT_FIT_RTOL * y_norm

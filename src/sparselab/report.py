@@ -21,7 +21,7 @@ import numpy as np
 from . import boosting, properties
 from .counterexample import SparseInstance, construct
 from .lasso import lambda_max, lasso_path
-from .linalg import coefficients, design, integer, lq_norm, nullspace, positive
+from .linalg import coefficients, design, integer, nullspace, positive
 
 # l1 distance at or below this counts as recovery, for both solvers; it
 # sits far below the stall floor s so the two verdicts cannot blur.
@@ -130,7 +130,7 @@ def boosting_trajectory(
 def path_rows_from_points(points, truth, S) -> list[PathRow]:
     errors = _error_columns([point.beta for point in points], truth, S)
     return [
-        PathRow(point.lam, lq_norm(point.beta, 1), point.kkt, dist, ratio, on, off)
+        PathRow(point.lam, float(abs(point.beta).sum()), point.kkt, dist, ratio, on, off)
         for point, dist, on, off, ratio in zip(points, *errors)
     ]
 
@@ -162,10 +162,12 @@ def reproduce(
     certificates, extremes, verdicts and their expected values.
 
     The k = 0 error ratio is 0, so a sustained cone exit needs at least
-    CONE_WINDOW iterations; a shorter run is refused up front.  ``seed``
-    is only recorded in report.json.
+    CONE_WINDOW iterations; a shorter run, like a lambda_min_factor of 1
+    or more, is refused up front.  ``seed`` is only recorded in report.json.
     """
     lambda_min_factor = positive("lambda_min_factor", lambda_min_factor)
+    if lambda_min_factor >= 1.0:
+        raise ValueError(f"lambda_min_factor must lie below 1, got {lambda_min_factor!r}")
     iterations = integer("iterations", iterations, 0)
     seed = integer("seed", seed, 0)
     # residual_stop = 0 keeps the trajectory at full length; the matrix

@@ -117,6 +117,9 @@ CASES = [
      "lam must be positive and finite, got nan"),
     ("reproduce-factor-zero", lambda: reproduce(1.0, 1.0, 200, lambda_min_factor=0.0), ValueError,
      r"lambda_min_factor must be positive and finite, got 0\.0"),
+    # a terminal penalty at or above the path start is refused before any stage runs
+    ("reproduce-factor-one", lambda: reproduce(1.0, 1.0, 200, lambda_min_factor=1.0), ValueError,
+     r"lambda_min_factor must lie below 1, got 1\.0"),
     # constants are numbers: a bool or a string is not taken as one
     ("construct-c-string", lambda: construct("4"), ValueError, "c must be a number, got str"),
     ("construct-c-none", lambda: construct(None), ValueError, "c must be a number, got NoneType"),
@@ -226,7 +229,7 @@ CASES = [
     # the nullspace basis, as nullspace returns it
     ("spark-from-design", lambda: spark_from_nullspace(X), ValueError,
      r"the nullspace basis has 3 columns in dimension 2; pass nullspace\(X\), not X"),
-    # the vectors of the cone split: finite, and for in_cone one vector
+    # the vectors of the cone split: finite, non-empty, and for in_cone one vector
     ("in-cone-inf", lambda: in_cone([math.inf, 1.0], (0,), 1.0), ValueError,
      "b must be finite"),
     ("in-cone-nan", lambda: in_cone([math.nan, 1.0], (0,), 1.0), ValueError,
@@ -241,6 +244,10 @@ CASES = [
      "delta must be a finite vector or stack of vectors"),
     ("cone-split-scalar", lambda: cone_split(1.0, (0,)), ValueError,
      "delta must be a finite vector or stack of vectors"),
+    ("in-cone-empty", lambda: in_cone([], (0,), 1.0), ValueError, "b must be non-empty"),
+    ("cone-split-empty", lambda: cone_split([], (0,)), ValueError, "delta must be non-empty"),
+    ("cone-split-empty-rows", lambda: cone_split(np.zeros((2, 0)), (0,)), ValueError,
+     "delta must be non-empty"),
     # the coefficient vector of the lasso's stationarity check
     ("kkt-b-shape", lambda: kkt_residual(X, Y, np.zeros(2), 1.0), ValueError,
      r"b has shape \(2,\), expected \(3,\)"),

@@ -41,7 +41,6 @@ EXPORTED = {
     "lambda_max",
     "lasso",
     "lasso_path",
-    "lq_norm",
     "nullspace",
     "re_upper_bound",
     "read_matrix",
@@ -77,10 +76,12 @@ def test_removed_names_are_not_exported():
         "column_norms",
         "initial_analytic_state",
         "least_squares_on_support",
+        "lq_norm",
         "re_lower_bound",
     ):
         assert name not in sparselab.__all__
         assert not hasattr(sparselab, name)
+    assert not hasattr(sparselab.linalg, "lq_norm")
 
 
 # Every public settable value: a defaulted parameter of an exported

@@ -622,6 +622,12 @@ def _address_space_cap():
         (CERTIFY + ["X.txt", "--property", "spark", "--c", "-1"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--samples", "0"], 2),
         (CERTIFY + ["X.txt", "--property", "re", "--t", "2", "--budget", "0"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--t", "-5"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--s", "-3"], 2),
+        (CERTIFY + ["X.txt", "--property", "spark", "--y", "nonexistent.txt"], 2),
+        (CERTIFY + ["X.txt", "--property", "rip", "--t", "2", "--s", "-1"], 2),
+        (CERTIFY + ["X.txt", "--property", "rn", "--t", "9"], 2),
+        (["reproduce", "--c", "6", "--lambda-min-factor", "1"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "0"], 2),
         (["reproduce", "--c", "1", "--lambda-min-factor", "-1e-8"], 2),
         (CERTIFY + ["X.txt", "--property", "rn_uniform", "--t", "1", "--c", "0"], 2),
@@ -671,6 +677,12 @@ def _address_space_cap():
         "spark-c-negative",
         "spark-samples-0",
         "re-budget-0",
+        "spark-t-negative",
+        "spark-s-negative",
+        "spark-y-missing",
+        "rip-s-negative",
+        "rn-t-above-p",
+        "lambda-min-factor-1",
         "lambda-min-factor-0",
         "lambda-min-factor-negative",
         "rn-uniform-c-0",
@@ -726,6 +738,13 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
              ("--seed", "-1"): "error: seed must be at least 0, got -1",
              ("--c", "-1"): "error: c must be positive and finite, got -1.0",
              ("--samples", "0"): "error: samples must be at least 1, got 0",
-             ("--budget", "0"): "error: enumeration_budget must be at least 1, got 0"}
+             ("--budget", "0"): "error: enumeration_budget must be at least 1, got 0",
+             ("--t", "-5"): "error: t must lie in [1, 3], got -5",
+             ("--t", "9"): "error: t must lie in [1, 3], got 9",
+             ("--s", "-3"): "error: s must lie in [0, 3], got -3",
+             ("--s", "-1"): "error: s must lie in [0, 3], got -1",
+             ("--y", "nonexistent.txt"):
+                 "error: [Errno 2] No such file or directory: 'nonexistent.txt'",
+             ("--lambda-min-factor", "1"): "error: lambda_min_factor must lie below 1, got 1.0"}
     if tuple(argv[-2:]) in named:
         assert lines[0] == named[tuple(argv[-2:])], proc.stderr
