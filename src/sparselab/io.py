@@ -46,6 +46,13 @@ def write_matrix(path: str, X) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _number(path: str, token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"{path}: entry {token!r} is not a number") from None
+
+
 def _finite(path: str, values: np.ndarray) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -60,7 +67,7 @@ def read_matrix(path: str) -> np.ndarray:
         if len(header) != 2 or not all(tok.isdigit() and int(tok) > 0 for tok in header):
             raise ValueError(f"{path}: first line must be 'n p' with n, p >= 1, got {header!r}")
         n, p = int(header[0]), int(header[1])
-        values = [float(tok) for tok in handle.read().split()]
+        values = [_number(path, tok) for tok in handle.read().split()]
     if len(values) != n * p:
         raise ValueError(
             f"{path}: expected {n * p} entries for a {n} x {p} matrix, "
@@ -80,7 +87,7 @@ def write_vector(path: str, v) -> None:
 def read_vector(path: str) -> np.ndarray:
     """Inverse of write_vector; empty or non-finite input is a ValueError."""
     with open(path, "r") as handle:
-        values = np.array([float(tok) for tok in handle.read().split()])
+        values = np.array([_number(path, tok) for tok in handle.read().split()])
     if values.size == 0:
         raise ValueError(f"{path}: the vector has no entries")
     return _finite(path, values)

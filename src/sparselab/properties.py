@@ -4,8 +4,8 @@ Cone membership, restricted nullspace and its uniform variant (both exact
 in every nullspace dimension: decided at the extreme rays of the
 nullspace's coordinate arrangement), sampled restricted-eigenvalue upper
 bounds, restricted isometry constants by subset enumeration, spark, and
-sparsest-solution uniqueness.  The nullspace certifiers take the
-nullspace alone, as the (p, d) basis array of ``linalg.nullspace``.
+sparsest-solution uniqueness.  Every certifier takes the design X; the
+nullspace certifiers compute ``nullspace(X)`` themselves.
 Every l1 mass on and off a support comes from ``_split``, which each
 public entry reaches after checking its own input once.
 Enumerating operations take an explicit subset budget and refuse loudly
@@ -183,30 +183,6 @@ def in_cone(b, T, c: float) -> bool:
     return _in_closed_cone(on, off, c)
 
 
-def _basis_shape(ns) -> tuple[int, int]:
-    """(p, d) of a nullspace basis as ``linalg.nullspace`` returns it: a
-    finite (p, d) array, d <= p, each column ending in a last nonzero
-    coordinate of exactly 1.  Anything else is refused with a one-line
-    ValueError."""
-    if not isinstance(ns, np.ndarray) or ns.ndim != 2:
-        raise ValueError(f"the nullspace basis must be a (p, d) array, got {np.shape(ns)}")
-    p, d = ns.shape
-    if d > p:
-        raise ValueError(
-            f"the nullspace basis has {d} columns in dimension {p}; pass nullspace(X), not X"
-        )
-    if not np.isfinite(ns).all():
-        raise ValueError("the nullspace basis must be finite")
-    nonzero = ns != 0.0
-    last = p - 1 - nonzero[::-1].argmax(axis=0) if d else []
-    if not (nonzero.any(axis=0).all() and (ns[last, np.arange(d)] == 1.0).all()):
-        raise ValueError(
-            "each nullspace basis column must end in a last nonzero coordinate of 1, "
-            "as nullspace(X) returns them"
-        )
-    return p, d
-
-
 def _rays(ns: np.ndarray, budget: int):
     """The extreme rays r = ns v of the arrangement {v : (ns v)_i = 0}, one
     of each pair +-r, in combination order.  On each cell the cone test
@@ -232,20 +208,17 @@ def _rays(ns: np.ndarray, budget: int):
         yield from vh[full, -1] @ ns.T
 
 
-def rn_check(
-    ns: np.ndarray, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET
-) -> RNVerdict:
-    """Does the nullspace, the (p, d) basis ``ns``, meet the cone of
-    support T and constant c only at zero?
+def rn_check(X, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET) -> RNVerdict:
+    """Does the nullspace of X meet the cone of support T and constant c
+    only at zero?
 
     Exactly when no ray of ``_rays`` lies in the closed cone (``in_cone``);
     a trivial nullspace holds vacuously."""
-    p, _ = _basis_shape(ns)
+    mask = _mask("T", T, design(X).shape[1])
     c = positive("c", c)
     budget = _budget(enumeration_budget)
-    mask = _mask("T", T, p)
     critical, witness = math.inf, None
-    for r in _rays(ns, budget):
+    for r in _rays(nullspace(X), budget):
         on, off, ratio = _split(np.abs(r), mask)
         critical = min(critical, ratio)
         if witness is None and _in_closed_cone(on, off, c):
@@ -254,20 +227,20 @@ def rn_check(
 
 
 def rn_uniform(
-    ns: np.ndarray, t: int, c: float, enumeration_budget: int = ENUMERATION_BUDGET
+    X, t: int, c: float, enumeration_budget: int = ENUMERATION_BUDGET
 ) -> RNUniformResult:
-    """Uniform variant: the cone condition over every support of size t.
+    """Uniform variant of ``rn_check``: the cone of every support of size t.
 
     Size-t supports suffice because growing T only makes the condition
     harder, and on a ray r the worst of them is the t largest |r_i|
     (stable order on ties).  So each ray of ``_rays`` is tested against
     its own worst support, and the budget counts rays, not supports."""
-    p, _ = _basis_shape(ns)
+    p = design(X).shape[1]
     c = positive("c", c)
     t = integer("t", t, 1, p)
     budget = _budget(enumeration_budget)
     holds, worst_T, critical = True, (), math.inf
-    for r in _rays(ns, budget):
+    for r in _rays(nullspace(X), budget):
         mags = np.abs(r)
         worst = np.zeros(p, dtype=bool)
         worst[np.argsort(-mags, kind="stable")[:t]] = True
@@ -338,8 +311,9 @@ def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIP
             f"restricted isometry scan over {total} subsets of size {t} "
             f"exceeds the budget of {budget}"
         )
-    if not np.isfinite(X.T @ X).all():
-        raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(X.T @ X).all():
+            raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
     delta = 0.0
     extremal: tuple[int, ...] = ()
     for block in _blocks(p, t):
@@ -407,9 +381,7 @@ def rip_implies_rn_test(n: int, trials: int, t: int, seed: int = 0) -> dict:
         if result.delta_t < 1.0 / 3.0:
             applicable += 1
             counts[family]["applicable"] += 1
-            holds, _, _ = rn_uniform(nullspace(X), t, 1.0)
-            if not holds:
-                violations += 1
+            violations += not rn_uniform(X, t, 1.0).holds
         else:
             vacuous += 1
     return {
@@ -469,16 +441,17 @@ def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificat
     )
 
 
-def spark_from_nullspace(ns: np.ndarray) -> SparsityCertificate | None:
-    """Exact spark without enumeration in two easy regimes.
+def spark_from_nullspace(X) -> SparsityCertificate | None:
+    """Exact spark of X without enumeration, read off ``nullspace(X)`` in
+    two easy regimes.
 
-    ``ns`` is the (p, d) nullspace basis.  A trivial nullspace means no
-    dependent subset exists at all; a one-dimensional nullspace whose
-    spanning vector has no zero entry forces every proper column subset to
-    be independent, so the spark is exactly p.  Anything else returns None
-    (inconclusive).
+    A trivial nullspace means no dependent subset exists at all; a
+    one-dimensional nullspace whose spanning vector has no zero entry
+    forces every proper column subset to be independent, so the spark is
+    exactly p.  Anything else returns None (inconclusive).
     """
-    p, d = _basis_shape(ns)
+    ns = nullspace(X)
+    p, d = ns.shape
     if d == 0:
         return SparsityCertificate(
             spark=None,
@@ -514,10 +487,14 @@ def unique_sparsest(
     n, p = X.shape
     s = integer("s", s, 0, p)
     budget = _budget(enumeration_budget)
-    y_norm = math.sqrt(Y.dot(Y))
-    if not math.isfinite(y_norm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_sq = Y.dot(Y)
+    if not math.isfinite(y_sq):
         raise ValueError("the norm of Y overflows; rescale Y")
-    tol = EXACT_FIT_RTOL * y_norm
+    # below the least normal float the tolerance and the residuals lose their digits
+    if y_sq < np.finfo(float).tiny and Y.any():
+        raise ValueError("the norm of Y underflows; rescale Y")
+    tol = EXACT_FIT_RTOL * math.sqrt(y_sq)
     tested = 0
     for size in range(0, min(s, n) + 1):
         if tested + math.comb(p, size) > budget:

@@ -21,7 +21,8 @@ import numpy as np
 from . import boosting, properties
 from .counterexample import SparseInstance, construct
 from .lasso import lambda_max, lasso_path
-from .linalg import coefficients, design, integer, nullspace, positive
+from .linalg import coefficients, design, integer, positive
+from .linalg import nullspace  # unused: sparsebench's tracer wraps report.nullspace
 
 # l1 distance at or below this counts as recovery, for both solvers; it
 # sits far below the stall floor s so the two verdicts cannot blur.
@@ -183,8 +184,7 @@ def reproduce(
             "no sustained cone exit can fit"
         )
     inst = construct(c)
-    ns = nullspace(inst.X)
-    rn_holds, _, critical_c = properties.rn_uniform(ns, inst.s, c)
+    rn_holds, _, critical_c = properties.rn_uniform(inst.X, inst.s, c)
 
     if inst.n <= 25:
         fit = properties.unique_sparsest(inst.X, inst.Y, inst.s)
@@ -197,7 +197,7 @@ def reproduce(
             "ok": fit.unique and fit.support == inst.S,
         }
     else:
-        cert = properties.spark_from_nullspace(ns)
+        cert = properties.spark_from_nullspace(inst.X)
         spark_ok = cert is not None and cert.spark is not None and inst.s < cert.spark / 2
         uniqueness = {
             "method": "nullspace-rank",

@@ -190,7 +190,7 @@ def test_criterion_05_l1_recovery(deep_paths, inst9, inst25):
 def test_criterion_06_uniform_cone_constant(inst25):
     with _criterion(6, "uniform cone certification") as failures:
         ns = nullspace(inst25.X)
-        _, _, crit_fast = rn_uniform(ns, inst25.s, 4.0)
+        _, _, crit_fast = rn_uniform(inst25.X, inst25.s, 4.0)
         # the full scan: the least off/on ratio over every support of size s
         crit_slow = min(
             cone_split(ns[:, 0], T)[2]
@@ -199,8 +199,8 @@ def test_criterion_06_uniform_cone_constant(inst25):
         for name, crit in (("closed form", crit_fast), ("enumeration", crit_slow)):
             if abs(crit - 4.2) > 1e-12:
                 failures.append(f"{name} critical constant {crit!r} is not 21/5")
-        holding = rn_check(ns, inst25.S, 4.0)
-        failing = rn_check(ns, inst25.S, 5.0)
+        holding = rn_check(inst25.X, inst25.S, 4.0)
+        failing = rn_check(inst25.X, inst25.S, 5.0)
         if not holding.holds:
             failures.append("property should hold at c = 4")
         if failing.holds:

@@ -3,8 +3,8 @@
 Each row calls one entry with one bad argument.  The entry must raise
 the listed error with exactly the listed one-line message, which names
 the argument, and with no numpy warning first: a ValueError for a bad
-design, response, constant, count, support, step or basis, and
-BudgetExceeded for an enumeration budget too small for the scan.
+design, response, constant, count, support or step, and BudgetExceeded
+for an enumeration budget too small for the scan.
 """
 
 import math
@@ -48,13 +48,12 @@ from sparselab.report import detect_cone_exit
 # a 2 x 3 design whose nullspace is the ray (-1, -1, 1)
 X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 Y = np.array([1.0, 2.0])
-NS = nullspace(X)
 NAN_X = np.where(X == 0.0, math.nan, X)
 INF_X = np.where(X == 0.0, math.inf, X)
 NAN_Y = np.array([1.0, math.nan])
 # two orthogonal pairs of duplicated columns: a two-dimensional nullspace
 # with C(4, 1) = 4 candidate rays
-NS_PLANE = nullspace([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+X_PLANE = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
 INST = construct(1.0)
 START = AnalyticState(np.zeros(INST.n - INST.s), 0.0, 0)
 CONFIG = BoostingConfig()
@@ -78,6 +77,14 @@ CASES = [
     ),
     ("spark-nan", lambda: spark(NAN_X), ValueError, "X must be finite"),
     ("spark-vector", lambda: spark(np.ones(3)), ValueError, SHAPES_1D),
+    ("rn-check-nan", lambda: rn_check(NAN_X, (0,), 1.0), ValueError, "X must be finite"),
+    ("rn-check-vector", lambda: rn_check(np.ones(3), (0,), 1.0), ValueError, SHAPES_1D),
+    ("rn-uniform-nan", lambda: rn_uniform(NAN_X, 1, 1.0), ValueError, "X must be finite"),
+    ("rn-uniform-vector", lambda: rn_uniform(np.ones(3), 1, 1.0), ValueError, SHAPES_1D),
+    ("spark-from-nullspace-nan", lambda: spark_from_nullspace(NAN_X), ValueError,
+     "X must be finite"),
+    ("spark-from-nullspace-vector", lambda: spark_from_nullspace(np.ones(3)), ValueError,
+     SHAPES_1D),
     ("rip-nan", lambda: rip_constant(NAN_X, 1), ValueError, "X must be finite"),
     ("rip-vector", lambda: rip_constant(np.ones(3), 1), ValueError, SHAPES_1D),
     ("re-nan", lambda: re_upper_bound(NAN_X, (0,), 1.0, 10), ValueError, "X must be finite"),
@@ -93,6 +100,15 @@ CASES = [
      r"incompatible shapes: X \(3, 3\), Y \(4,\); "
      "X must be a matrix with at least one column and a row per entry of Y"),
     ("unique-nan-y", lambda: unique_sparsest(X, NAN_Y, 1), ValueError, "Y must be finite"),
+    # finite input whose squares leave float64: refused by the entry's own
+    # check, with no numpy warning before it
+    ("rip-gram-overflow", lambda: rip_constant([[1, 0, 1e200], [0, 1, 1]], 2), ValueError,
+     "the Gram matrix X'X overflows; rescale the columns of X"),
+    ("unique-y-overflow", lambda: unique_sparsest(X, [1e300, 2], 2), ValueError,
+     "the norm of Y overflows; rescale Y"),
+    # a nonzero Y whose squared norm is below the least normal float
+    ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,
+     "the norm of Y underflows; rescale Y"),
     ("run-long-y", lambda: run(X, np.ones(3), CONFIG), ValueError, SHAPES_XY),
     ("correlations-long-y", lambda: correlations(X, np.ones(3)), ValueError, SHAPES_XY),
     ("basis-pursuit-long-y", lambda: basis_pursuit(X, np.ones(3), 1e-3), ValueError, SHAPES_XY),
@@ -103,9 +119,9 @@ CASES = [
     ("correlations-zero-column", lambda: correlations([[1.0, 0.0], [0.0, 0.0]], Y),
      ValueError, "column 1 has zero norm"),
     # constants: positive and finite
-    ("rn-check-c-nan", lambda: rn_check(NS, (0,), math.nan), ValueError,
+    ("rn-check-c-nan", lambda: rn_check(X, (0,), math.nan), ValueError,
      "c must be positive and finite, got nan"),
-    ("rn-uniform-c-zero", lambda: rn_uniform(NS, 1, 0.0), ValueError,
+    ("rn-uniform-c-zero", lambda: rn_uniform(X, 1, 0.0), ValueError,
      r"c must be positive and finite, got 0\.0"),
     ("in-cone-c-inf", lambda: in_cone([1.0, 1.0], (0,), math.inf), ValueError,
      "c must be positive and finite, got inf"),
@@ -127,12 +143,12 @@ CASES = [
      "lam must be a number, got bool"),
     ("lasso-path-numpy-bool", lambda: lasso_path(X, Y, np.True_), ValueError,
      "lambda_min must be a number, got bool"),
-    ("rn-uniform-c-string", lambda: rn_uniform(NS, 1, "1.5"), ValueError,
+    ("rn-uniform-c-string", lambda: rn_uniform(X, 1, "1.5"), ValueError,
      "c must be a number, got str"),
     # counts: integers in range
-    ("rn-uniform-t-zero", lambda: rn_uniform(NS, 0, 1.0), ValueError,
+    ("rn-uniform-t-zero", lambda: rn_uniform(X, 0, 1.0), ValueError,
      r"t must lie in \[1, 3\], got 0"),
-    ("rn-uniform-t-float", lambda: rn_uniform(NS, 1.0, 1.0), ValueError,
+    ("rn-uniform-t-float", lambda: rn_uniform(X, 1.0, 1.0), ValueError,
      "t must be an integer, got float"),
     ("rip-t-too-large", lambda: rip_constant(X, 4), ValueError, r"t must lie in \[1, 3\], got 4"),
     ("rip-t-bool", lambda: rip_constant(X, True), ValueError, "t must be an integer, got bool"),
@@ -175,19 +191,22 @@ CASES = [
      "enumeration_budget must be an integer, got float"),
     ("unique-budget-none", lambda: unique_sparsest(X, Y, 1, None), ValueError,
      "enumeration_budget must be an integer, got NoneType"),
-    ("rn-check-budget-zero", lambda: rn_check(NS, (0,), 1.0, 0), ValueError,
+    ("rn-check-budget-zero", lambda: rn_check(X, (0,), 1.0, 0), ValueError,
      "enumeration_budget must be at least 1, got 0"),
+    # a basis in the place of the budget
+    ("rn-uniform-budget-array", lambda: rn_uniform(np.eye(4), 2, 1.0, nullspace(np.eye(4))),
+     ValueError, "enumeration_budget must be an integer, got ndarray"),
     ("rip-budget-small", lambda: rip_constant(X, 2, 2), BudgetExceeded,
      "restricted isometry scan over 3 subsets of size 2 exceeds the budget of 2"),
     ("unique-budget-small", lambda: unique_sparsest(X, Y, 2, 1), BudgetExceeded,
      "sparsest-solution scan exceeds the budget of 1 at size 1"),
-    ("rn-check-budget-small", lambda: rn_check(NS_PLANE, (0,), 1.0, 3), BudgetExceeded,
+    ("rn-check-budget-small", lambda: rn_check(X_PLANE, (0,), 1.0, 3), BudgetExceeded,
      r"cone check over 4 candidate rays \(1-row subsets\) exceeds the budget of 3"),
     # the support T: non-empty, distinct, in range
     ("in-cone-T-empty", lambda: in_cone([1.0, 1.0], (), 1.0), ValueError, "T must be non-empty"),
-    ("rn-check-T-repeated", lambda: rn_check(NS, (0, 0), 1.0), ValueError,
+    ("rn-check-T-repeated", lambda: rn_check(X, (0, 0), 1.0), ValueError,
      r"T repeats an index: \(0, 0\)"),
-    ("rn-check-T-too-large", lambda: rn_check(NS, (3,), 1.0), ValueError,
+    ("rn-check-T-too-large", lambda: rn_check(X, (3,), 1.0), ValueError,
      r"T must hold indices in \[0, 2\], got \(3,\)"),
     ("re-T-negative", lambda: re_upper_bound(X, (-1,), 1.0, 10), ValueError,
      r"T must hold indices in \[0, 2\], got \(-1,\)"),
@@ -226,9 +245,6 @@ CASES = [
     ("reproduce-nu", lambda: reproduce(1.0, 2.0, 200), ValueError,
      r"nu must lie in \(0, 1\], got 2\.0"),
     ("select-index-empty", lambda: select_index([]), ValueError, "rho must be a non-empty vector"),
-    # the nullspace basis, as nullspace returns it
-    ("spark-from-design", lambda: spark_from_nullspace(X), ValueError,
-     r"the nullspace basis has 3 columns in dimension 2; pass nullspace\(X\), not X"),
     # the vectors of the cone split: finite, non-empty, and for in_cone one vector
     ("in-cone-inf", lambda: in_cone([math.inf, 1.0], (0,), 1.0), ValueError,
      "b must be finite"),

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 
 import sparselab
@@ -121,3 +122,27 @@ def test_public_settable_values_are_pinned():
                 if name.endswith("Config") or field.default is not dataclasses.MISSING
             }
     assert found == SETTABLE
+
+
+# The module attributes that sparsebench/worker.py's tracer (``instrument``
+# and ``cmd_cli``) wraps by name; a traced benchmark run fails on a missing
+# one.  ``report.nullspace`` and ``cli.nullspace`` are wrapped although
+# neither module calls them.
+TRACED = {
+    "report": ("construct", "nullspace", "lasso_path", "reproduce", "boosting_trajectory"),
+    "cli": ("construct", "nullspace", "lasso_path", "main"),
+    "counterexample": ("construct", "equivalence_check"),
+    "boosting": ("run",),
+    "properties": (
+        "unique_sparsest", "spark", "rip_constant", "rn_uniform", "spark_from_nullspace",
+    ),
+    "io": (
+        "write_matrix", "write_vector", "write_csv", "write_json", "read_matrix", "read_vector",
+    ),
+}
+
+
+def test_attributes_the_benchmark_tracer_wraps_exist():
+    for module, names in TRACED.items():
+        owner = importlib.import_module(f"sparselab.{module}")
+        assert [name for name in names if not callable(getattr(owner, name, None))] == []

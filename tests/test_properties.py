@@ -53,9 +53,8 @@ def test_in_cone_scale_invariance():
 
 
 def test_rn_check_exact_on_construction(inst25):
-    ns = nullspace(inst25.X)
-    holds = rn_check(ns, inst25.S, 4.0)
-    fails = rn_check(ns, inst25.S, 5.0)
+    holds = rn_check(inst25.X, inst25.S, 4.0)
+    fails = rn_check(inst25.X, inst25.S, 5.0)
     assert holds.holds and holds.witness is None
     assert abs(holds.critical_c - 4.2) <= 1e-12
     assert not fails.holds
@@ -65,26 +64,24 @@ def test_rn_check_exact_on_construction(inst25):
 
 
 def test_rn_check_smaller_instance(inst9):
-    ns = nullspace(inst9.X)
-    verdict = rn_check(ns, inst9.S, 2.0)
+    verdict = rn_check(inst9.X, inst9.S, 2.0)
     assert verdict.holds
     assert verdict.critical_c == pytest.approx(7.0 / 3.0, abs=1e-12)
     # at the critical constant the ray sits inside the (closed) cone
-    at_boundary = rn_check(ns, inst9.S, 7.0 / 3.0)
+    at_boundary = rn_check(inst9.X, inst9.S, 7.0 / 3.0)
     assert not at_boundary.holds
 
 
 def test_rn_check_trivial_nullspace():
-    verdict = rn_check(nullspace(np.eye(3)), (0,), 1.0)
+    verdict = rn_check(np.eye(3), (0,), 1.0)
     assert verdict.holds
     assert verdict.critical_c == math.inf
 
 
 def test_rn_check_multidimensional_finds_interior_witness():
     # the ray (1, 0, -1, 0) carries all its mass on T = {0, 2}
-    ns = nullspace(X_DUP_PAIRS)
-    assert ns.shape == (4, 2)
-    verdict = rn_check(ns, (0, 2), 1.0)
+    assert nullspace(X_DUP_PAIRS).shape == (4, 2)
+    verdict = rn_check(X_DUP_PAIRS, (0, 2), 1.0)
     assert not verdict.holds
     assert verdict.critical_c == 0.0
     w = verdict.witness
@@ -96,34 +93,32 @@ def test_rn_check_multidimensional_holds_case():
     # every nullspace vector (a, b, -a, -b) splits its mass evenly over
     # T = {0, 1}, so no witness exists below c = 1, and at c = 1 the
     # closed cone takes every ray
-    ns = nullspace(X_DUP_PAIRS)
-    verdict = rn_check(ns, (0, 1), 0.5)
+    verdict = rn_check(X_DUP_PAIRS, (0, 1), 0.5)
     assert verdict.holds and verdict.witness is None
     assert verdict.critical_c == 1.0
-    at_boundary = rn_check(ns, (0, 1), 1.0)
+    at_boundary = rn_check(X_DUP_PAIRS, (0, 1), 1.0)
     assert not at_boundary.holds
     assert in_cone(at_boundary.witness, (0, 1), 1.0)
 
 
-def _rn_uniform_by_scan(ns, t, c):
+def _rn_uniform_by_scan(X, t, c):
     """The one-dimensional uniform check by enumeration: the first support
     of least ratio, as a strict scan finds it, decided by rn_check."""
-    z = ns[:, 0]
+    z = nullspace(X)[:, 0]
     worst_T = min(
         itertools.combinations(range(z.size), t),
         key=lambda T: cone_split(z, T)[2],
     )
-    verdict = rn_check(ns, worst_T, c)
+    verdict = rn_check(X, worst_T, c)
     return verdict.holds, worst_T, verdict.critical_c
 
 
 def test_rn_uniform_closed_form_matches_enumeration(inst9):
-    ns = nullspace(inst9.X)
     # the ray is flat, so the worst support of size t is the first t
     # columns and the critical constant is (p - 1 - t) / t
     for t, crit in [(1, 9.0), (2, 4.0), (3, 7.0 / 3.0)]:
-        h_fast, T_fast, c_fast = rn_uniform(ns, t, 1.0)
-        h_slow, T_slow, c_slow = _rn_uniform_by_scan(ns, t, 1.0)
+        h_fast, T_fast, c_fast = rn_uniform(inst9.X, t, 1.0)
+        h_slow, T_slow, c_slow = _rn_uniform_by_scan(inst9.X, t, 1.0)
         assert h_fast and h_slow
         assert T_fast == T_slow == tuple(range(t))
         assert c_fast == pytest.approx(crit, abs=1e-12)
@@ -134,28 +129,26 @@ def test_rn_uniform_agrees_with_rn_check_at_the_critical_constant():
     # off / on rounds, so c = critical must be decided by the closed-cone
     # rule off <= c * on on both sides, not by comparing c with the ratio
     X = np.array([[9.0, 14.0]])
-    ns = nullspace(X)
-    critical = rn_uniform(ns, 1, 1.0)[2]
-    assert critical == rn_check(ns, (0,), 1.0).critical_c
+    critical = rn_uniform(X, 1, 1.0)[2]
+    assert critical == rn_check(X, (0,), 1.0).critical_c
     verdicts = []
     for c in (np.nextafter(critical, 0.0), critical, np.nextafter(critical, 2.0)):
         c = float(c)
-        expected = (rn_check(ns, (0,), c).holds, (0,), critical)
-        assert rn_uniform(ns, 1, c) == expected
-        assert _rn_uniform_by_scan(ns, 1, c) == expected
+        expected = (rn_check(X, (0,), c).holds, (0,), critical)
+        assert rn_uniform(X, 1, c) == expected
+        assert _rn_uniform_by_scan(X, 1, c) == expected
         verdicts.append(expected[0])
     # c * on rounds below off at c = critical, so the ray stays outside
     assert verdicts == [True, True, False]
 
 
 def test_rn_uniform_critical_decreases_with_support_size(inst9):
-    ns = nullspace(inst9.X)
-    crits = [rn_uniform(ns, t, 0.5)[2] for t in (1, 2, 3)]
+    crits = [rn_uniform(inst9.X, t, 0.5)[2] for t in (1, 2, 3)]
     assert crits[0] > crits[1] > crits[2]
 
 
 def test_rn_uniform_trivial_nullspace():
-    assert rn_uniform(nullspace(np.eye(4)), 2, 1.0) == (
+    assert rn_uniform(np.eye(4), 2, 1.0) == (
         True,
         (),
         math.inf,
@@ -163,12 +156,11 @@ def test_rn_uniform_trivial_nullspace():
 
 
 def test_rn_uniform_multidimensional_nullspace():
-    ns = nullspace(X_DUP_PAIRS)
-    holds, worst, crit = rn_uniform(ns, 1, 0.5)
+    holds, worst, crit = rn_uniform(X_DUP_PAIRS, 1, 0.5)
     assert holds and crit == 1.0
     # the first ray, (0, -1, 0, 1), has the least ratio and its worst
     # support is its first largest entry
-    fails, worst_T, _ = rn_uniform(ns, 1, 2.0)
+    fails, worst_T, _ = rn_uniform(X_DUP_PAIRS, 1, 2.0)
     assert not fails
     assert worst_T == worst == (1,)
 
@@ -176,86 +168,46 @@ def test_rn_uniform_multidimensional_nullspace():
 def test_rn_uniform_budget_refusal(inst9):
     # the budget bounds the rays, one per row subset of size d - 1:
     # C(4, 1) = 4 here
-    ns = nullspace(X_DUP_PAIRS)
     for certify in (
-        lambda budget: rn_uniform(ns, 2, 1.0, enumeration_budget=budget),
-        lambda budget: rn_check(ns, (0, 1), 1.0, enumeration_budget=budget),
+        lambda budget: rn_uniform(X_DUP_PAIRS, 2, 1.0, enumeration_budget=budget),
+        lambda budget: rn_check(X_DUP_PAIRS, (0, 1), 1.0, enumeration_budget=budget),
     ):
         with pytest.raises(BudgetExceeded):
             certify(3)
         assert certify(4).holds is False
     # a one-dimensional nullspace has one ray
-    ns9 = nullspace(inst9.X)
-    assert rn_uniform(ns9, 3, 1.0, enumeration_budget=1).holds
+    assert rn_uniform(inst9.X, 3, 1.0, enumeration_budget=1).holds
 
 
 def test_rn_uniform_rejects_bad_cone_constant(inst9):
     # every nullspace dimension refuses, not only the enumeration branch
     for X in (inst9.X, np.eye(3), X_DUP_PAIRS):
-        ns = nullspace(X)
         for c in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="c must be positive"):
-                rn_uniform(ns, 1, c)
+                rn_uniform(X, 1, c)
 
 
-def test_nullspace_certifiers_refuse_what_is_not_a_basis():
-    X = np.random.default_rng(3).standard_normal((3, 5))
-    # the design in the place of its nullspace (the old argument order)
-    with pytest.raises(
-        ValueError,
-        match=r"^the nullspace basis has 5 columns in dimension 3; pass nullspace\(X\), not X$",
-    ):
-        rn_uniform(X, 1, 1.0)
-    # a basis in the place of the enumeration budget
-    with pytest.raises(ValueError, match="^enumeration_budget must be an integer, got ndarray$"):
-        rn_uniform(np.eye(4), 2, 1.0, nullspace(np.eye(4)))
-    ray = nullspace(np.array([[1.0, 2.0, 3.0]]))
-    unnormalized = "^each nullspace basis column must end in a last nonzero coordinate of 1"
-    for bad, message in [
-        (X.T, unnormalized),
-        (2.0 * ray, unnormalized),
-        (np.zeros((3, 1)), unnormalized),
-        (np.where(ray == 1.0, math.nan, ray), "^the nullspace basis must be finite$"),
-        (ray[:, 0], r"^the nullspace basis must be a \(p, d\) array, got \(3,\)$"),
-        (ray.tolist(), r"^the nullspace basis must be a \(p, d\) array, got \(3, 2\)$"),
-    ]:
-        for certify in (
-            lambda ns: rn_check(ns, (0,), 1.0),
-            lambda ns: rn_uniform(ns, 1, 1.0),
-            spark_from_nullspace,
-        ):
-            with pytest.raises(ValueError, match=message):
-                certify(bad)
-    # nullspace's own bases pass, trivial ones included
-    for X in (np.eye(3), X_DUP_PAIRS, np.array([[1.0, 2.0, 3.0]])):
-        ns = nullspace(X)
-        rn_check(ns, (0,), 1.0)
-        rn_uniform(ns, 1, 1.0, np.int64(10))
-        spark_from_nullspace(ns)
-
-
-def _rn_uniform_one_at_a_time(ns, t, c):
+def _rn_uniform_one_at_a_time(X, t, c):
     """The uniform check as a scan of rn_check over every size-t support:
     it holds iff every support holds, at the least critical constant."""
     verdicts = [
-        rn_check(ns, T, c)
-        for T in itertools.combinations(range(ns.shape[0]), t)
+        rn_check(X, T, c)
+        for T in itertools.combinations(range(X.shape[1]), t)
     ]
     return all(v.holds for v in verdicts), min(v.critical_c for v in verdicts)
 
 
 def test_rn_uniform_matches_one_support_at_a_time_scan():
     X = np.random.default_rng(11).standard_normal((12, 14))
-    ns = nullspace(X)
-    assert ns.shape == (14, 2)
+    assert nullspace(X).shape == (14, 2)
     verdicts = set()
     for t in (1, 2):
         for c in (0.05, 0.2, 0.5, 1.0, 1.5527, 3.0):
-            holds, critical = _rn_uniform_one_at_a_time(ns, t, c)
-            fast = rn_uniform(ns, t, c)
+            holds, critical = _rn_uniform_one_at_a_time(X, t, c)
+            fast = rn_uniform(X, t, c)
             assert (fast.holds, fast.critical_c) == (holds, critical)
             # the worst support attains the least critical constant
-            assert rn_check(ns, fast.worst_T, c).critical_c == critical
+            assert rn_check(X, fast.worst_T, c).critical_c == critical
             verdicts.add(holds)
     assert verdicts == {True, False}
 
@@ -277,13 +229,13 @@ def test_rn_uniform_is_exact_on_either_side_of_the_critical_constant(design, cri
     ns = nullspace(X)
     assert ns.shape[1] >= 3
     # 0.1 % either side of the critical constant decides the verdict
-    assert not rn_uniform(ns, 2, 1.001 * critical).holds
-    assert rn_uniform(ns, 2, 0.999 * critical).holds
-    _, worst_T, crit = rn_uniform(ns, 2, 1.0)
+    assert not rn_uniform(X, 2, 1.001 * critical).holds
+    assert rn_uniform(X, 2, 0.999 * critical).holds
+    _, worst_T, crit = rn_uniform(X, 2, 1.0)
     assert crit == pytest.approx(critical, abs=1e-4)
     # the witness is a nullspace vector in the cone of the worst support
     c = 1.001 * crit
-    verdict = rn_check(ns, worst_T, c)
+    verdict = rn_check(X, worst_T, c)
     assert not verdict.holds
     w = verdict.witness
     assert np.linalg.norm(X @ w) <= 1e-12 * np.linalg.norm(w)
@@ -399,7 +351,7 @@ def test_spark_budget_partial_certificate(inst9):
 
 def test_spark_from_nullspace_cases(inst25):
     # both shortcuts decide without testing a single subset
-    assert spark_from_nullspace(nullspace(np.eye(3))) == SparsityCertificate(
+    assert spark_from_nullspace(np.eye(3)) == SparsityCertificate(
         spark=None,
         witness_columns=None,
         subsets_tested=0,
@@ -407,7 +359,7 @@ def test_spark_from_nullspace_cases(inst25):
         budget_exhausted=False,
     )
     p = inst25.p
-    assert spark_from_nullspace(nullspace(inst25.X)) == SparsityCertificate(
+    assert spark_from_nullspace(inst25.X) == SparsityCertificate(
         spark=p,
         witness_columns=tuple(range(p)),
         subsets_tested=0,
@@ -415,8 +367,7 @@ def test_spark_from_nullspace_cases(inst25):
         budget_exhausted=False,
     )
     # a ray with a zero coordinate is inconclusive
-    sparse_ray = nullspace(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
-    assert spark_from_nullspace(sparse_ray) is None
+    assert spark_from_nullspace(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])) is None
 
 
 def test_unique_sparsest_frozen(inst9):

@@ -564,6 +564,8 @@ BOUNDARY_FILES = {
     "inf.txt": "2 3\n1 inf 1\n0 1 1\n",
     "y_inf.txt": "1\n-inf\n",
     "y_huge.txt": "1e300\n2\n",
+    "y_tiny.txt": "1e-300\n2e-300\n",
+    "y_comma.txt": "1,2\n",
     "huge.txt": "2 3\n1 0 1e200\n0 1 1\n",
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
@@ -596,6 +598,7 @@ def _address_space_cap():
         (COMPARE + ["X.txt", "--y", "y_huge.txt"], 2),
         (CERTIFY + ["huge.txt", "--property", "rip", "--t", "2"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_huge.txt", "--s", "2"], 2),
+        (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
         (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
         (COMPARE + ["X.txt", "--y", "empty.txt"], 2),
@@ -606,6 +609,7 @@ def _address_space_cap():
         (CERTIFY + ["header_float.txt", "--property", "spark"], 2),
         (CERTIFY + ["count.txt", "--property", "spark"], 2),
         (CERTIFY + ["token.txt", "--property", "spark"], 2),
+        (COMPARE + ["X.txt", "--y", "y_comma.txt"], 2),
         (CERTIFY + ["zero_cols.txt", "--property", "spark"], 2),
         (CERTIFY + ["empty.txt", "--property", "spark"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--budget", "0"], 2),
@@ -651,6 +655,7 @@ def _address_space_cap():
         "compare-overflow-y",
         "rip-overflow-matrix",
         "unique-overflow-y",
+        "unique-underflow-y",
         "compare-overflow-both",
         "compare-inf-y",
         "compare-empty-y",
@@ -661,6 +666,7 @@ def _address_space_cap():
         "header-float",
         "entry-count",
         "entry-token",
+        "vector-entry-token",
         "zero-columns",
         "empty-matrix",
         "certify-budget-0",
@@ -748,3 +754,11 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
              ("--lambda-min-factor", "1"): "error: lambda_min_factor must lie below 1, got 1.0"}
     if tuple(argv[-2:]) in named:
         assert lines[0] == named[tuple(argv[-2:])], proc.stderr
+    # an entry that is not a number is refused by its file, and a Y whose
+    # squared norm underflows as its overflow is
+    named_by_file = {"token.txt": "error: token.txt: entry 'x' is not a number",
+                     "y_comma.txt": "error: y_comma.txt: entry '1,2' is not a number",
+                     "y_tiny.txt": "error: the norm of Y underflows; rescale Y"}
+    for name, line in named_by_file.items():
+        if name in argv:
+            assert lines[0] == line, proc.stderr
