@@ -37,6 +37,18 @@ sweep, but the objective it names may read inf where the ufunc pair, whose
 0 * inf spreads nan over r, read nan.  Every other column is read as a
 strided view of X, with the same BLAS ddot as ``X[:, j] @ r``; a
 contiguous copy could take a SIMD kernel whose summation order moves bits.
+
+The stop test of a screened sweep reads the single-entry columns it
+visited first.  Such a column's entry of the BLAS product X'r is x * r[i]
+by the argument above, up to the sign of a zero, which no stationarity
+violation reads.  So if one of their violations is above KKT_TOLERANCE,
+or nan, so is the KKT value over every visited coordinate: the sweep
+cannot stop, and, being screened, takes no certificate, so it skips X'r
+and the KKT scan.  A sweep over every index still takes X'r, since its g
+seeds the next certificate, and so does sweep MAX_SWEEPS, since an
+unconverged solve reports that sweep's KKT value.  Every other sweep
+computes g and the KKT value as before, so nothing returned moves a bit;
+on a design without single-entry columns every sweep does.
 """
 
 from __future__ import annotations
@@ -103,13 +115,17 @@ class PathPoint(NamedTuple):
     sweeps: int
 
 
+def _slack(gj: float, bj: float, half: float) -> float:
+    """Stationarity violation of one coordinate b_j with correlation g_j."""
+    return abs(gj) - half if bj == 0.0 else abs(gj - math.copysign(half, bj))
+
+
 def _kkt(g, b, half: float, idx) -> float:
     """Largest stationarity violation (nan if any is) of b over idx, given
     the correlations g = X'r as float sequences; 0.0 for an empty idx."""
     worst = 0.0
     for j in idx:
-        gj, bj = g[j], b[j]
-        slack = abs(gj) - half if bj == 0.0 else abs(gj - math.copysign(half, bj))
+        slack = _slack(g[j], b[j], half)
         if slack > worst or slack != slack:
             worst = slack
     return worst
@@ -155,7 +171,8 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     Coordinates sweep in fixed order 0..p-1, skipping the zero
     coordinates a certificate shows inert, and a column with one nonzero
     entry takes scalar arithmetic (see the module docstring).
-    The run stops when the stationarity residual reaches KKT_TOLERANCE;
+    The run stops when the stationarity residual reaches KKT_TOLERANCE,
+    read from X'r only once the visited single-entry columns allow it;
     hitting MAX_SWEEPS first returns the current iterate with
     ``converged=False`` rather than raising.  A sweep whose objective
     overflows to inf or nan raises ValueError; one that increases the
@@ -185,8 +202,9 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     gamma = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
     screenable = float(np.min(col_sq)) >= _SCREEN_FLOOR**2
     every = list(range(p))
-    # Without a certificate the sweep visits every index and never runs out.
-    visit, budget, drift, r0_norm = every, math.inf, 0.0, 0.0
+    # Without a certificate the sweep visits every index and never runs out;
+    # singles are the visited single-entry columns of the certificate.
+    visit, budget, drift, r0_norm, singles = every, math.inf, 0.0, 0.0, []
     prev_obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
     kkt = math.inf
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -226,6 +244,17 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
+        # A screened sweep before the last cannot stop while a single-entry
+        # column it visited violates at g_j = x * r[i] (module docstring).
+        if (
+            visit is not every
+            and sweep < MAX_SWEEPS
+            and any(
+                not _slack(entry[j] * item(rows[j]), bl[j], half) <= KKT_TOLERANCE
+                for j in singles
+            )
+        ):
+            continue
         g = X.T @ r
         kkt = _kkt(g.tolist(), bl, half, visit)
         if kkt <= KKT_TOLERANCE:
@@ -240,6 +269,7 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
             certified = head >= 2.0 * (2.0 * gamma * r0_norm + (1.0 + gamma) * budget)
             if budget >= _SCREEN_FLOOR and certified.any():
                 visit, drift = np.flatnonzero(~certified).tolist(), 0.0
+                singles = [j for j in visit if rows[j] >= 0]
             else:
                 budget = math.inf
     return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)

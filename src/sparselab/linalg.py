@@ -141,8 +141,9 @@ def nullspace(X) -> np.ndarray:
         coordinate equals 1; d = 0 for a trivial nullspace.  Pivots below
         DEFAULT_RANK_TOL times the largest absolute entry of X count as
         zero, and each column v is checked to satisfy
-        ||X v||_2 <= DEFAULT_RANK_TOL * ||v||_2 * max|X|.  X must pass
-        ``design``.
+        ||X v||_2 <= DEFAULT_RANK_TOL * sum_j |v_j| ||X_j||_2, column by
+        column, so one huge column cannot excuse a vector that the others
+        do not annihilate; else RuntimeError.  X must pass ``design``.
     """
     X = design(X)
     n, p = X.shape
@@ -159,11 +160,12 @@ def nullspace(X) -> np.ndarray:
         if v[last] != 1.0:
             v = v / v[last]
         basis.append(v)
-    scale = float(np.max(np.abs(X))) if X.size else 0.0
+    # hypot does not overflow where a column's squared norm would
+    norms = np.hypot.reduce(X, axis=0)
     for v in basis:
         Xv = X @ v
         resid = math.sqrt(Xv.dot(Xv))
-        tol = DEFAULT_RANK_TOL * math.sqrt(v.dot(v)) * scale
+        tol = DEFAULT_RANK_TOL * float(np.abs(v) @ norms)
         # a nan residual fails too
         if not resid <= tol:
             raise RuntimeError(

@@ -167,6 +167,15 @@ def cone_split(delta, T):
     return _split(mags, _mask("T", T, mags.shape[-1]))
 
 
+def _refuse_gram_overflow(X: np.ndarray) -> None:
+    """Refuse, in one line, a design whose Gram matrix X'X overflows: the
+    certifiers that form X_T'X_T or X b would read its inf or nan as a
+    verdict."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(X.T @ X).all():
+            raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
+
+
 def _in_closed_cone(on: float, off: float, c: float) -> bool:
     """The closed-cone rule on a computed split: off-mass <= c * on-mass."""
     return off <= c * on
@@ -265,6 +274,7 @@ def re_upper_bound(X, T, c: float, samples: int, seed: int = 0) -> REEstimate:
     c = positive("c", c)
     samples = integer("samples", samples, 1)
     rng = np.random.default_rng(integer("seed", seed, 0))
+    _refuse_gram_overflow(X)
 
     candidates: list[np.ndarray] = []
     for v in nullspace(X).T:
@@ -311,9 +321,7 @@ def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIP
             f"restricted isometry scan over {total} subsets of size {t} "
             f"exceeds the budget of {budget}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(X.T @ X).all():
-            raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
+    _refuse_gram_overflow(X)
     delta = 0.0
     extremal: tuple[int, ...] = ()
     for block in _blocks(p, t):
@@ -487,6 +495,7 @@ def unique_sparsest(
     n, p = X.shape
     s = integer("s", s, 0, p)
     budget = _budget(enumeration_budget)
+    _refuse_gram_overflow(X)
     with np.errstate(over="ignore", invalid="ignore"):
         y_sq = Y.dot(Y)
     if not math.isfinite(y_sq):

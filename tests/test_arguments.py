@@ -104,8 +104,19 @@ CASES = [
     # check, with no numpy warning before it
     ("rip-gram-overflow", lambda: rip_constant([[1, 0, 1e200], [0, 1, 1]], 2), ValueError,
      "the Gram matrix X'X overflows; rescale the columns of X"),
+    ("unique-gram-overflow", lambda: unique_sparsest([[1e200, 0, 1], [0, 1, 1]], Y, 2),
+     ValueError, "the Gram matrix X'X overflows; rescale the columns of X"),
+    ("re-gram-overflow", lambda: re_upper_bound([[1, 0, 1e200], [0, 1, 1]], (0,), 1.0, 10),
+     ValueError, "the Gram matrix X'X overflows; rescale the columns of X"),
     ("unique-y-overflow", lambda: unique_sparsest(X, [1e300, 2], 2), ValueError,
      "the norm of Y overflows; rescale Y"),
+    # pivots below the rank tolerance of max|X| = 1e200 leave e0 and e1,
+    # which X does not annihilate: refused, never returned as the kernel
+    ("nullspace-residual", lambda: nullspace([[1, 0, 1e200], [0, 1, 1]]), RuntimeError,
+     r"nullspace vector fails the residual check: \|\|Xv\|\| = 1\.000e\+00 "
+     r"against tolerance 1\.000e-10"),
+    ("rn-check-residual", lambda: rn_check([[1, 0, 1e200], [0, 1, 1]], (0,), 1.0),
+     RuntimeError, r"nullspace vector fails the residual check: .*"),
     # a nonzero Y whose squared norm is below the least normal float
     ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,
      "the norm of Y underflows; rescale Y"),

@@ -14,7 +14,7 @@ from sparselab import (
     lasso,
     lasso_path,
 )
-from sparselab.lasso import PathPoint, _kkt
+from sparselab.lasso import PathPoint, _kkt, _slack
 from sparselab.report import LAMBDA_MIN_FACTOR
 
 # the package exports the function lasso under the module's name
@@ -488,3 +488,49 @@ def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
     assert zero[np.argmax(head)] == 4
     assert first.beta[1] != 0.0 and second.beta[1] == 0.0
     assert first.beta[4] == 0.0 and second.beta[4] != 0.0
+
+
+def test_unconverged_screened_solves_match_full_sweeps_bit_for_bit(monkeypatch):
+    # Cut short at sweep 40, the n=25 family path leaves points whose last
+    # sweep is screened and has a violating single-entry column: that sweep
+    # must still take X'r, since an unconverged point reports its own KKT
+    # value, not the one of the sweep that took the certificate.
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 40)
+    X, Y, factor = _family(4.0)()
+    points = _path(X, Y, factor)
+    assert sum(not p.converged for p in points) > 1
+    monkeypatch.setattr(LASSO, "_descend", _full_sweep_lasso)
+    assert [_bits(p) for p in points] == [_bits(p) for p in _path(X, Y, factor)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["family-n9", "family-n25", "single-entries-share-a-row", "signed-zero-response"],
+)
+def test_single_entry_correlations_match_the_full_product(name):
+    # A screened sweep reads a single-entry column's correlation as
+    # x * r[i] to rule its stop out without X'r.  That is the BLAS product's
+    # value up to the sign of a zero (x + 0.0 maps -0.0 to 0.0 and keeps
+    # every other bit), which no stationarity violation reads.
+    X, Y, _ = SCREENING_CASES[name][0]()
+    n = X.shape[0]
+    single = np.flatnonzero(np.count_nonzero(X, axis=0) == 1)
+    rows = np.argmax(X[:, single] != 0.0, axis=0)
+    x = X[rows, single]
+    assert single.size
+    rng = np.random.default_rng(53)
+    residuals = [Y]
+    for scale in (1.0, 1e-300, 1e-318, 1e300):
+        r = scale * rng.standard_normal(n)
+        # signed zeros and subnormals on the single-entry rows
+        r[rng.choice(rows, 2, replace=False)] = (0.0, -0.0)
+        r[rng.choice(rows)] = rng.choice([-1.0, 1.0]) * 5e-324 * rng.integers(1, 1 << 20)
+        residuals.append(r)
+    for r in residuals:
+        g = (X.T @ r)[single]
+        scalar = x * r[rows]
+        assert (g + 0.0).tobytes() == (scalar + 0.0).tobytes()
+        for bj in (0.0, -0.0, 2.5, -2.5):
+            assert [float.hex(_slack(a, bj, 0.75)) for a in g.tolist()] == [
+                float.hex(_slack(a, bj, 0.75)) for a in scalar.tolist()
+            ]

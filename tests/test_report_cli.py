@@ -567,6 +567,7 @@ BOUNDARY_FILES = {
     "y_tiny.txt": "1e-300\n2e-300\n",
     "y_comma.txt": "1,2\n",
     "huge.txt": "2 3\n1 0 1e200\n0 1 1\n",
+    "huge_first.txt": "2 3\n1e200 0 1\n0 1 1\n",
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
     "header_text.txt": "two three\n1 0 1\n0 1 1\n",
@@ -598,6 +599,9 @@ def _address_space_cap():
         (COMPARE + ["X.txt", "--y", "y_huge.txt"], 2),
         (CERTIFY + ["huge.txt", "--property", "rip", "--t", "2"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_huge.txt", "--s", "2"], 2),
+        (CERTIFY + ["huge_first.txt", "--property", "unique_sparsest", "--y", "y.txt", "--s", "2"], 2),
+        (CERTIFY + ["huge.txt", "--property", "re", "--t", "1"], 2),
+        (CERTIFY + ["huge.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
         (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
@@ -655,6 +659,9 @@ def _address_space_cap():
         "compare-overflow-y",
         "rip-overflow-matrix",
         "unique-overflow-y",
+        "unique-overflow-matrix",
+        "re-overflow-matrix",
+        "rn-nullspace-residual",
         "unique-underflow-y",
         "compare-overflow-both",
         "compare-inf-y",
