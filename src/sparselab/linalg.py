@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 # Rank decisions are made relative to the largest absolute entry of the
-# matrix being examined.
+# matrix being examined; the nullspace's pivots relative to that of their
+# own column.
 DEFAULT_RANK_TOL = 1e-10
 
 # A fit whose residual is at most this fraction of ||Y||_2 reproduces Y
@@ -97,13 +98,13 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
 def _rref(X: np.ndarray):
     """Reduced row echelon form with partial pivoting.
 
-    Returns (R, pivot_cols).  Entries below ``DEFAULT_RANK_TOL * max|X|``
-    are treated as zero when choosing pivots.
+    Returns (R, pivot_cols).  Entries of column j below
+    ``DEFAULT_RANK_TOL * max|X_j|``, that column's own largest absolute
+    entry in X, are treated as zero when choosing pivots.
     """
     R = np.array(X, dtype=float, copy=True)
     n, p = R.shape
-    scale = float(np.max(np.abs(R))) if R.size else 0.0
-    tol_abs = DEFAULT_RANK_TOL * scale
+    tol_abs = DEFAULT_RANK_TOL * np.abs(R).max(axis=0, initial=0.0)
     pivot_cols: list[int] = []
     row = 0
     for col in range(p):
@@ -111,7 +112,7 @@ def _rref(X: np.ndarray):
             break
         sub = np.abs(R[row:, col])
         k = int(np.argmax(sub))
-        if sub[k] <= tol_abs:
+        if sub[k] <= tol_abs[col]:
             R[row:, col] = 0.0
             continue
         piv = row + k
@@ -138,12 +139,14 @@ def nullspace(X) -> np.ndarray:
     -------
     ndarray, shape (p, d)
         One column per free column of X, normalized so its last nonzero
-        coordinate equals 1; d = 0 for a trivial nullspace.  Pivots below
-        DEFAULT_RANK_TOL times the largest absolute entry of X count as
-        zero, and each column v is checked to satisfy
-        ||X v||_2 <= DEFAULT_RANK_TOL * sum_j |v_j| ||X_j||_2, column by
-        column, so one huge column cannot excuse a vector that the others
-        do not annihilate; else RuntimeError.  X must pass ``design``.
+        coordinate equals 1; d = 0 for a trivial nullspace.  A pivot
+        candidate in column j of X counts as zero below DEFAULT_RANK_TOL
+        times that column's largest absolute entry, so columns of very
+        different scales keep their pivots.  Each column v is checked to
+        satisfy ||X v||_2 <= DEFAULT_RANK_TOL * sum_j |v_j| ||X_j||_2,
+        column by column, so one huge column cannot excuse a vector that
+        the others do not annihilate; else RuntimeError.  X must pass
+        ``design``.
     """
     X = design(X)
     n, p = X.shape

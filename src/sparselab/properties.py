@@ -490,6 +490,19 @@ def unique_sparsest(
     whole minimal size is always enumerated before deciding.  Sizes above
     the n rows are never scanned: some n columns span range(X), so if no
     support of at most n columns fits, no larger one does.
+
+    A support whose columns are all exactly zero on a decisive row i,
+    one with |Y_i| >= 2 tol (tol = EXACT_FIT_RTOL * ||Y||_2) and
+    Y_i * Y_i at least the least normal float, is counted in
+    ``supports_tested`` but never solved: it cannot fit.  With finite
+    coefficients c, ``least_squares_batch`` computes (X_T c)_i as a sum of
+    exact zeros, so the residual keeps Y_i bit for bit; with a nan or inf
+    in c that entry, and so the residual norm, is nan or inf and fails
+    ``<= tol``.  The computed sum of squares adds non-negative terms, so
+    it rounds to at least Y_i^2 (1 - u)^(n+1), u the unit roundoff, and
+    the residual norm is at least |Y_i| (1 - u)^((n+1)/2) > tol; the
+    least-normal bound keeps Y_i^2 from underflowing.  A design nonzero
+    on every decisive row skips the screen.
     """
     X, Y = design(X, Y)
     n, p = X.shape
@@ -504,6 +517,10 @@ def unique_sparsest(
     if y_sq < np.finfo(float).tiny and Y.any():
         raise ValueError("the norm of Y underflows; rescale Y")
     tol = EXACT_FIT_RTOL * math.sqrt(y_sq)
+    decisive = (np.abs(Y) >= 2.0 * tol) & (Y * Y >= np.finfo(float).tiny)
+    pattern = (X[decisive] != 0.0).T
+    # on a design nonzero on every decisive row the screen keeps every support
+    screened = not pattern.all()
     tested = 0
     for size in range(0, min(s, n) + 1):
         if tested + math.comb(p, size) > budget:
@@ -512,8 +529,10 @@ def unique_sparsest(
             )
         fits: list[tuple[int, ...]] = []
         for block in _blocks(p, size):
-            residual_norms = least_squares_batch(X, Y, block)[1]
             tested += len(block)
+            if screened:
+                block = block[pattern[block].any(axis=1).all(axis=1)]
+            residual_norms = least_squares_batch(X, Y, block)[1]
             fits.extend(map(tuple, block[residual_norms <= tol].tolist()))
         if fits:
             return UniqueSparsestResult(

@@ -54,6 +54,11 @@ NAN_Y = np.array([1.0, math.nan])
 # two orthogonal pairs of duplicated columns: a two-dimensional nullspace
 # with C(4, 1) = 4 candidate rays
 X_PLANE = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+# column 1 is column 0 plus 0.99e-10 on each of nine more rows: what
+# elimination leaves of it is below its pivot tolerance 1e-10 * max|X_1|,
+# yet ||X v|| = 2.97e-10 for v = (-1, 1) exceeds the residual tolerance
+# 1e-10 * (||X_0|| + ||X_1||) = 2e-10
+X_NEAR = [[1.0, 1.0]] + [[0.0, 0.99e-10]] * 9
 INST = construct(1.0)
 START = AnalyticState(np.zeros(INST.n - INST.s), 0.0, 0)
 CONFIG = BoostingConfig()
@@ -110,12 +115,12 @@ CASES = [
      ValueError, "the Gram matrix X'X overflows; rescale the columns of X"),
     ("unique-y-overflow", lambda: unique_sparsest(X, [1e300, 2], 2), ValueError,
      "the norm of Y overflows; rescale Y"),
-    # pivots below the rank tolerance of max|X| = 1e200 leave e0 and e1,
-    # which X does not annihilate: refused, never returned as the kernel
-    ("nullspace-residual", lambda: nullspace([[1, 0, 1e200], [0, 1, 1]]), RuntimeError,
-     r"nullspace vector fails the residual check: \|\|Xv\|\| = 1\.000e\+00 "
-     r"against tolerance 1\.000e-10"),
-    ("rn-check-residual", lambda: rn_check([[1, 0, 1e200], [0, 1, 1]], (0,), 1.0),
+    # no pivot at the rank tolerance leaves (-1, 1), which X does not
+    # annihilate: refused, never returned as the kernel
+    ("nullspace-residual", lambda: nullspace(X_NEAR), RuntimeError,
+     r"nullspace vector fails the residual check: \|\|Xv\|\| = 2\.970e-10 "
+     r"against tolerance 2\.000e-10"),
+    ("rn-check-residual", lambda: rn_check(X_NEAR, (0,), 1.0),
      RuntimeError, r"nullspace vector fails the residual check: .*"),
     # a nonzero Y whose squared norm is below the least normal float
     ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,

@@ -21,6 +21,13 @@ def test_nullspace_full_rank_has_no_basis_matrix():
     assert nullspace(np.eye(3)).shape == (3, 0)
 
 
+def test_nullspace_takes_each_pivot_tolerance_from_its_own_column():
+    # a tolerance from max|X| would drop the pivot of the unit column
+    assert nullspace([[1e12, 0.0], [0.0, 1.0]]).shape == (2, 0)
+    assert nullspace([[1e12, 0.0, 1e12], [0.0, 1.0, 1.0]])[:, 0].tolist() == [-1.0, -1.0, 1.0]
+    assert nullspace([[1.0, 0.0, 1e200], [0.0, 1.0, 1.0]])[:, 0].tolist() == [-1e200, -1.0, 1.0]
+
+
 def test_nullspace_columns_form_one_c_ordered_array():
     # two orthogonal pairs of duplicated columns; C order keeps products
     # with the basis on one BLAS path

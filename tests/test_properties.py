@@ -17,7 +17,10 @@ from sparselab import (
     spark,
     spark_from_nullspace,
     unique_sparsest,
+    UniqueSparsestResult,
 )
+from sparselab import properties
+from sparselab.linalg import least_squares_batch
 from sparselab.properties import ENUMERATION_BLOCK, cone_split
 
 # two orthogonal pairs of duplicated columns: the nullspace is the
@@ -76,6 +79,16 @@ def test_rn_check_trivial_nullspace():
     verdict = rn_check(np.eye(3), (0,), 1.0)
     assert verdict.holds
     assert verdict.critical_c == math.inf
+
+
+def test_rn_check_on_columns_of_very_different_scales():
+    verdict = rn_check([[1e12, 0.0], [0.0, 1.0]], (0,), 1.0)
+    assert (verdict.holds, verdict.witness, verdict.critical_c) == (True, None, math.inf)
+    # the nullspace is the ray (-1e200, -1, 1), nearly all of its mass on T
+    verdict = rn_check([[1.0, 0.0, 1e200], [0.0, 1.0, 1.0]], (0,), 1.0)
+    assert not verdict.holds
+    assert verdict.witness.tolist() == [-1e200, -1.0, 1.0]
+    assert verdict.critical_c == 2e-200
 
 
 def test_rn_check_multidimensional_finds_interior_witness():
@@ -495,6 +508,119 @@ def test_rip_ties_keep_the_first_subset():
     result = rip_constant(X, 2)
     assert result.extremal_subset == first
     assert (result.delta_t, result.extremal_subset) == _rip_one_at_a_time(X, 2)
+
+
+def _unique_sparsest_one_at_a_time(X, Y, s):
+    """UniqueSparsestResult of the unscreened scan that solves every
+    support of size at most min(s, n) alone, as a one-row block; None when
+    none fits."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    n, p = X.shape
+    tol = 1e-8 * math.sqrt(Y.dot(Y))
+    tested = 0
+    for size in range(min(s, n) + 1):
+        fits = []
+        for T in itertools.combinations(range(p), size):
+            tested += 1
+            block = np.array(T, dtype=np.intp).reshape(1, size)
+            if least_squares_batch(X, Y, block)[1][0] <= tol:
+                fits.append(T)
+        if fits:
+            return UniqueSparsestResult(len(fits) == 1, fits[0], size, len(fits), tested)
+    return None
+
+
+def _sparse_fit(seed):
+    """A seeded 6 x 10 design, about half its entries exactly zero, and a
+    response from three of its columns that vanishes on one or more rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((6, 10)) * (rng.uniform(size=(6, 10)) < 0.5)
+    T = rng.choice(10, 3, replace=False)
+    X[rng.integers(6), T] = 0.0
+    return X, X[:, T] @ rng.uniform(1.0, 2.0, 3)
+
+
+def _next_to_twice_tol(side):
+    """Y = (1, e) with e the float next to 2 * EXACT_FIT_RTOL * ||Y||,
+    below it for side 0.0 and above it for side 1.0."""
+    Y = np.array([1.0, 2e-8])
+    for _ in range(3):
+        Y[1] = math.nextafter(2.0 * (1e-8 * math.sqrt(Y.dot(Y))), side)
+    return Y
+
+
+def _rank_deficient_fit():
+    """The only fitting pair, (0, 1), has a Gram matrix numerically singular
+    at the rank tolerance, and neither of its columns fits alone."""
+    a = np.array([1.0, 0.0, 2.0, 0.0, -1.0, 0.0])
+    X = np.column_stack([a, 2.0 * a + 1e-5 * np.eye(6)[1], np.eye(6)[3], np.ones(6)])
+    return X, X[:, 0] + X[:, 1]
+
+
+def _near_underflow_fit():
+    """A sparse fit scaled to ||Y||^2 = 4 * tiny: some entries reach 2 tol
+    but square below the least normal float."""
+    X, Y = _sparse_fit(0)
+    return X, Y * (2.0 * math.sqrt(np.finfo(float).tiny) / math.sqrt(Y.dot(Y)))
+
+
+def _dense_fit():
+    """A seeded 8 x 12 Gaussian design, nonzero everywhere, and a response
+    from three of its columns."""
+    X = np.random.default_rng(5).standard_normal((8, 12))
+    beta = np.zeros(12)
+    beta[[2, 7, 9]] = (1.5, -2.0, 1.0)
+    return X, X @ beta
+
+
+def test_unique_sparsest_matches_one_at_a_time_scan(inst9):
+    cases = [(inst9.X, inst9.Y, 3)]
+    cases += [(*_sparse_fit(seed), 3) for seed in range(6)]
+    cases += [
+        (*_rank_deficient_fit(), 2),
+        (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([1.0, 0.0]), 1),
+        # an entry below tol: a support that misses its row fits
+        (np.eye(2), np.array([1.0, 1e-9]), 1),
+        (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), _next_to_twice_tol(0.0), 2),
+        (np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), _next_to_twice_tol(1.0), 2),
+        (*_near_underflow_fit(), 3),
+        (*_dense_fit(), 3),
+    ]
+    for X, Y, s in cases:
+        expected = _unique_sparsest_one_at_a_time(X, Y, s)
+        assert expected is not None
+        assert unique_sparsest(X, Y, s) == expected
+    # the cases reach what they are named for
+    assert all((_sparse_fit(seed)[1] == 0.0).any() for seed in range(6))
+    X, Y = _rank_deficient_fit()
+    assert unique_sparsest(X, Y, 2).support == (0, 1)
+    assert least_squares_batch(X, Y, np.array([[0, 1]]))[2][0]
+    for side, above in ((0.0, False), (1.0, True)):
+        Y = _next_to_twice_tol(side)
+        assert bool(Y[1] >= 2.0 * (1e-8 * math.sqrt(Y.dot(Y)))) is above
+    _, Y = _near_underflow_fit()
+    twice_tol = 2.0 * (1e-8 * math.sqrt(Y.dot(Y)))
+    assert ((Y * Y < np.finfo(float).tiny) & (np.abs(Y) >= twice_tol)).any()
+
+
+def test_unique_sparsest_solves_only_the_supports_the_screen_keeps(inst9, inst25, monkeypatch):
+    solved = []
+    kernel = properties.least_squares_batch
+
+    def counting(X, Y, supports):
+        solved.append(len(supports))
+        return kernel(X, Y, supports)
+
+    monkeypatch.setattr(properties, "least_squares_batch", counting)
+    for X, Y, s, tested, kept in (
+        (inst25.X, inst25.Y, 5, 83_682, 15_277),
+        (inst9.X, inst9.Y, 3, 176, 47),
+        # nonzero on every row: nothing is screened
+        (*_dense_fit(), 3, 299, 299),
+    ):
+        solved.clear()
+        assert unique_sparsest(X, Y, s).supports_tested == tested
+        assert sum(solved) == kept
 
 
 def test_budget_cutting_off_a_later_size(inst9):

@@ -568,6 +568,8 @@ BOUNDARY_FILES = {
     "y_comma.txt": "1,2\n",
     "huge.txt": "2 3\n1 0 1e200\n0 1 1\n",
     "huge_first.txt": "2 3\n1e200 0 1\n0 1 1\n",
+    # X_NEAR of test_arguments: a nullspace vector fails the residual check
+    "near.txt": "10 2\n1 1\n" + "0 9.9e-11\n" * 9,
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
     "header_text.txt": "two three\n1 0 1\n0 1 1\n",
@@ -601,7 +603,7 @@ def _address_space_cap():
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_huge.txt", "--s", "2"], 2),
         (CERTIFY + ["huge_first.txt", "--property", "unique_sparsest", "--y", "y.txt", "--s", "2"], 2),
         (CERTIFY + ["huge.txt", "--property", "re", "--t", "1"], 2),
-        (CERTIFY + ["huge.txt", "--property", "rn", "--t", "1"], 2),
+        (CERTIFY + ["near.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
         (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
@@ -769,3 +771,15 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
     for name, line in named_by_file.items():
         if name in argv:
             assert lines[0] == line, proc.stderr
+
+
+def test_cli_certify_rn_on_columns_of_very_different_scales(tmp_path, monkeypatch, capsys):
+    # each column pivots at its own scale: the nullspace of huge.txt is the
+    # ray (-1e200, -1, 1), which lies in the cone of T = (0,)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.txt").write_text(BOUNDARY_FILES["huge.txt"])
+    assert main(CERTIFY + ["huge.txt", "--property", "rn", "--t", "1"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["holds"], cert["witness"], cert["critical_c"]) == (
+        False, [-1e200, -1.0, 1.0], 2e-200
+    )
