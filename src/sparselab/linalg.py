@@ -95,12 +95,15 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+@np.errstate(over="raise")
 def _rref(X: np.ndarray):
     """Reduced row echelon form with partial pivoting.
 
     Returns (R, pivot_cols).  Entries of column j below
     ``DEFAULT_RANK_TOL * max|X_j|``, that column's own largest absolute
-    entry in X, are treated as zero when choosing pivots.
+    entry in X, are treated as zero when choosing pivots.  A step that
+    overflows, as dividing by a pivot tiny next to the rest of its row
+    can, raises FloatingPointError.
     """
     R = np.array(X, dtype=float, copy=True)
     n, p = R.shape
@@ -145,12 +148,17 @@ def nullspace(X) -> np.ndarray:
         different scales keep their pivots.  Each column v is checked to
         satisfy ||X v||_2 <= DEFAULT_RANK_TOL * sum_j |v_j| ||X_j||_2,
         column by column, so one huge column cannot excuse a vector that
-        the others do not annihilate; else RuntimeError.  X must pass
+        the others do not annihilate; else RuntimeError.  A row reduction
+        that overflows, as a pivot tiny next to the rest of its row can
+        make it, is refused with a RuntimeError too.  X must pass
         ``design``.
     """
     X = design(X)
     n, p = X.shape
-    R, pivot_cols = _rref(X)
+    try:
+        R, pivot_cols = _rref(X)
+    except FloatingPointError:
+        raise RuntimeError("the row reduction of X overflows; rescale the columns of X") from None
     free_cols = [c for c in range(p) if c not in pivot_cols]
     basis = []
     for c in free_cols:

@@ -501,8 +501,8 @@ def unique_sparsest(
     ``<= tol``.  The computed sum of squares adds non-negative terms, so
     it rounds to at least Y_i^2 (1 - u)^(n+1), u the unit roundoff, and
     the residual norm is at least |Y_i| (1 - u)^((n+1)/2) > tol; the
-    least-normal bound keeps Y_i^2 from underflowing.  A design nonzero
-    on every decisive row skips the screen.
+    least-normal bound keeps Y_i^2 from underflowing.  On a design
+    nonzero on every decisive row the screen keeps every nonempty support.
     """
     X, Y = design(X, Y)
     n, p = X.shape
@@ -519,8 +519,6 @@ def unique_sparsest(
     tol = EXACT_FIT_RTOL * math.sqrt(y_sq)
     decisive = (np.abs(Y) >= 2.0 * tol) & (Y * Y >= np.finfo(float).tiny)
     pattern = (X[decisive] != 0.0).T
-    # on a design nonzero on every decisive row the screen keeps every support
-    screened = not pattern.all()
     tested = 0
     for size in range(0, min(s, n) + 1):
         if tested + math.comb(p, size) > budget:
@@ -530,8 +528,7 @@ def unique_sparsest(
         fits: list[tuple[int, ...]] = []
         for block in _blocks(p, size):
             tested += len(block)
-            if screened:
-                block = block[pattern[block].any(axis=1).all(axis=1)]
+            block = block[pattern[block].any(axis=1).all(axis=1)]
             residual_norms = least_squares_batch(X, Y, block)[1]
             fits.extend(map(tuple, block[residual_norms <= tol].tolist()))
         if fits:

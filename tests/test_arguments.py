@@ -122,6 +122,12 @@ CASES = [
      r"against tolerance 2\.000e-10"),
     ("rn-check-residual", lambda: rn_check(X_NEAR, (0,), 1.0),
      RuntimeError, r"nullspace vector fails the residual check: .*"),
+    # column 0 pivots at its own scale, 1e-300, and the division of its row
+    # by that pivot overflows: the ray (-1e310, 1) is no float vector
+    ("nullspace-overflow", lambda: nullspace([[1e-300, 1e10]]), RuntimeError,
+     "the row reduction of X overflows; rescale the columns of X"),
+    ("rn-check-overflow", lambda: rn_check([[1e-300, 1e10]], (0,), 1.0), RuntimeError,
+     "the row reduction of X overflows; rescale the columns of X"),
     # a nonzero Y whose squared norm is below the least normal float
     ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,
      "the norm of Y underflows; rescale Y"),

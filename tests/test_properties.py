@@ -20,7 +20,7 @@ from sparselab import (
     UniqueSparsestResult,
 )
 from sparselab import properties
-from sparselab.linalg import least_squares_batch
+from sparselab.linalg import EXACT_FIT_RTOL, least_squares_batch
 from sparselab.properties import ENUMERATION_BLOCK, cone_split
 
 # two orthogonal pairs of duplicated columns: the nullspace is the
@@ -516,7 +516,7 @@ def _unique_sparsest_one_at_a_time(X, Y, s):
     none fits."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     n, p = X.shape
-    tol = 1e-8 * math.sqrt(Y.dot(Y))
+    tol = EXACT_FIT_RTOL * math.sqrt(Y.dot(Y))
     tested = 0
     for size in range(min(s, n) + 1):
         fits = []
@@ -543,9 +543,9 @@ def _sparse_fit(seed):
 def _next_to_twice_tol(side):
     """Y = (1, e) with e the float next to 2 * EXACT_FIT_RTOL * ||Y||,
     below it for side 0.0 and above it for side 1.0."""
-    Y = np.array([1.0, 2e-8])
+    Y = np.array([1.0, 2.0 * EXACT_FIT_RTOL])
     for _ in range(3):
-        Y[1] = math.nextafter(2.0 * (1e-8 * math.sqrt(Y.dot(Y))), side)
+        Y[1] = math.nextafter(2.0 * (EXACT_FIT_RTOL * math.sqrt(Y.dot(Y))), side)
     return Y
 
 
@@ -597,9 +597,9 @@ def test_unique_sparsest_matches_one_at_a_time_scan(inst9):
     assert least_squares_batch(X, Y, np.array([[0, 1]]))[2][0]
     for side, above in ((0.0, False), (1.0, True)):
         Y = _next_to_twice_tol(side)
-        assert bool(Y[1] >= 2.0 * (1e-8 * math.sqrt(Y.dot(Y)))) is above
+        assert bool(Y[1] >= 2.0 * (EXACT_FIT_RTOL * math.sqrt(Y.dot(Y)))) is above
     _, Y = _near_underflow_fit()
-    twice_tol = 2.0 * (1e-8 * math.sqrt(Y.dot(Y)))
+    twice_tol = 2.0 * (EXACT_FIT_RTOL * math.sqrt(Y.dot(Y)))
     assert ((Y * Y < np.finfo(float).tiny) & (np.abs(Y) >= twice_tol)).any()
 
 
@@ -615,8 +615,8 @@ def test_unique_sparsest_solves_only_the_supports_the_screen_keeps(inst9, inst25
     for X, Y, s, tested, kept in (
         (inst25.X, inst25.Y, 5, 83_682, 15_277),
         (inst9.X, inst9.Y, 3, 176, 47),
-        # nonzero on every row: nothing is screened
-        (*_dense_fit(), 3, 299, 299),
+        # nonzero on every row: only the empty support is screened
+        (*_dense_fit(), 3, 299, 298),
     ):
         solved.clear()
         assert unique_sparsest(X, Y, s).supports_tested == tested
