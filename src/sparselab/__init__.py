@@ -47,14 +47,12 @@ from .lasso import (
 from .linalg import nullspace
 from .properties import (
     BudgetExceeded,
-    REEstimate,
     RIPResult,
     RNUniformResult,
     RNVerdict,
     SparsityCertificate,
     UniqueSparsestResult,
     in_cone,
-    re_upper_bound,
     rip_constant,
     rip_implies_rn_test,
     rn_check,
@@ -74,7 +72,6 @@ __all__ = [
     "BudgetExceeded",
     "InvariantViolation",
     "PathPoint",
-    "REEstimate",
     "RIPResult",
     "RNUniformResult",
     "RNVerdict",
@@ -95,7 +92,6 @@ __all__ = [
     "lasso",
     "lasso_path",
     "nullspace",
-    "re_upper_bound",
     "read_matrix",
     "read_vector",
     "reproduce",

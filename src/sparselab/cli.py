@@ -102,8 +102,6 @@ def _certificate(args) -> dict:
     certifier's result record."""
     # each flag is checked whichever property reads it
     positive("c", args.c)
-    integer("samples", args.samples, 1)
-    integer("seed", args.seed, 0)
     integer("enumeration_budget", args.budget, 1)
     X = files.read_matrix(args.matrix)
     for flag, low in (("t", 1), ("s", 0)):
@@ -112,16 +110,12 @@ def _certificate(args) -> dict:
     Y = None if args.y is None else design(X, files.read_vector(args.y))[1]
     name = args.property
     params: dict = {"matrix": args.matrix}
-    if name in ("rn", "rn_uniform", "re", "rip") and args.t is None:
+    if name in ("rn", "rn_uniform", "rip") and args.t is None:
         raise ValueError(f"property {name} requires --t")
-    if name in ("rn", "re"):
+    if name == "rn":
         T = tuple(range(args.t))
         params.update({"T": T, "c": args.c})
-    if name == "rn":
         result = properties.rn_check(X, T, args.c, args.budget)
-    elif name == "re":
-        params["samples"] = args.samples
-        result = properties.re_upper_bound(X, T, args.c, args.samples, args.seed)
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
         result = properties.rn_uniform(X, args.t, args.c, args.budget)
@@ -218,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--property",
         required=True,
-        choices=["rn", "rn_uniform", "re", "rip", "spark", "unique_sparsest"],
+        choices=["rn", "rn_uniform", "rip", "spark", "unique_sparsest"],
     )
     p_cert.add_argument("--t", type=int, default=None)
     p_cert.add_argument("--c", type=float, default=1.0)
     p_cert.add_argument("--s", type=int, default=None)
     p_cert.add_argument("--y", default=None, help="response vector file")
-    p_cert.add_argument("--samples", type=int, default=10_000)
-    p_cert.add_argument("--seed", type=int, default=0, help="seeds re's sampling only")
     p_cert.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
     p_cert.add_argument("--out", default=None, help="certificate JSON path")
     p_cert.set_defaults(func=cmd_certify)

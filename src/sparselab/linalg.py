@@ -166,10 +166,7 @@ def nullspace(X) -> np.ndarray:
         v[c] = 1.0
         for i, pc in enumerate(pivot_cols):
             v[pc] = -R[i, c]
-        nz = np.nonzero(v)[0]
-        last = nz[-1]
-        if v[last] != 1.0:
-            v = v / v[last]
+        # rows that pivot after column c hold an exact 0 in it: v[c] = 1 is last
         basis.append(v)
     # hypot does not overflow where a column's squared norm would
     norms = np.hypot.reduce(X, axis=0)

@@ -2,10 +2,10 @@
 
 Cone membership, restricted nullspace and its uniform variant (both exact
 in every nullspace dimension: decided at the extreme rays of the
-nullspace's coordinate arrangement), sampled restricted-eigenvalue upper
-bounds, restricted isometry constants by subset enumeration, spark, and
-sparsest-solution uniqueness.  Every certifier takes the design X; the
-nullspace certifiers compute ``nullspace(X)`` themselves.
+nullspace's coordinate arrangement), restricted isometry constants by
+subset enumeration, spark, and sparsest-solution uniqueness.  Every
+certifier takes the design X; the nullspace certifiers compute
+``nullspace(X)`` themselves.
 Every l1 mass on and off a support comes from ``_split``, which each
 public entry reaches after checking its own input once.
 Enumerating operations take an explicit subset budget and refuse loudly
@@ -101,11 +101,6 @@ class UniqueSparsestResult(NamedTuple):
     supports_tested: int
 
 
-class REEstimate(NamedTuple):
-    phi_estimate: float
-    witness: np.ndarray
-
-
 def _blocks(p: int, size: int):
     """The size-``size`` subsets of range(p) in combination order, as
     (m, size) index arrays of at most ENUMERATION_BLOCK rows each."""
@@ -169,8 +164,7 @@ def cone_split(delta, T):
 
 def _refuse_gram_overflow(X: np.ndarray) -> None:
     """Refuse, in one line, a design whose Gram matrix X'X overflows: the
-    certifiers that form X_T'X_T or X b would read its inf or nan as a
-    verdict."""
+    certifiers that form X_T'X_T would read its inf or nan as a verdict."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(X.T @ X).all():
             raise ValueError("the Gram matrix X'X overflows; rescale the columns of X")
@@ -258,50 +252,6 @@ def rn_uniform(
             worst_T, critical = tuple(np.flatnonzero(worst).tolist()), ratio
         holds = holds and not _in_closed_cone(on, off, c)
     return RNUniformResult(holds, worst_T, critical)
-
-
-def re_upper_bound(X, T, c: float, samples: int, seed: int = 0) -> REEstimate:
-    """Sampled upper bound on the restricted eigenvalue constant.
-
-    Draws random members of the cone of T and c (Gaussian on T, off-T mass
-    scaled to a uniform fraction of the cone bound) and includes each
-    column of ``nullspace(X)`` and its cone-projected version, so a
-    nullspace direction inside the cone drives the estimate to zero.
-    """
-    X = design(X)
-    p = X.shape[1]
-    mask = _mask("T", T, p)
-    c = positive("c", c)
-    samples = integer("samples", samples, 1)
-    rng = np.random.default_rng(integer("seed", seed, 0))
-    _refuse_gram_overflow(X)
-
-    candidates: list[np.ndarray] = []
-    for v in nullspace(X).T:
-        on, off, _ = _split(np.abs(v), mask)
-        if _in_closed_cone(on, off, c):
-            candidates.append(v.copy())
-            continue
-        if on > 0.0 and off > 0.0:
-            projected = v.copy()
-            projected[~mask] *= c * on / off
-            candidates.append(projected)
-    while len(candidates) < samples:
-        g = rng.standard_normal(p)
-        on, off, _ = _split(np.abs(g), mask)
-        if on == 0.0:
-            continue
-        scale = rng.uniform() * c * on / off if off > 0.0 else 0.0
-        candidates.append(np.where(mask, g, g * scale))
-    phi_estimate, witness = math.inf, candidates[0]
-    for b in candidates:
-        denom = float(b @ b)
-        if denom > 0.0:
-            image = X @ b
-            value = float(image @ image) / denom
-            if value < phi_estimate:
-                phi_estimate, witness = value, b
-    return REEstimate(phi_estimate, witness)
 
 
 def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIPResult:

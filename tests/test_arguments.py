@@ -30,7 +30,6 @@ from sparselab import (
     lasso,
     lasso_path,
     nullspace,
-    re_upper_bound,
     reproduce,
     rip_constant,
     rip_implies_rn_test,
@@ -92,7 +91,6 @@ CASES = [
      SHAPES_1D),
     ("rip-nan", lambda: rip_constant(NAN_X, 1), ValueError, "X must be finite"),
     ("rip-vector", lambda: rip_constant(np.ones(3), 1), ValueError, SHAPES_1D),
-    ("re-nan", lambda: re_upper_bound(NAN_X, (0,), 1.0, 10), ValueError, "X must be finite"),
     ("unique-nan", lambda: unique_sparsest(NAN_X, Y, 1), ValueError, "X must be finite"),
     ("correlations-inf", lambda: correlations(INF_X, Y), ValueError, "X must be finite"),
     ("iterate-nan", lambda: next(iterate(NAN_X, Y, CONFIG)), ValueError, "X must be finite"),
@@ -110,8 +108,6 @@ CASES = [
     ("rip-gram-overflow", lambda: rip_constant([[1, 0, 1e200], [0, 1, 1]], 2), ValueError,
      "the Gram matrix X'X overflows; rescale the columns of X"),
     ("unique-gram-overflow", lambda: unique_sparsest([[1e200, 0, 1], [0, 1, 1]], Y, 2),
-     ValueError, "the Gram matrix X'X overflows; rescale the columns of X"),
-    ("re-gram-overflow", lambda: re_upper_bound([[1, 0, 1e200], [0, 1, 1]], (0,), 1.0, 10),
      ValueError, "the Gram matrix X'X overflows; rescale the columns of X"),
     ("unique-y-overflow", lambda: unique_sparsest(X, [1e300, 2], 2), ValueError,
      "the norm of Y overflows; rescale Y"),
@@ -147,7 +143,7 @@ CASES = [
      r"c must be positive and finite, got 0\.0"),
     ("in-cone-c-inf", lambda: in_cone([1.0, 1.0], (0,), math.inf), ValueError,
      "c must be positive and finite, got inf"),
-    ("re-c-negative", lambda: re_upper_bound(X, (0,), -1.0, 10), ValueError,
+    ("rn-check-c-negative", lambda: rn_check(X, (0,), -1.0), ValueError,
      r"c must be positive and finite, got -1\.0"),
     ("construct-c-nan", lambda: construct(math.nan), ValueError,
      "c must be positive and finite, got nan"),
@@ -176,8 +172,6 @@ CASES = [
     ("rip-t-bool", lambda: rip_constant(X, True), ValueError, "t must be an integer, got bool"),
     ("unique-s-too-large", lambda: unique_sparsest(X, Y, 4), ValueError,
      r"s must lie in \[0, 3\], got 4"),
-    ("re-samples-zero", lambda: re_upper_bound(X, (0,), 1.0, 0), ValueError,
-     "samples must be at least 1, got 0"),
     # rip_constant at 2t would name 2t, not the t it was given
     ("rip-implies-rn-t", lambda: rip_implies_rn_test(3, 3, 3), ValueError,
      r"t must lie in \[1, 2\], got 3"),
@@ -193,10 +187,6 @@ CASES = [
     ("reproduce-seed-string", lambda: reproduce(1.0, 1.0, 200, seed="abc"), ValueError,
      "seed must be an integer, got str"),
     ("reproduce-seed-negative", lambda: reproduce(1.0, 1.0, 200, seed=-1), ValueError,
-     "seed must be at least 0, got -1"),
-    ("re-seed-float", lambda: re_upper_bound(X, (0,), 1.0, 10, seed=1.5), ValueError,
-     "seed must be an integer, got float"),
-    ("re-seed-negative", lambda: re_upper_bound(X, (0,), 1.0, 10, seed=-1), ValueError,
      "seed must be at least 0, got -1"),
     ("rip-implies-rn-seed-float", lambda: rip_implies_rn_test(3, 3, 1, seed=0.5), ValueError,
      "seed must be an integer, got float"),
@@ -230,9 +220,8 @@ CASES = [
      r"T repeats an index: \(0, 0\)"),
     ("rn-check-T-too-large", lambda: rn_check(X, (3,), 1.0), ValueError,
      r"T must hold indices in \[0, 2\], got \(3,\)"),
-    ("re-T-negative", lambda: re_upper_bound(X, (-1,), 1.0, 10), ValueError,
+    ("rn-check-T-negative", lambda: rn_check(X, (-1,), 1.0), ValueError,
      r"T must hold indices in \[0, 2\], got \(-1,\)"),
-    ("re-T-empty", lambda: re_upper_bound(X, [], 1.0, 10), ValueError, "T must be non-empty"),
     # the boosting step, iteration cap and floor
     ("config-nu-nan", lambda: BoostingConfig(nu=math.nan), ValueError,
      r"nu must lie in \(0, 1\], got nan"),

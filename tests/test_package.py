@@ -22,7 +22,6 @@ EXPORTED = {
     "BudgetExceeded",
     "InvariantViolation",
     "PathPoint",
-    "REEstimate",
     "RIPResult",
     "RNUniformResult",
     "RNVerdict",
@@ -43,7 +42,6 @@ EXPORTED = {
     "lasso",
     "lasso_path",
     "nullspace",
-    "re_upper_bound",
     "read_matrix",
     "read_vector",
     "reproduce",
@@ -72,6 +70,7 @@ def test_exported_names_are_pinned():
 def test_removed_names_are_not_exported():
     for name in (
         "LeastSquaresFit",
+        "REEstimate",
         "analytic_beta",
         "analytic_rho",
         "column_norms",
@@ -79,10 +78,12 @@ def test_removed_names_are_not_exported():
         "least_squares_on_support",
         "lq_norm",
         "re_lower_bound",
+        "re_upper_bound",
     ):
         assert name not in sparselab.__all__
         assert not hasattr(sparselab, name)
     assert not hasattr(sparselab.linalg, "lq_norm")
+    assert not hasattr(sparselab.properties, "re_upper_bound")
 
 
 # Every public settable value: a defaulted parameter of an exported
@@ -93,7 +94,6 @@ SETTABLE = {
     "BoostingConfig.nu",
     "BoostingConfig.max_iterations",
     "BoostingConfig.residual_stop",
-    "re_upper_bound(seed)",
     "reproduce(seed)",
     "reproduce(lambda_min_factor)",
     "rip_constant(enumeration_budget)",

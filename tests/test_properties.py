@@ -8,7 +8,6 @@ from sparselab import (
     BudgetExceeded,
     in_cone,
     nullspace,
-    re_upper_bound,
     rip_constant,
     rip_implies_rn_test,
     rn_check,
@@ -257,23 +256,6 @@ def test_rn_uniform_is_exact_on_either_side_of_the_critical_constant(design, cri
     Z = np.abs(ns @ np.random.default_rng(0).standard_normal((ns.shape[1], 20_000)))
     top = np.sort(Z, axis=0)[-2:].sum(axis=0)
     assert np.min((Z.sum(axis=0) - top) / top) >= crit
-
-
-def test_re_upper_bound_identity():
-    est = re_upper_bound(np.eye(4), (0, 1), 1.0, samples=50, seed=0)
-    assert est.phi_estimate == 1.0
-
-
-def test_re_upper_bound_sees_nullspace_ray(inst9):
-    est = re_upper_bound(inst9.X, inst9.S, 3.0, samples=32, seed=0)
-    # c = 3 admits the flat ray, which the design maps to zero
-    assert est.phi_estimate == 0.0
-    np.testing.assert_allclose(est.witness, inst9.z, atol=1e-9)
-
-
-def test_re_upper_bound_validates_samples():
-    with pytest.raises(ValueError):
-        re_upper_bound(np.eye(2), (0,), 1.0, samples=0)
 
 
 def test_rip_identity_is_perfect():

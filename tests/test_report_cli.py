@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import importlib
 import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from sparselab import (
     write_matrix,
     write_vector,
 )
-from sparselab.cli import main
+from sparselab.cli import build_parser, main
 from sparselab.report import (
     PATH_HEADER,
     TRAJECTORY_HEADER,
@@ -366,7 +369,6 @@ def test_cli_reproduce_large_artifact_digests(tmp_path, capsys, monkeypatch, c, 
 CERTIFY_ARGS = {
     "rn": ["--property", "rn", "--t", "2", "--c", "1.5"],
     "rn_uniform": ["--property", "rn_uniform", "--t", "2", "--c", "1.5"],
-    "re": ["--property", "re", "--t", "2", "--samples", "50"],
     "rip": ["--property", "rip", "--t", "2"],
     "spark": ["--property", "spark"],
     "spark_budget": ["--property", "spark", "--budget", "20"],
@@ -379,7 +381,6 @@ CERTIFY_ARGS = {
 CERTIFY_C1_DIGESTS = {
     "rn": "ba629f2c89ef4ef6887e8de5e65bea6c98dc8d488ef20e5cfa7d0d22c2fd2ebe",
     "rn_uniform": "7314c821f461c63c9e7e0b834b976de8d047aeb349900d76b28d1935f339f467",
-    "re": "1c982a284d86cd45c131c056685d76a272f66c18c81b8fe2d6381f12a813d732",
     "rip": "889b1d31f1e05278305d9abc284a2eb694a406dc8e42f4b8cef1ae985f678dab",
     "spark": "af0b16405ee7deba10597fb9acedafd5160961886d92a11b74dfb6688d8fae6a",
     "spark_budget": "1711238a085f9e2d45a7e7f40b034604d3628834ec80126363ffe5672443c64d",
@@ -392,7 +393,6 @@ CERTIFY_C1_DIGESTS = {
 CERTIFY_GAUSSIAN_DIGESTS = {
     "rn": "77847c6665a1cb77648aca6390e016a05712a698d6c95bf1836bdda06c5fa855",
     "rn_uniform": "24ed22de49e0cd0ca01e6f45efe1554685eaa5ff29866397b3ccd9a76dfb306b",
-    "re": "fbadae35ff45b66eda584c25cb3a238d7e0ac2958f1638efbfdbd05c2571f484",
     "rip": "4ddc8c63ad1452d46c4b7d985858deb9b7d4de2e859154713adaa6f664d48e22",
     "spark": "ed1b88c91f963d79c739577b98a77b2553bc5f34e25757ac33128837bb6941f0",
     "spark_budget": "7beb7e008c6b40f5886094dc1405d68ef1986b63736372c1ac292fd905137a48",
@@ -604,7 +604,6 @@ def _address_space_cap():
         (CERTIFY + ["huge.txt", "--property", "rip", "--t", "2"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_huge.txt", "--s", "2"], 2),
         (CERTIFY + ["huge_first.txt", "--property", "unique_sparsest", "--y", "y.txt", "--s", "2"], 2),
-        (CERTIFY + ["huge.txt", "--property", "re", "--t", "1"], 2),
         (CERTIFY + ["near.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["tiny_pivot.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
@@ -622,7 +621,6 @@ def _address_space_cap():
         (CERTIFY + ["zero_cols.txt", "--property", "spark"], 2),
         (CERTIFY + ["empty.txt", "--property", "spark"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--budget", "0"], 2),
-        (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--samples", "0"], 2),
         (CERTIFY + ["X.txt", "--property", "rip", "--t", "2", "--budget", "1"], 3),
         (CERTIFY + ["wide.txt", "--property", "rn", "--t", "1", "--budget", "5"], 3),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "0"], 2),
@@ -630,11 +628,9 @@ def _address_space_cap():
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "nan"], 2),
         (["reproduce", "--c", "1", "--window", "5"], 2),
         (["reproduce", "--c", "1", "--seed", "-1"], 2),
-        (CERTIFY + ["X.txt", "--property", "re", "--t", "1", "--seed", "-1"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--seed", "-1"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--c", "-1"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--samples", "0"], 2),
-        (CERTIFY + ["X.txt", "--property", "re", "--t", "2", "--budget", "0"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--t", "-5"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--s", "-3"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--y", "nonexistent.txt"], 2),
@@ -649,6 +645,7 @@ def _address_space_cap():
         (CERTIFY + ["X.txt", "--property", "rn_uniform", "--t", "1", "--c", "inf"], 2),
         (["reproduce", "--nu", "0.5"], 2),
         (CERTIFY + ["X.txt", "--property", "bogus"], 2),
+        (CERTIFY + ["X.txt", "--t", "1", "--property", "re"], 2),
         (["reproduce", "--c", "1", "--iters", "50"], 2),
         (["construct", "--c", "1000"], 2),
         (["reproduce", "--c", "1000"], 2),
@@ -665,7 +662,6 @@ def _address_space_cap():
         "rip-overflow-matrix",
         "unique-overflow-y",
         "unique-overflow-matrix",
-        "re-overflow-matrix",
         "rn-nullspace-residual",
         "rn-nullspace-overflow",
         "unique-underflow-y",
@@ -683,7 +679,6 @@ def _address_space_cap():
         "zero-columns",
         "empty-matrix",
         "certify-budget-0",
-        "re-samples-0",
         "rip-budget-refusal",
         "rn-budget-refusal",
         "lambda-min-0",
@@ -691,11 +686,9 @@ def _address_space_cap():
         "lambda-min-nan",
         "window-unrecognized",
         "reproduce-seed-negative",
-        "re-seed-negative",
         "spark-seed-negative",
         "spark-c-negative",
         "spark-samples-0",
-        "re-budget-0",
         "spark-t-negative",
         "spark-s-negative",
         "spark-y-missing",
@@ -710,6 +703,7 @@ def _address_space_cap():
         "rn-uniform-c-inf",
         "missing-required-flag",
         "unknown-property",
+        "re-retired",
         "iters-below-window",
         "construct-out-of-memory",
         "reproduce-out-of-memory",
@@ -751,12 +745,11 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
         assert lines[0].startswith(f"error: c = {c!r} "), proc.stderr
         if c < 1e300:
             assert " n = " in lines[0] and " p = " in lines[0], proc.stderr
-    # a retired flag is unrecognized, and a bad value is refused by name,
-    # whichever property reads it
-    named = {("--window", "5"): "error: unrecognized arguments: --window 5",
-             ("--seed", "-1"): "error: seed must be at least 0, got -1",
+    # a retired flag is unrecognized, a retired property is an invalid
+    # choice, and a bad value is refused by name, whichever property reads it
+    retired = {"reproduce": ("--window",), "certify": ("--samples", "--seed")}
+    named = {("--seed", "-1"): "error: seed must be at least 0, got -1",
              ("--c", "-1"): "error: c must be positive and finite, got -1.0",
-             ("--samples", "0"): "error: samples must be at least 1, got 0",
              ("--budget", "0"): "error: enumeration_budget must be at least 1, got 0",
              ("--t", "-5"): "error: t must lie in [1, 3], got -5",
              ("--t", "9"): "error: t must lie in [1, 3], got 9",
@@ -765,7 +758,11 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
              ("--y", "nonexistent.txt"):
                  "error: [Errno 2] No such file or directory: 'nonexistent.txt'",
              ("--lambda-min-factor", "1"): "error: lambda_min_factor must lie below 1, got 1.0"}
-    if tuple(argv[-2:]) in named:
+    if argv[-2] in retired.get(argv[0], ()):
+        assert lines[0] == f"error: unrecognized arguments: {' '.join(argv[-2:])}", proc.stderr
+    elif argv[-2:] == ["--property", "re"]:
+        assert lines[0].startswith("error: argument --property: invalid choice: 're'"), proc.stderr
+    elif tuple(argv[-2:]) in named:
         assert lines[0] == named[tuple(argv[-2:])], proc.stderr
     # an entry that is not a number is refused by its file, and a Y whose
     # squared norm underflows as its overflow is
@@ -789,3 +786,16 @@ def test_cli_certify_rn_on_columns_of_very_different_scales(tmp_path, monkeypatc
     assert (cert["holds"], cert["witness"], cert["critical_c"]) == (
         False, [-1e200, -1.0, 1.0], 2e-200
     )
+
+
+def test_readme_certifiers_list_the_cli_properties():
+    # README's `### Certifiers` bullet list and its count name exactly the
+    # properties that `certify --property` accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Certifiers\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `(\w+)` :", section, flags=re.MULTILINE)
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in commands.choices["certify"]._actions if a.dest == "property")
+    assert listed == list(choices)
+    words = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight")
+    assert f"accepts the {words[len(choices)]} properties below" in section
