@@ -16,8 +16,10 @@ can compute while the residual stays within a budget of where g was
 taken.  A coordinate whose bound stays inside the dead zone |c| <= lam/2
 would compute new == old == 0 and leave r untouched, so skipping it
 moves no bit: every iterate, sweep count and KKT value is that of the
-full sweep.  Once the residual's running drift passes the budget, the
-rest of that sweep visits every index and the next g certifies anew.
+full sweep.  Once the residual's running drift, a sum of step lengths,
+passes the budget, the sweep measures how far r has moved since g; within
+half the budget that becomes the drift, and past it the rest of that sweep
+visits every index and the next g certifies anew.
 While a certificate holds, the KKT stop reads only the uncertified
 coordinates: a certified one is zero with |g_j| <= lam/2, so its violation
 is exactly 0.0.
@@ -49,6 +51,14 @@ seeds the next certificate, and so does sweep MAX_SWEEPS, since an
 unconverged solve reports that sweep's KKT value.  Every other sweep
 computes g and the KKT value as before, so nothing returned moves a bit;
 on a design without single-entry columns every sweep does.
+
+Rounding can make the iterates cycle.  A sweep has the bits of the full
+sweep, a function of b and r (up to signed zeros of r, which move no bit),
+so if b and r after sweep t are those after sweep t' < t, every later sweep
+repeats one of sweeps t'+1..t, none of which stopped or raised.  Sweeps 1,
+2, 4, 8, ... save the objective and the bytes of b and r; a later sweep
+with the same objective compares the bytes, and on a match goes on as
+sweep MAX_SWEEPS - (MAX_SWEEPS - t) mod (t - t'), whose iterate it has.
 """
 
 from __future__ import annotations
@@ -101,6 +111,12 @@ SUPPORT_THRESHOLD = 1e-6
 # underflow, which adds at most n 2^-1074 to a dot product or an update;
 # a budget of at least _SCREEN_FLOOR on columns whose squared norms are at
 # least _SCREEN_FLOOR^2 keeps that far below the margin.
+# Once drift passes B it is re-measured: d = fl(r - r0) is within 1 + u of
+# r - r0 entrywise, and s = fl(d . d) within gamma of ||d||^2 plus n 2^-1074
+# of underflow, so, as fl(sqrt(s)) >= (1 - u) sqrt(s) and gamma >= u,
+#   ||r - r0|| <= (1 + 3 gamma) fl(sqrt(s)) + 2 sqrt(n) 2^-537,
+# whose last term the factor 2 covers, as it is far below _SCREEN_FLOOR.
+# A bound of at most B/2 becomes drift; a larger one ends the certificate.
 _ROUNDOFF = 2.0**-53
 _SCREEN_FLOOR = 2.0**-250
 
@@ -174,64 +190,70 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     The run stops when the stationarity residual reaches KKT_TOLERANCE,
     read from X'r only once the visited single-entry columns allow it;
     hitting MAX_SWEEPS first returns the current iterate with
-    ``converged=False`` rather than raising.  A sweep whose objective
-    overflows to inf or nan raises ValueError; one that increases the
-    objective beyond roundoff raises RuntimeError since the update rule
-    forbids it.
+    ``converged=False`` rather than raising, skipping whole periods of
+    iterates that cycle.  A sweep whose objective overflows to inf or nan
+    raises ValueError; one that increases the objective beyond roundoff
+    raises RuntimeError since the update rule forbids it.
     """
     n, p = X.shape
     col_sq = column_sq(X)
     half = 0.5 * lam
     # b is read through its Python-float mirror bl; tmp takes step * X_j, so
     # r + tmp has the two roundings of r += step * X_j without a temporary.
-    cols = [X[:, j] for j in range(p)]
-    dots = [col.dot for col in cols]
-    # rows[j] and entry[j] locate column j's one nonzero entry; rows[j] is
-    # -1 when the column has more (see the module docstring)
+    # every[j] is all that a visit of coordinate j reads: j, the dot method
+    # of column j, the column, the row and value of its one nonzero entry
+    # (row -1 when it has more; see the module docstring), its squared norm
+    # and its norm
     nonzero = X != 0.0
     first = nonzero.argmax(axis=0)
     rows = np.where(nonzero.sum(axis=0) == 1, first, -1).tolist()
     entry = X[first, np.arange(p)].tolist()
+    norms = np.sqrt(col_sq)
+    cols = [X[:, j] for j in range(p)]
+    dots = [col.dot for col in cols]
+    every = list(zip(range(p), dots, cols, rows, entry, col_sq.tolist(), norms.tolist()))
     item = r.item
     bl = b.tolist()
     tmp, abs_b = np.empty(n), np.empty(p)
-    multiply, add, copysign = np.multiply, np.add, math.copysign
-    sq = col_sq.tolist()
-    norms = np.sqrt(col_sq)
-    col_norm = norms.tolist()
+    multiply, add, subtract, copysign = np.multiply, np.add, np.subtract, math.copysign
     gamma = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
+    lift = 1.0 + 3.0 * gamma
     screenable = float(np.min(col_sq)) >= _SCREEN_FLOOR**2
-    every = list(range(p))
     # Without a certificate the sweep visits every index and never runs out;
-    # singles are the visited single-entry columns of the certificate.
+    # singles are the (index, row, entry) of its visited single-entry columns.
     visit, budget, drift, r0_norm, singles = every, math.inf, 0.0, 0.0, []
     prev_obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
     kkt = math.inf
-    for sweep in range(1, MAX_SWEEPS + 1):
-        k = 0
-        while k < len(visit):
-            j = visit[k]
-            k += 1
+    # the objective, b and r after sweep `seen`, the last power of two
+    sweep, seen, seen_obj, seen_b, seen_r = 0, 0, math.nan, b"", b""
+    while sweep < MAX_SWEEPS:
+        sweep += 1
+        for j, dot, col, i, x, sq, norm in visit:
             old = bl[j]
-            i = rows[j]
             if i < 0:
-                full_corr = float(dots[j](r)) + sq[j] * old
+                full_corr = float(dot(r)) + sq * old
             else:
                 r_i = item(i)
-                full_corr = entry[j] * r_i + sq[j] * old
+                full_corr = x * r_i + sq * old
             mag = abs(full_corr) - half
-            new = 0.0 if mag <= 0.0 else copysign(mag, full_corr) / sq[j]
+            new = 0.0 if mag <= 0.0 else copysign(mag, full_corr) / sq
             if new != old:
                 step = old - new
                 if i < 0:
-                    add(r, multiply(cols[j], step, tmp), r)
+                    add(r, multiply(col, step, tmp), r)
                 else:
-                    r[i] = r_i + entry[j] * step
+                    r[i] = r_i + x * step
                 b[j] = bl[j] = new
-                drift += abs(step) * col_norm[j] + _ROUNDOFF * (r0_norm + drift)
+                drift += abs(step) * norm + _ROUNDOFF * (r0_norm + drift)
                 if drift > budget:
-                    # The certificate ran out: visit every index after j.
-                    visit, k, budget = every, j + 1, math.inf
+                    # Re-measure the drift (derivation at _ROUNDOFF).  Past
+                    # half the budget the certificate ran out: the rest of the
+                    # sweep visits every index after j, written over the tail
+                    # of the list this loop reads.
+                    drift = lift * math.sqrt(float(subtract(r, r0, tmp).dot(tmp)))
+                    if not drift <= 0.5 * budget:
+                        visit[visit.index(every[j]) + 1 :] = every[j + 1 :]
+                        visit, budget = every, math.inf
         obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
         if not math.isfinite(obj):
             raise ValueError(
@@ -244,32 +266,39 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
+        if obj == seen_obj and b.tobytes() == seen_b and r.tobytes() == seen_r:
+            # a cycle of period sweep - seen, which never stops (module
+            # docstring): go on as the last sweep before MAX_SWEEPS with
+            # this iterate
+            sweep = MAX_SWEEPS - (MAX_SWEEPS - sweep) % (sweep - seen)
+        elif sweep & (sweep - 1) == 0:
+            seen, seen_obj, seen_b, seen_r = sweep, obj, b.tobytes(), r.tobytes()
         # A screened sweep before the last cannot stop while a single-entry
         # column it visited violates at g_j = x * r[i] (module docstring).
         if (
             visit is not every
             and sweep < MAX_SWEEPS
             and any(
-                not _slack(entry[j] * item(rows[j]), bl[j], half) <= KKT_TOLERANCE
-                for j in singles
+                not _slack(x * item(i), bl[j], half) <= KKT_TOLERANCE
+                for j, i, x in singles
             )
         ):
             continue
         g = X.T @ r
-        kkt = _kkt(g.tolist(), bl, half, visit)
+        kkt = _kkt(g.tolist(), bl, half, [rec[0] for rec in visit])
         if kkt <= KKT_TOLERANCE:
             return PathPoint(lam, b, converged=True, kkt=kkt, sweeps=sweep)
         if visit is every and screenable:
             # A new certificate (derivation at _ROUNDOFF): the budget is a
             # quarter of the largest headroom, so every zero coordinate with
             # about half of it or more is certified.
-            r0_norm = math.sqrt(float(r.dot(r)))
+            r0, r0_norm = r.copy(), math.sqrt(float(r.dot(r)))
             head = np.where(b == 0.0, (half - np.abs(g)) / norms, -math.inf)
             budget = 0.25 * float(np.max(head))
             certified = head >= 2.0 * (2.0 * gamma * r0_norm + (1.0 + gamma) * budget)
             if budget >= _SCREEN_FLOOR and certified.any():
-                visit, drift = np.flatnonzero(~certified).tolist(), 0.0
-                singles = [j for j in visit if rows[j] >= 0]
+                visit, drift = [every[j] for j in np.flatnonzero(~certified)], 0.0
+                singles = [(j, i, x) for j, _, _, i, x, _, _ in visit if i >= 0]
             else:
                 budget = math.inf
     return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)

@@ -451,6 +451,27 @@ def test_screening_duplicate_column_has_no_headroom():
         assert 0.5 * point.lam - abs(g[7]) <= LASSO.KKT_TOLERANCE
 
 
+def _certificate_runs_out(X, Y, lam, first, second, j):
+    """Whether the certificate taken after the sweep that gave `first`, as
+    _descend takes it, certifies column j, and whether the residual of the
+    next sweep (which gave `second`) moves, before column j is visited, past
+    half the budget: then re-measuring the drift cannot keep the
+    certificate, and the visit of column j comes from its expiry."""
+    n = X.shape[0]
+    r0 = Y - X @ first.beta
+    head = np.where(
+        first.beta == 0.0,
+        (0.5 * lam - np.abs(X.T @ r0)) / np.linalg.norm(X, axis=0),
+        -math.inf,
+    )
+    budget = 0.25 * np.max(head)
+    gamma = n * LASSO._ROUNDOFF / (1.0 - n * LASSO._ROUNDOFF)
+    certified = head >= 2.0 * (2.0 * gamma * np.linalg.norm(r0) + (1.0 + gamma) * budget)
+    before = np.concatenate([second.beta[:j], first.beta[j:]])
+    moved = np.linalg.norm(Y - X @ before - r0)
+    return bool(certified[j]), bool(moved > 0.5 * budget)
+
+
 def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
     # After the first sweep column 3 is zero well inside the dead zone, so it
     # is certified.  The second sweep drops column 0 from the support, which
@@ -466,6 +487,7 @@ def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
     assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * lam
     assert first.beta[0] != 0.0 and second.beta[0] == 0.0
     assert second.beta[3] != 0.0
+    assert _certificate_runs_out(X, Y, lam, first, second, 3) == (True, True)
 
 
 def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
@@ -488,6 +510,7 @@ def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
     assert zero[np.argmax(head)] == 4
     assert first.beta[1] != 0.0 and second.beta[1] == 0.0
     assert first.beta[4] == 0.0 and second.beta[4] != 0.0
+    assert _certificate_runs_out(X, Y, lam, first, second, 4) == (True, True)
 
 
 def test_unconverged_screened_solves_match_full_sweeps_bit_for_bit(monkeypatch):
@@ -501,6 +524,67 @@ def test_unconverged_screened_solves_match_full_sweeps_bit_for_bit(monkeypatch):
     assert sum(not p.converged for p in points) > 1
     monkeypatch.setattr(LASSO, "_descend", _full_sweep_lasso)
     assert [_bits(p) for p in points] == [_bits(p) for p in _path(X, Y, factor)]
+
+
+def _scaled_gaussian():
+    # a 10x20 Gaussian design scaled by 1e4: the absolute KKT_TOLERANCE is
+    # out of reach of its rounding, and many solves end in a cycle of b and r
+    X = 1e4 * np.random.default_rng(0).standard_normal((10, 20))
+    beta = np.zeros(20)
+    beta[:3] = (1.0, -2.0, 0.5)
+    return X, X @ beta, 1e-6
+
+
+def _counting_kkt(monkeypatch):
+    # every sweep that takes X'r reads its KKT value through LASSO._kkt; on
+    # the designs below every sweep run takes it: one has no single-entry
+    # column, the other no zero coordinate to certify
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _kkt(*args)
+
+    monkeypatch.setattr(LASSO, "_kkt", counted)
+    return calls
+
+
+def test_cycling_solves_match_full_sweeps_bit_for_bit(monkeypatch):
+    # Cut at sweep 601, nearly every path point runs out of sweeps, and some
+    # of them repeat their (b, r) with period 1 or 2 well before that: the
+    # solver skips whole periods, so it takes fewer KKT values than the
+    # points report sweeps, and must still return the bits of the sweep it
+    # would have reached.  The budget is odd, so a period-2 cycle found at
+    # an even sweep ends on its other phase.
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 601)
+    X, Y, factor = _scaled_gaussian()
+    calls = _counting_kkt(monkeypatch)
+    points = _path(X, Y, factor)
+    assert sum(not p.converged for p in points) >= 19
+    assert len(calls) < sum(p.sweeps for p in points)
+    monkeypatch.setattr(LASSO, "_descend", _full_sweep_lasso)
+    assert [_bits(p) for p in points] == [_bits(p) for p in _path(X, Y, factor)]
+
+
+def test_fixed_point_skips_to_the_last_sweep_bit_for_bit(monkeypatch):
+    # One single-entry column, so every operation is one rounding on any
+    # BLAS kernel.  At half of lambda_max sweep 2 repeats sweep 1 with a KKT
+    # value of 7.45e-9, above KKT_TOLERANCE: a budget of 10**6 sweeps runs
+    # only those two and returns the bits of a budget of 3.
+    X, Y = np.array([[3.0]]), np.array([1e8 / 3])
+    lam = 0.5 * lambda_max(X, Y)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 3)
+    short = lasso(X, Y, lam)
+    assert not short.converged and short.kkt > LASSO.KKT_TOLERANCE
+    monkeypatch.setattr(LASSO, "_descend", _full_sweep_lasso)
+    assert _bits(lasso(X, Y, lam)) == _bits(short)
+    monkeypatch.undo()
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 10**6)
+    calls = _counting_kkt(monkeypatch)
+    long = lasso(X, Y, lam)
+    assert len(calls) == 2
+    assert not long.converged and long.sweeps == 10**6
+    assert _bits(long)[:3] == _bits(short)[:3]
 
 
 @pytest.mark.parametrize(
