@@ -13,7 +13,6 @@ properties.
 from .boosting import (
     BoostingConfig,
     BoostingState,
-    correlations,
     iterate,
     run,
     select_index,
@@ -82,7 +81,6 @@ __all__ = [
     "analytic_step",
     "basis_pursuit",
     "construct",
-    "correlations",
     "equivalence_check",
     "in_cone",
     "iterate",

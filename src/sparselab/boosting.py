@@ -76,13 +76,6 @@ class BoostingState:
     history_steps: np.ndarray
 
 
-def correlations(X, Y) -> np.ndarray:
-    """Normalized correlations rho_j = <Y, X_j / ||X_j||_2> of a response
-    or residual Y; X and Y must pass ``linalg.design``."""
-    X, Y = design(X, Y)
-    return (X.T @ Y) / np.sqrt(column_sq(X))
-
-
 def select_index(rho) -> int:
     """Smallest index attaining the largest |rho_j|.
 

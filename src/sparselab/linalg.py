@@ -131,6 +131,7 @@ def _rref(X: np.ndarray):
     return R, pivot_cols
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nullspace(X) -> np.ndarray:
     """Nullspace basis of X via row reduction with partial pivoting.
 
@@ -150,8 +151,8 @@ def nullspace(X) -> np.ndarray:
         column by column, so one huge column cannot excuse a vector that
         the others do not annihilate; else RuntimeError.  A row reduction
         that overflows, as a pivot tiny next to the rest of its row can
-        make it, is refused with a RuntimeError too.  X must pass
-        ``design``.
+        make it, and a tolerance that overflows are refused with a
+        RuntimeError too.  X must pass ``design``.
     """
     X = design(X)
     n, p = X.shape
@@ -174,6 +175,8 @@ def nullspace(X) -> np.ndarray:
         Xv = X @ v
         resid = math.sqrt(Xv.dot(Xv))
         tol = DEFAULT_RANK_TOL * float(np.abs(v) @ norms)
+        if tol == math.inf:
+            raise RuntimeError("the nullspace residual check overflows; rescale the columns of X")
         # a nan residual fails too
         if not resid <= tol:
             raise RuntimeError(

@@ -21,7 +21,6 @@ from sparselab import (
     analytic_step,
     basis_pursuit,
     construct,
-    correlations,
     equivalence_check,
     in_cone,
     iterate,
@@ -92,7 +91,6 @@ CASES = [
     ("rip-nan", lambda: rip_constant(NAN_X, 1), ValueError, "X must be finite"),
     ("rip-vector", lambda: rip_constant(np.ones(3), 1), ValueError, SHAPES_1D),
     ("unique-nan", lambda: unique_sparsest(NAN_X, Y, 1), ValueError, "X must be finite"),
-    ("correlations-inf", lambda: correlations(INF_X, Y), ValueError, "X must be finite"),
     ("iterate-nan", lambda: next(iterate(NAN_X, Y, CONFIG)), ValueError, "X must be finite"),
     ("run-inf", lambda: run(INF_X, Y, CONFIG), ValueError, "X must be finite"),
     ("lasso-nan", lambda: lasso(NAN_X, Y, 1.0), ValueError, "X must be finite"),
@@ -124,18 +122,21 @@ CASES = [
      "the row reduction of X overflows; rescale the columns of X"),
     ("rn-check-overflow", lambda: rn_check([[1e-300, 1e10]], (0,), 1.0), RuntimeError,
      "the row reduction of X overflows; rescale the columns of X"),
+    # the residual tolerance 1e-10 * (|v| @ ||X_j||) of the ray (-1e308, -1e308, 1)
+    # overflows: a check against inf would pass any vector
+    ("nullspace-tolerance-overflow", lambda: nullspace([[1, 0, 1e308], [0, 1, 1e308]]),
+     RuntimeError, "the nullspace residual check overflows; rescale the columns of X"),
     # a nonzero Y whose squared norm is below the least normal float
     ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,
      "the norm of Y underflows; rescale Y"),
     ("run-long-y", lambda: run(X, np.ones(3), CONFIG), ValueError, SHAPES_XY),
-    ("correlations-long-y", lambda: correlations(X, np.ones(3)), ValueError, SHAPES_XY),
     ("basis-pursuit-long-y", lambda: basis_pursuit(X, np.ones(3), 1e-3), ValueError, SHAPES_XY),
     ("kkt-nan-y", lambda: kkt_residual(X, NAN_Y, np.zeros(3), 1.0), ValueError, "Y must be finite"),
     # a zero-norm column, where the solver divides by the column norm
     ("lasso-zero-column", lambda: lasso(np.eye(2)[:, [0, 0, 1]] * [1, 0, 1], Y, 1.0),
      ValueError, "column 1 has zero norm"),
-    ("correlations-zero-column", lambda: correlations([[1.0, 0.0], [0.0, 0.0]], Y),
-     ValueError, "column 1 has zero norm"),
+    ("run-zero-column", lambda: run([[1.0, 0.0], [0.0, 0.0]], Y, CONFIG), ValueError,
+     "column 1 has zero norm"),
     # constants: positive and finite
     ("rn-check-c-nan", lambda: rn_check(X, (0,), math.nan), ValueError,
      "c must be positive and finite, got nan"),
@@ -271,6 +272,14 @@ CASES = [
      "delta must be a finite vector or stack of vectors"),
     ("cone-split-scalar", lambda: cone_split(1.0, (0,)), ValueError,
      "delta must be a finite vector or stack of vectors"),
+    # finite entries whose l1 mass overflows: inf on both sides of the cone
+    # rule would read as membership
+    ("in-cone-overflow", lambda: in_cone([1e308] * 5, (0, 1), 1.0), ValueError,
+     "the l1 mass of b overflows; rescale b"),
+    ("cone-split-overflow", lambda: cone_split([1e308] * 5, (0, 1)), ValueError,
+     "the l1 mass of delta overflows; rescale delta"),
+    ("cone-split-overflow-row", lambda: cone_split([[1.0] * 3, [1e308] * 3], (0,)), ValueError,
+     "the l1 mass of delta overflows; rescale delta"),
     ("in-cone-empty", lambda: in_cone([], (0,), 1.0), ValueError, "b must be non-empty"),
     ("cone-split-empty", lambda: cone_split([], (0,)), ValueError, "delta must be non-empty"),
     ("cone-split-empty-rows", lambda: cone_split(np.zeros((2, 0)), (0,)), ValueError,

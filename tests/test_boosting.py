@@ -8,7 +8,6 @@ import pytest
 from sparselab import (
     BoostingConfig,
     construct,
-    correlations,
     iterate,
     run,
     select_index,
@@ -41,7 +40,7 @@ def test_init_state():
     assert state.k == 0
     assert state.beta.shape == (4,) and np.all(state.beta == 0.0)
     np.testing.assert_array_equal(state.residual, Y)
-    np.testing.assert_array_equal(state.rho, correlations(X, Y))
+    np.testing.assert_array_equal(state.rho, (X.T @ Y) / np.sqrt(np.sum(X * X, axis=0)))
     assert state.history.tolist() == []
     assert state.history_steps.tolist() == []
 
@@ -49,14 +48,15 @@ def test_init_state():
 def test_correlations_formula():
     X = np.array([[3.0, 0.0], [4.0, 2.0]])
     R = np.array([1.0, 1.0])
+    (state,) = run(X, R, BoostingConfig(max_iterations=0))
     # <R, X_j> / ||X_j||: (3+4)/5 and 2/2
-    np.testing.assert_allclose(correlations(X, R), [7.0 / 5.0, 1.0])
+    np.testing.assert_allclose(state.rho, [7.0 / 5.0, 1.0])
 
 
 def test_correlations_reject_zero_column():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="column 1"):
-        correlations(X, np.ones(2))
+        run(X, np.ones(2), BoostingConfig())
 
 
 def test_select_index_tie_prefers_smallest():
@@ -272,7 +272,8 @@ def _reference_select_index(rho) -> int:
 
 def _reference_iterate(X, Y, config):
     """Reference: the boosting engine before the lean loop, verbatim
-    except that the column norms and the residual norm are inlined."""
+    except that the column norms, the first correlations and the residual
+    norm are inlined."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 1:
@@ -281,9 +282,9 @@ def _reference_iterate(X, Y, config):
         raise ValueError("Y must be finite")
     k, j, applied = 0, None, 0.0
     residual = Y.copy()
-    rho = correlations(X, residual)
     beta = np.zeros(X.shape[1])
     norms = np.sqrt(np.sum(X * X, axis=0))
+    rho = (X.T @ residual) / norms
     yield k, j, applied, beta, residual, rho
     while k < config.max_iterations and (
         config.residual_stop == 0.0

@@ -9,7 +9,6 @@ from sparselab import (
     InvariantViolation,
     analytic_step,
     construct,
-    correlations,
     equivalence_check,
     iterate,
     run,
@@ -68,7 +67,7 @@ def test_construct_is_exact(inst25):
 def test_initial_correlations_match(inst25):
     state = AnalyticState(np.zeros(20), 0.0, 0)
     rho_a = _reduced_rho(state, inst25)[0]
-    rho_m = correlations(inst25.X, inst25.Y)
+    rho_m = run(inst25.X, inst25.Y, BoostingConfig(max_iterations=0))[0].rho
     np.testing.assert_array_equal(rho_a, rho_m)
     # mixed column dominates at the start: s * gamma^2 / ||X_p||
     assert rho_a[inst25.n] == 3125.0 / math.sqrt(3145.0)

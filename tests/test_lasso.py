@@ -336,12 +336,19 @@ def _duplicate_column():
     return X, X @ np.array([0, 0, 2.0, 0, -1.0, 0, 0, 0, 0, 0.5]), 1e-6
 
 
-def _headroom_runs_out():
-    # two nearly parallel columns; see test_screening_headroom_runs_out_mid_sweep
-    rng = np.random.default_rng(264)
-    X = rng.standard_normal((6, 4))
-    X[:, 1] = X[:, 0] + 0.1 * rng.standard_normal(6)
-    return X, rng.standard_normal(6), 0.1
+def _nearly_parallel(seed, factor):
+    # columns 0 and 1 nearly parallel; the screening tests that call it say
+    # what each (seed, factor) shows
+    def design():
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((6, 4))
+        X[:, 1] = X[:, 0] + 0.1 * rng.standard_normal(6)
+        return X, rng.standard_normal(6), factor
+
+    return design
+
+
+_headroom_runs_out = _nearly_parallel(264, 0.1)
 
 
 def _diagonal_and_dense(diagonal_first):
@@ -453,10 +460,10 @@ def test_screening_duplicate_column_has_no_headroom():
 
 def _certificate_runs_out(X, Y, lam, first, second, j):
     """Whether the certificate taken after the sweep that gave `first`, as
-    _descend takes it, certifies column j, and whether the residual of the
-    next sweep (which gave `second`) moves, before column j is visited, past
-    half the budget: then re-measuring the drift cannot keep the
-    certificate, and the visit of column j comes from its expiry."""
+    _descend takes it, certifies column j, and how far, in budgets, the
+    residual of the next sweep (which gave `second`) moves before column j
+    is visited.  Past half a budget re-measuring the drift cannot keep the
+    certificate, and a visit of column j comes from its expiry."""
     n = X.shape[0]
     r0 = Y - X @ first.beta
     head = np.where(
@@ -469,7 +476,7 @@ def _certificate_runs_out(X, Y, lam, first, second, j):
     certified = head >= 2.0 * (2.0 * gamma * np.linalg.norm(r0) + (1.0 + gamma) * budget)
     before = np.concatenate([second.beta[:j], first.beta[j:]])
     moved = np.linalg.norm(Y - X @ before - r0)
-    return bool(certified[j]), bool(moved > 0.5 * budget)
+    return bool(certified[j]), float(moved / budget)
 
 
 def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
@@ -487,7 +494,8 @@ def test_screening_headroom_runs_out_mid_sweep(monkeypatch):
     assert first.beta[3] == 0.0 and abs(g[3]) < 0.5 * 0.5 * lam
     assert first.beta[0] != 0.0 and second.beta[0] == 0.0
     assert second.beta[3] != 0.0
-    assert _certificate_runs_out(X, Y, lam, first, second, 3) == (True, True)
+    certified, moved = _certificate_runs_out(X, Y, lam, first, second, 3)
+    assert certified and moved > 0.5
 
 
 def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
@@ -510,7 +518,28 @@ def test_screening_runs_out_on_a_single_entry_column(monkeypatch):
     assert zero[np.argmax(head)] == 4
     assert first.beta[1] != 0.0 and second.beta[1] == 0.0
     assert first.beta[4] == 0.0 and second.beta[4] != 0.0
-    assert _certificate_runs_out(X, Y, lam, first, second, 4) == (True, True)
+    certified, moved = _certificate_runs_out(X, Y, lam, first, second, 4)
+    assert certified and moved > 0.5
+
+
+def test_re_measured_drift_past_half_the_budget_expires_bit_for_bit(monkeypatch):
+    # Column 1 is certified after the first sweep, and the second sweep moves
+    # the residual 2.9 budgets before its visit: past half the budget, so the
+    # re-measured drift expires the certificate, yet within 8, so a
+    # re-measure that kept certificates up to 8 budgets would skip column 1,
+    # which enters in that same sweep.
+    X, Y, factor = _nearly_parallel(315, 0.3)()
+    lam = factor * lambda_max(X, Y)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 1)
+    first = lasso(X, Y, lam)
+    monkeypatch.setattr(LASSO, "MAX_SWEEPS", 2)
+    second = lasso(X, Y, lam)
+    assert first.beta[1] == 0.0 and second.beta[1] != 0.0
+    certified, moved = _certificate_runs_out(X, Y, lam, first, second, 1)
+    assert certified and 0.5 < moved <= 8.0
+    monkeypatch.undo()
+    reference = _full_sweep_lasso(X, Y, lam, np.zeros(4), Y.copy())
+    assert _bits(lasso(X, Y, lam)) == _bits(reference)
 
 
 def test_unconverged_screened_solves_match_full_sweeps_bit_for_bit(monkeypatch):

@@ -32,7 +32,6 @@ EXPORTED = {
     "analytic_step",
     "basis_pursuit",
     "construct",
-    "correlations",
     "equivalence_check",
     "in_cone",
     "iterate",
@@ -74,6 +73,7 @@ def test_removed_names_are_not_exported():
         "analytic_beta",
         "analytic_rho",
         "column_norms",
+        "correlations",
         "initial_analytic_state",
         "least_squares_on_support",
         "lq_norm",
@@ -84,6 +84,7 @@ def test_removed_names_are_not_exported():
         assert not hasattr(sparselab, name)
     assert not hasattr(sparselab.linalg, "lq_norm")
     assert not hasattr(sparselab.properties, "re_upper_bound")
+    assert not hasattr(sparselab.boosting, "correlations")
 
 
 # Every public settable value: a defaulted parameter of an exported

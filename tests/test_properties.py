@@ -295,11 +295,9 @@ def test_rip_implies_rn_is_deterministic():
     b = rip_implies_rn_test(6, trials=20, t=1, seed=1)
     assert a == b
     assert a["violations"] == 0
-    assert set(a["families"]) == {
-        "gaussian",
-        "orthonormal-extended",
-        "near-tight-frame",
-    }
+    # every draw is near the tight frame, so none leaves the premise unmet
+    assert a["applicable"] == 20 and a["vacuous"] == 0
+    assert "families" not in a
 
 
 def test_spark_zero_column():

@@ -572,6 +572,8 @@ BOUNDARY_FILES = {
     "near.txt": "10 2\n1 1\n" + "0 9.9e-11\n" * 9,
     # a pivot tiny next to the rest of its row: the row reduction overflows
     "tiny_pivot.txt": "1 2\n1e-300 1e10\n",
+    # the nullspace residual check's tolerance overflows
+    "huge_tol.txt": "2 3\n1 0 1e308\n0 1 1e308\n",
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
     "header_text.txt": "two three\n1 0 1\n0 1 1\n",
@@ -606,6 +608,7 @@ def _address_space_cap():
         (CERTIFY + ["huge_first.txt", "--property", "unique_sparsest", "--y", "y.txt", "--s", "2"], 2),
         (CERTIFY + ["near.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["tiny_pivot.txt", "--property", "rn", "--t", "1"], 2),
+        (CERTIFY + ["huge_tol.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
         (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
@@ -664,6 +667,7 @@ def _address_space_cap():
         "unique-overflow-matrix",
         "rn-nullspace-residual",
         "rn-nullspace-overflow",
+        "rn-nullspace-tolerance-overflow",
         "unique-underflow-y",
         "compare-overflow-both",
         "compare-inf-y",
@@ -770,7 +774,9 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
                      "y_comma.txt": "error: y_comma.txt: entry '1,2' is not a number",
                      "y_tiny.txt": "error: the norm of Y underflows; rescale Y",
                      "tiny_pivot.txt":
-                         "error: the row reduction of X overflows; rescale the columns of X"}
+                         "error: the row reduction of X overflows; rescale the columns of X",
+                     "huge_tol.txt":
+                         "error: the nullspace residual check overflows; rescale the columns of X"}
     for name, line in named_by_file.items():
         if name in argv:
             assert lines[0] == line, proc.stderr
