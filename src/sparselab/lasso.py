@@ -181,8 +181,8 @@ def lasso(X, Y, lam: float) -> PathPoint:
 @np.errstate(over="ignore", invalid="ignore")
 def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     """Cyclic coordinate descent at penalty lam from b, whose residual
-    Y - X b is r; both are updated in place.  The caller has checked X, Y
-    and lam.
+    Y - X b is r; r is updated in place, and b by the time it returns.  The
+    caller has checked X, Y and lam.
 
     Coordinates sweep in fixed order 0..p-1, skipping the zero
     coordinates a certificate shows inert, and a column with one nonzero
@@ -198,8 +198,10 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     n, p = X.shape
     col_sq = column_sq(X)
     half = 0.5 * lam
-    # b is read through its Python-float mirror bl; tmp takes step * X_j, so
-    # r + tmp has the two roundings of r += step * X_j without a temporary.
+    # b is read through its Python-float mirror bl, and abs_b keeps |b| for
+    # the objective; b itself is written from bl only where it is read.  tmp
+    # takes step * X_j, so r + tmp has the two roundings of r += step * X_j
+    # without a temporary.
     # every[j] is all that a visit of coordinate j reads: j, the dot method
     # of column j, the column, the row and value of its one nonzero entry
     # (row -1 when it has more; see the module docstring), its squared norm
@@ -216,17 +218,18 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
     bl = b.tolist()
     tmp, abs_b = np.empty(n), np.empty(p)
     multiply, add, subtract, copysign = np.multiply, np.add, np.subtract, math.copysign
-    gamma = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
+    reduce, isfinite, max_sweeps, roundoff = np.add.reduce, math.isfinite, MAX_SWEEPS, _ROUNDOFF
+    gamma = n * roundoff / (1.0 - n * roundoff)
     lift = 1.0 + 3.0 * gamma
     screenable = float(np.min(col_sq)) >= _SCREEN_FLOOR**2
     # Without a certificate the sweep visits every index and never runs out;
     # singles are the (index, row, entry) of its visited single-entry columns.
     visit, budget, drift, r0_norm, singles = every, math.inf, 0.0, 0.0, []
-    prev_obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
+    prev_obj = float(r.dot(r) + lam * reduce(np.abs(b, abs_b)))
     kkt = math.inf
     # the objective, b and r after sweep `seen`, the last power of two
     sweep, seen, seen_obj, seen_b, seen_r = 0, 0, math.nan, b"", b""
-    while sweep < MAX_SWEEPS:
+    while sweep < max_sweeps:
         sweep += 1
         for j, dot, col, i, x, sq, norm in visit:
             old = bl[j]
@@ -243,8 +246,9 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                     add(r, multiply(col, step, tmp), r)
                 else:
                     r[i] = r_i + x * step
-                b[j] = bl[j] = new
-                drift += abs(step) * norm + _ROUNDOFF * (r0_norm + drift)
+                bl[j] = new
+                abs_b[j] = abs(new)
+                drift += abs(step) * norm + roundoff * (r0_norm + drift)
                 if drift > budget:
                     # Re-measure the drift (derivation at _ROUNDOFF).  Past
                     # half the budget the certificate ran out: the rest of the
@@ -254,8 +258,8 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                     if not drift <= 0.5 * budget:
                         visit[visit.index(every[j]) + 1 :] = every[j + 1 :]
                         visit, budget = every, math.inf
-        obj = float(r.dot(r) + lam * np.add.reduce(np.abs(b, abs_b)))
-        if not math.isfinite(obj):
+        obj = float(r.dot(r)) + lam * float(reduce(abs_b))
+        if not isfinite(obj):
             raise ValueError(
                 f"coordinate sweep {sweep} overflowed to objective {obj!r}; "
                 "rescale X and Y"
@@ -266,29 +270,32 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                 f"from {prev_obj!r} to {obj!r}"
             )
         prev_obj = obj
+        if obj == seen_obj or sweep & (sweep - 1) == 0:
+            b[:] = bl
         if obj == seen_obj and b.tobytes() == seen_b and r.tobytes() == seen_r:
             # a cycle of period sweep - seen, which never stops (module
             # docstring): go on as the last sweep before MAX_SWEEPS with
             # this iterate
-            sweep = MAX_SWEEPS - (MAX_SWEEPS - sweep) % (sweep - seen)
+            sweep = max_sweeps - (max_sweeps - sweep) % (sweep - seen)
         elif sweep & (sweep - 1) == 0:
             seen, seen_obj, seen_b, seen_r = sweep, obj, b.tobytes(), r.tobytes()
         # A screened sweep before the last cannot stop while a single-entry
         # column it visited violates at g_j = x * r[i] (module docstring).
-        if (
-            visit is not every
-            and sweep < MAX_SWEEPS
-            and any(
-                not _slack(x * item(i), bl[j], half) <= KKT_TOLERANCE
-                for j, i, x in singles
-            )
-        ):
-            continue
+        if visit is not every and sweep < max_sweeps:
+            violated = False
+            for j, i, x in singles:
+                if not _slack(x * item(i), bl[j], half) <= KKT_TOLERANCE:
+                    violated = True
+                    break
+            if violated:
+                continue
         g = X.T @ r
         kkt = _kkt(g.tolist(), bl, half, [rec[0] for rec in visit])
         if kkt <= KKT_TOLERANCE:
+            b[:] = bl
             return PathPoint(lam, b, converged=True, kkt=kkt, sweeps=sweep)
         if visit is every and screenable:
+            b[:] = bl
             # A new certificate (derivation at _ROUNDOFF): the budget is a
             # quarter of the largest headroom, so every zero coordinate with
             # about half of it or more is certified.
@@ -301,7 +308,8 @@ def _descend(X, Y, lam: float, b: np.ndarray, r: np.ndarray) -> PathPoint:
                 singles = [(j, i, x) for j, _, _, i, x, _, _ in visit if i >= 0]
             else:
                 budget = math.inf
-    return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=MAX_SWEEPS)
+    b[:] = bl
+    return PathPoint(lam, b, converged=False, kkt=kkt, sweeps=max_sweeps)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -150,14 +150,17 @@ def _split(mags: np.ndarray, mask: np.ndarray):
     return on, off, ratio
 
 
-def _checked_split(name: str, mags: np.ndarray, T):
-    """``_split`` of the caller's argument ``name`` about T; an l1 mass that
-    overflows is refused in one line, a ratio past the float range is inf."""
+def _checked_split(mags: np.ndarray, mask: np.ndarray, refusal: str):
+    """``_split`` about ``mask``; an l1 mass that overflows is refused with
+    the one-line ``refusal``, a ratio past the float range is inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        on, off, ratio = _split(mags, _mask("T", T, mags.shape[-1]))
+        on, off, ratio = _split(mags, mask)
     if not np.isfinite((on, off)).all():
-        raise ValueError(f"the l1 mass of {name} overflows; rescale {name}")
+        raise ValueError(refusal)
     return on, off, ratio
+
+
+_RAY_OVERFLOW = "the l1 mass of a nullspace ray overflows; rescale the columns of X"
 
 
 def cone_split(delta, T):
@@ -169,7 +172,8 @@ def cone_split(delta, T):
         raise ValueError("delta must be a finite vector or stack of vectors")
     if not mags.shape[-1]:
         raise ValueError("delta must be non-empty")
-    return _checked_split("delta", mags, T)
+    mask = _mask("T", T, mags.shape[-1])
+    return _checked_split(mags, mask, "the l1 mass of delta overflows; rescale delta")
 
 
 def _refuse_gram_overflow(X: np.ndarray) -> None:
@@ -192,7 +196,8 @@ def in_cone(b, T, c: float) -> bool:
     if not np.size(b):
         raise ValueError("b must be non-empty")
     b = coefficients("b", b, np.size(b))
-    on, off, _ = _checked_split("b", np.abs(b), T)
+    mask = _mask("T", T, b.size)
+    on, off, _ = _checked_split(np.abs(b), mask, "the l1 mass of b overflows; rescale b")
     return _in_closed_cone(on, off, c)
 
 
@@ -232,7 +237,7 @@ def rn_check(X, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET) -> RN
     budget = _budget(enumeration_budget)
     critical, witness = math.inf, None
     for r in _rays(nullspace(X), budget):
-        on, off, ratio = _split(np.abs(r), mask)
+        on, off, ratio = _checked_split(np.abs(r), mask, _RAY_OVERFLOW)
         critical = min(critical, ratio)
         if witness is None and _in_closed_cone(on, off, c):
             witness = r.copy()
@@ -257,7 +262,7 @@ def rn_uniform(
         mags = np.abs(r)
         worst = np.zeros(p, dtype=bool)
         worst[np.argsort(-mags, kind="stable")[:t]] = True
-        on, off, ratio = _split(mags, worst)
+        on, off, ratio = _checked_split(mags, worst, _RAY_OVERFLOW)
         if not worst_T or ratio < critical:
             worst_T, critical = tuple(np.flatnonzero(worst).tolist()), ratio
         holds = holds and not _in_closed_cone(on, off, c)

@@ -57,6 +57,10 @@ X_PLANE = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
 # yet ||X v|| = 2.97e-10 for v = (-1, 1) exceeds the residual tolerance
 # 1e-10 * (||X_0|| + ||X_1||) = 2e-10
 X_NEAR = [[1.0, 1.0]] + [[0.0, 0.99e-10]] * 9
+# small column norms keep the nullspace tolerance finite, and the ray
+# (1e308, 1e308, 1) has an l1 mass past the float range
+X_RAY = [[1e-20, 0.0, -1e288], [0.0, 1e-20, -1e288]]
+RAY_OVERFLOW = "the l1 mass of a nullspace ray overflows; rescale the columns of X"
 INST = construct(1.0)
 START = AnalyticState(np.zeros(INST.n - INST.s), 0.0, 0)
 CONFIG = BoostingConfig()
@@ -126,6 +130,11 @@ CASES = [
     # overflows: a check against inf would pass any vector
     ("nullspace-tolerance-overflow", lambda: nullspace([[1, 0, 1e308], [0, 1, 1e308]]),
      RuntimeError, "the nullspace residual check overflows; rescale the columns of X"),
+    # a ray whose mass off T, or on it, overflows: read as inf, the off-mass
+    # would pass any cone and the on-mass would give a critical c of 0
+    ("rn-check-ray-off-overflow", lambda: rn_check(X_RAY, (2,), 1.0), ValueError, RAY_OVERFLOW),
+    ("rn-check-ray-on-overflow", lambda: rn_check(X_RAY, (0, 1), 1.0), ValueError, RAY_OVERFLOW),
+    ("rn-uniform-ray-overflow", lambda: rn_uniform(X_RAY, 2, 1.0), ValueError, RAY_OVERFLOW),
     # a nonzero Y whose squared norm is below the least normal float
     ("unique-y-underflow", lambda: unique_sparsest(X, [1e-300, 2e-300], 2), ValueError,
      "the norm of Y underflows; rescale Y"),
@@ -313,3 +322,14 @@ def test_python_and_numpy_numbers_are_taken(value):
     # the boosting steps keep float64 bits whatever the type of nu
     steps = run(X, Y, BoostingConfig(nu=value / 8, max_iterations=5))[-1].history_steps
     assert steps.tobytes() == run(X, Y, BoostingConfig(nu=0.5, max_iterations=5))[-1].history_steps.tobytes()
+
+
+def test_ray_ratio_past_the_float_range_is_inf():
+    # the ray (4e-309, 1) has a finite mass on T = (0,) whose ratio 1 / 4e-309
+    # leaves float64: it reads inf, with no numpy warning, and the ray is
+    # outside every cone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = rn_check([[1.0, -4e-309]], (0,), 1.0)
+    assert verdict.holds and verdict.witness is None
+    assert verdict.critical_c == math.inf

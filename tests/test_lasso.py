@@ -349,6 +349,13 @@ def _nearly_parallel(seed, factor):
 
 
 _headroom_runs_out = _nearly_parallel(264, 0.1)
+# Columns 0 and 1 enter the support in sweep 3, and their nearly parallel
+# steps leave |g_0| = 0.776 below lam/2 = 0.782 with b_0 nonzero.  The
+# certificate after sweep 3 must read b as that sweep left it: read as
+# sweep 2 left it (the cycle check's last write of b, at a power of two),
+# column 0 looks like a zero with headroom and is skipped, though sweep 4
+# drops it from the support.
+_enters_after_a_power_of_two = _nearly_parallel(87, 0.3)
 
 
 def _diagonal_and_dense(diagonal_first):
@@ -418,6 +425,7 @@ SCREENING_CASES = {
     "gaussian-60x120": (_gaussian_p_above_n, _path),
     "duplicate-column": (_duplicate_column, _path),
     "headroom-runs-out": (_headroom_runs_out, _cold_solve),
+    "enters-after-a-power-of-two": (_enters_after_a_power_of_two, _cold_solve),
     "diagonal-then-dense": (_diagonal_and_dense(True), _path),
     "dense-then-diagonal": (_diagonal_and_dense(False), _path),
     "single-entries-share-a-row": (_single_entries_share_a_row, _path),
@@ -614,6 +622,32 @@ def test_fixed_point_skips_to_the_last_sweep_bit_for_bit(monkeypatch):
     assert len(calls) == 2
     assert not long.converged and long.sweeps == 10**6
     assert _bits(long)[:3] == _bits(short)[:3]
+
+
+def _guard_refusal(solve, X, Y, lam, b):
+    with pytest.raises(RuntimeError, match="increased the objective") as info:
+        solve(X, Y, lam, b.copy(), Y - X @ b)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("slack", [-1e-9, -1e-12, -1e-14])
+def test_objective_guard_matches_full_sweeps_bit_for_bit(slack, monkeypatch):
+    # A negative slack asks every sweep to lower the objective by a margin,
+    # so the monotonicity guard fires hundreds of sweeps into a screened
+    # solve.  It must fire at the reference's sweep and name the reference's
+    # two objectives, which the solver sums from the |b| its visits keep.
+    X, Y, _ = _family(4.0)()
+    top = lambda_max(X, Y)
+    # the b that lasso_path hands its point at top / 2**10
+    warm = LASSO.lasso_path(X, Y, top / 2**9)[-1].beta
+    Xg, Yg, factor = _gaussian_p_above_n()
+    starts = [(X, Y, top / 2**k, np.zeros(X.shape[1])) for k in (12, 16, 20)]
+    starts += [(X, Y, top / 2**10, warm), (Xg, Yg, factor * lambda_max(Xg, Yg), np.zeros(120))]
+    monkeypatch.setattr(LASSO, "_OBJECTIVE_SLACK", slack)
+    for start in starts:
+        text = _guard_refusal(LASSO._descend, *start)
+        assert text == _guard_refusal(_full_sweep_lasso, *start)
+        assert int(re.search(r"sweep (\d+)", text)[1]) > 300
 
 
 @pytest.mark.parametrize(

@@ -574,6 +574,8 @@ BOUNDARY_FILES = {
     "tiny_pivot.txt": "1 2\n1e-300 1e10\n",
     # the nullspace residual check's tolerance overflows
     "huge_tol.txt": "2 3\n1 0 1e308\n0 1 1e308\n",
+    # the nullspace ray (1e308, 1e308, 1) has an l1 mass past the float range
+    "huge_ray.txt": "2 3\n1e-20 0 -1e288\n0 1e-20 -1e288\n",
     "y_short.txt": "1\n",
     "header_one.txt": "2\n1 0\n0 1\n",
     "header_text.txt": "two three\n1 0 1\n0 1 1\n",
@@ -609,6 +611,7 @@ def _address_space_cap():
         (CERTIFY + ["near.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["tiny_pivot.txt", "--property", "rn", "--t", "1"], 2),
         (CERTIFY + ["huge_tol.txt", "--property", "rn", "--t", "1"], 2),
+        (CERTIFY + ["huge_ray.txt", "--property", "rn", "--t", "2"], 2),
         (CERTIFY + ["X.txt", "--property", "unique_sparsest", "--y", "y_tiny.txt", "--s", "2"], 2),
         (COMPARE + ["huge.txt", "--y", "y_huge.txt"], 2),
         (COMPARE + ["X.txt", "--y", "y_inf.txt"], 2),
@@ -668,6 +671,7 @@ def _address_space_cap():
         "rn-nullspace-residual",
         "rn-nullspace-overflow",
         "rn-nullspace-tolerance-overflow",
+        "rn-ray-mass-overflow",
         "unique-underflow-y",
         "compare-overflow-both",
         "compare-inf-y",
