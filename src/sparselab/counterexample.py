@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .linalg import integer, positive
+from .linalg import coefficients, integer, positive, real
 
 # Tolerance for the [0, 1] box on reduced coordinates; violations beyond
 # this would falsify the form invariant, not just accumulate roundoff.
@@ -116,18 +116,42 @@ def construct(c: float) -> SparseInstance:
     )
 
 
-def _reduced_rho(state: AnalyticState, inst: SparseInstance) -> tuple[np.ndarray, float]:
-    """Correlations of a parameter in reduced form, and the numerator of the
-    mixed entry: rho_j = gamma * (1 - c_p) on the leading block, c_j - c_p
-    on the middle block, and the norm-weighted mixture on the last column."""
+def _check_box(c_mid: np.ndarray, c_p: float, k: int) -> None:
+    """Refuse a reduced state with a coordinate outside [0, 1] by more than
+    COORD_SLACK, naming iteration k and the whole state's range."""
+    lo = c_p if c_mid.size == 0 else min(float(c_mid.min()), c_p)
+    hi = c_p if c_mid.size == 0 else max(float(c_mid.max()), c_p)
+    if lo < -COORD_SLACK or hi > 1.0 + COORD_SLACK:
+        raise InvariantViolation(
+            f"reduced coordinate left [0, 1] at iteration {k}: range [{lo!r}, {hi!r}]"
+        )
+
+
+def _step(c_mid, c_p: float, k: int, inst: SparseInstance, nu: float, rho) -> tuple[int, float]:
+    """One reduced step from iteration k (nu a checked float): fill the
+    length-p buffer rho with the correlations (gamma * (1 - c_p) leading,
+    c_j - c_p in the middle, the norm-weighted mixture last), move c_mid in
+    place, return (j, new c_p).  Only the moved coordinate is box-checked:
+    from a state inside the box no other can leave it."""
     g, s, n = inst.gamma, inst.s, inst.n
-    mid = state.c_mid - state.c_p
-    mixed = s * g * g * (1.0 - state.c_p) + float(mid.sum())
-    rho = np.empty(inst.p)
-    rho[:s] = g * (1.0 - state.c_p)
+    mid = c_mid - c_p
+    mixed = s * g * g * (1.0 - c_p) + float(mid.sum())
+    rho[:s] = g * (1.0 - c_p)
     rho[s:n] = mid
     rho[n] = mixed / math.sqrt((g * g - 1.0) * s + n)
-    return rho, mixed
+    j = boosting.select_index(rho)
+    if rho.item(j) == 0.0:
+        return j, c_p
+    if j < s:
+        raise InvariantViolation(f"leading column {j} won the correlation race at iteration {k}")
+    if j == n:
+        c_p += nu * (mixed / ((g * g - 1.0) * s + n))
+        moved = c_p
+    else:
+        moved = c_mid[j - s] = (1.0 - nu) * c_mid.item(j - s) + nu * c_p
+    if not -COORD_SLACK <= moved <= 1.0 + COORD_SLACK:
+        _check_box(c_mid, c_p, k + 1)
+    return j, c_p
 
 
 def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> AnalyticState:
@@ -135,34 +159,23 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
 
     Only two selections can occur: the mixed column (which advances c_p
     by nu * Delta) or a middle column (which averages its coordinate
-    toward c_p).  A leading-block selection, or any coordinate leaving
-    [0, 1] by more than COORD_SLACK, raises InvariantViolation because it
-    would falsify the form invariant the construction is built on.  An
-    all-zero correlation vector is a no-op, matching the matrix side.
+    toward c_p).  A leading-block selection, or a coordinate of the new
+    state outside [0, 1] by more than COORD_SLACK (the moved one, then all:
+    the given state need not lie in the box), raises InvariantViolation,
+    as it would falsify the form invariant the construction is built on.
+    An all-zero correlation vector is a no-op, matching the matrix side.
+    A c_mid that is not a finite vector of n - s entries, a c_p that is
+    not a finite number or a k that is not a count is a ValueError.
     """
     nu = boosting.step_length(nu)
-    rho, mixed = _reduced_rho(state, inst)
-    j = boosting.select_index(rho)
-    c_mid, c_p = state.c_mid.copy(), state.c_p
-    if rho[j] == 0.0:
-        return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
-    g, s, n = inst.gamma, inst.s, inst.n
-    if j < s:
-        raise InvariantViolation(
-            f"leading column {j} won the correlation race at iteration {state.k}"
-        )
-    if j == n:
-        c_p += nu * (mixed / ((g * g - 1.0) * s + n))
-    else:
-        c_mid[j - s] = (1.0 - nu) * c_mid.item(j - s) + nu * c_p
-    lo = c_p if c_mid.size == 0 else min(float(c_mid.min()), c_p)
-    hi = c_p if c_mid.size == 0 else max(float(c_mid.max()), c_p)
-    if lo < -COORD_SLACK or hi > 1.0 + COORD_SLACK:
-        raise InvariantViolation(
-            f"reduced coordinate left [0, 1] at iteration {state.k + 1}: "
-            f"range [{lo!r}, {hi!r}]"
-        )
-    return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
+    c_mid = coefficients("c_mid", state.c_mid, inst.n - inst.s).copy()
+    c_p = real("c_p", state.c_p)
+    if not math.isfinite(c_p):
+        raise ValueError(f"c_p must be finite, got {c_p!r}")
+    k = integer("k", state.k, 0)
+    j, c_p = _step(c_mid, c_p, k, inst, nu, np.empty(inst.p))
+    _check_box(c_mid, c_p, k + 1)
+    return AnalyticState(c_mid=c_mid, c_p=c_p, k=k + 1, j=j)
 
 
 def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float:
@@ -174,25 +187,26 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     side but not the other, so comparison stops being meaningful).
     Returns the largest l-inf deviation between the two parameter
     trajectories; a differing selection raises immediately, naming the
-    iteration.
+    iteration.  The recursion steps one float c_mid in place from zero,
+    and both checks read only the selected column j: no other coordinate
+    moved, so by induction all lie in the box, and no other entry of
+    beta + shift (beta minus (0, ..., 0, -c_{s+1}, ..., -c_n, c_p)) moved.
     """
     iterations = integer("iterations", iterations, 0)
     config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
+    nu = boosting.step_length(nu)
     s, n = inst.s, inst.n
-    astate = AnalyticState(np.zeros(n - s), 0.0, 0)
-    # the reduced parameter (0, ..., 0, -c_{s+1}, ..., -c_n, c_p) minus beta
-    # is -(beta + shift) exactly, with the shift (0, ..., 0, c_{s+1}, ..., c_n, -c_p)
-    shift, gap = np.zeros(inst.p), np.empty(inst.p)
+    c_mid, c_p, rho = np.zeros(n - s), 0.0, np.empty(inst.p)
     deviation = 0.0
     for k, jm, _, beta, _, _ in boosting.iterate(inst.X, inst.Y, config):
         if k:
-            astate = analytic_step(astate, inst, nu)
-            if jm != astate.j:
+            j, c_p = _step(c_mid, c_p, k - 1, inst, nu, rho)
+            if jm != j:
                 raise RuntimeError(
                     f"selection mismatch at iteration {k}: "
-                    f"matrix picked {jm}, recursion picked {astate.j}"
+                    f"matrix picked {jm}, recursion picked {j}"
                 )
-            shift[s:n] = astate.c_mid
-            shift[n] = -astate.c_p
-            deviation = max(deviation, float(abs(np.add(beta, shift, gap)).max()))
+            # the shift (0, ..., 0, c_{s+1}, ..., c_n, -c_p) at j
+            gap = beta.item(j) + (0.0 if j < s else c_mid.item(j - s) if j < n else -c_p)
+            deviation = max(deviation, abs(gap))
     return deviation

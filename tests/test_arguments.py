@@ -261,6 +261,32 @@ CASES = [
      "iterations must be at least 0, got -1"),
     ("analytic-step-nu", lambda: analytic_step(START, INST, 1.5),
      ValueError, r"nu must lie in \(0, 1\], got 1\.5"),
+    # the reduced state: a finite float vector of n - s entries, a finite
+    # number and a count
+    ("analytic-step-c-mid-short",
+     lambda: analytic_step(AnalyticState(np.zeros(5), 0.0, 0), INST, 1.0),
+     ValueError, r"c_mid has shape \(5,\), expected \(6,\)"),
+    ("analytic-step-c-mid-list",
+     lambda: analytic_step(AnalyticState([0.0] * 7, 0.0, 0), INST, 1.0),
+     ValueError, r"c_mid has shape \(7,\), expected \(6,\)"),
+    ("analytic-step-c-mid-nan",
+     lambda: analytic_step(AnalyticState(np.full(6, math.nan), 0.0, 0), INST, 1.0),
+     ValueError, "c_mid must be finite"),
+    ("analytic-step-c-p-nan",
+     lambda: analytic_step(AnalyticState(np.zeros(6), math.nan, 0), INST, 1.0),
+     ValueError, "c_p must be finite, got nan"),
+    ("analytic-step-c-p-inf",
+     lambda: analytic_step(AnalyticState(np.zeros(6), math.inf, 0), INST, 1.0),
+     ValueError, "c_p must be finite, got inf"),
+    ("analytic-step-c-p-string",
+     lambda: analytic_step(AnalyticState(np.zeros(6), "0", 0), INST, 1.0),
+     ValueError, "c_p must be a number, got str"),
+    ("analytic-step-k-negative",
+     lambda: analytic_step(AnalyticState(np.zeros(6), 0.0, -3), INST, 1.0),
+     ValueError, "k must be at least 0, got -3"),
+    ("analytic-step-k-float",
+     lambda: analytic_step(AnalyticState(np.zeros(6), 0.0, 1.0), INST, 1.0),
+     ValueError, "k must be an integer, got float"),
     ("equivalence-nu", lambda: equivalence_check(INST, 0.0, 10), ValueError,
      r"nu must lie in \(0, 1\], got 0\.0"),
     ("reproduce-nu", lambda: reproduce(1.0, 2.0, 200), ValueError,

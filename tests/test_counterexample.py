@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sparselab import (
     run,
     select_index,
 )
-from sparselab.counterexample import COORD_SLACK, _block_size, _reduced_rho
+from sparselab.counterexample import COORD_SLACK, _block_size, _step
 
 
 def _counting_block_size(c):
@@ -65,8 +66,9 @@ def test_construct_is_exact(inst25):
 
 
 def test_initial_correlations_match(inst25):
-    state = AnalyticState(np.zeros(20), 0.0, 0)
-    rho_a = _reduced_rho(state, inst25)[0]
+    # the reduced step writes the correlations it selects from into rho_a
+    rho_a = np.empty(inst25.p)
+    _step(np.zeros(20), 0.0, 0, inst25, 1.0, rho_a)
     rho_m = run(inst25.X, inst25.Y, BoostingConfig(max_iterations=0))[0].rho
     np.testing.assert_array_equal(rho_a, rho_m)
     # mixed column dominates at the start: s * gamma^2 / ||X_p||
@@ -106,6 +108,27 @@ def test_analytic_step_flags_box_escape(inst9):
     state = AnalyticState(c_mid=np.full(6, 1.1), c_p=1.1, k=0)
     with pytest.raises(InvariantViolation, match="left"):
         analytic_step(state, inst9, nu=1.0)
+    # a coordinate the step does not move is checked too: the mixed column
+    # moves c_p into the box, and c_mid[0] = 1.5 is still outside it
+    state = AnalyticState(c_mid=np.array([1.5, 0, 0, 0, 0, 0]), c_p=0.0, k=0)
+    with pytest.raises(InvariantViolation, match=re.escape("range [0.0, 1.5]")):
+        analytic_step(state, inst9, nu=1.0)
+
+
+@pytest.mark.parametrize(
+    "c_p, hi",
+    # an overlong step (nu = 1.5, past what step_length lets through) from
+    # c_mid = 0: at c_p = 0 the mixed column moves c_p to 1.5 * 243 / 249,
+    # at c_p = 0.99 the middle column 3 moves c_mid[0] to 1.5 * 0.99
+    [(0.0, 1.5 * (243.0 / 249.0)), (0.99, 1.5 * 0.99)],
+)
+def test_reduced_step_box_checks_the_moved_coordinate(inst9, c_p, hi):
+    # the refusal names the whole state's range, the moved coordinate included
+    with pytest.raises(
+        InvariantViolation,
+        match=re.escape(f"left [0, 1] at iteration 5: range [0.0, {hi!r}]"),
+    ):
+        _step(np.zeros(6), c_p, 4, inst9, 1.5, np.empty(inst9.p))
 
 
 def test_analytic_saturation_is_a_noop(inst9):
@@ -116,7 +139,9 @@ def test_analytic_saturation_is_a_noop(inst9):
     # correlation is exactly zero and further steps change nothing
     assert state.c_p == 1.0
     assert np.all(state.c_mid == 1.0)
-    assert np.all(_reduced_rho(state, inst9)[0] == 0.0)
+    rho = np.empty(inst9.p)
+    assert _step(state.c_mid.copy(), state.c_p, state.k, inst9, 1.0, rho) == (0, 1.0)
+    assert np.all(rho == 0.0)
     again = analytic_step(state, inst9, nu=1.0)
     assert again.c_p == 1.0
     assert np.all(again.c_mid == 1.0)
@@ -150,8 +175,8 @@ def test_equivalence_deep_damped_run_mismatch_is_pinned(inst25):
 
 
 def _reference_analytic_step(state, inst, nu):
-    """Reference: analytic_step before it selected once, verbatim (its
-    correlations from the unchanged _reduced_rho formula)."""
+    """Reference: analytic_step before it selected once, verbatim, with
+    the correlations computed inline."""
     g, s, n = inst.gamma, inst.s, inst.n
     rho = np.empty(inst.p)
     rho[:s] = g * (1.0 - state.c_p)
@@ -213,14 +238,29 @@ def _state_bits(state):
     return state.k, state.j, state.c_mid.tobytes(), float.hex(state.c_p)
 
 
-@pytest.mark.parametrize(
-    "c, nu, iterations",
-    # the damped n=9 run mismatches on roundoff at k=1819 (residual 1.3e-10)
-    [(1.0, 1.0, 400), (1.0, 0.1, 3000), (4.0, 1.0, 3000), (4.0, 0.1, 3000)],
-)
+# How each reference run ends: at the iteration cap, on the 1e-12 residual
+# floor (n=9 at nu=1 after 57 steps and at nu=0.5 after 335, n=25 at nu=1
+# after 127), or on a roundoff mismatch (damped n=9 at k=1819, residual
+# 1.3e-10; damped n=25 at the pinned k=5836)
+LOCKSTEP_ENDS = {
+    (1.0, 1.0, 400): "floor",
+    (1.0, 0.1, 3000): "mismatch",
+    (1.0, 0.5, 3000): "floor",
+    (4.0, 1.0, 3000): "floor",
+    (4.0, 0.1, 3000): "cap",
+    (4.0, 0.1, 20000): "mismatch",
+    (6.0, 0.1, 3000): "cap",
+}
+
+
+@pytest.mark.parametrize("c, nu, iterations", list(LOCKSTEP_ENDS))
 def test_lockstep_matches_reference_bit_for_bit(c, nu, iterations):
     inst = construct(c)
     outcome, states = _reference_lockstep(inst, nu, iterations)
+    ends = LOCKSTEP_ENDS[c, nu, iterations]
+    mismatch = outcome.startswith("selection mismatch")
+    stopped = len(states) < iterations and not mismatch
+    assert (mismatch, stopped) == (ends == "mismatch", ends == "floor")
     try:
         got = float.hex(equivalence_check(inst, nu, iterations))
     except RuntimeError as exc:
@@ -232,9 +272,44 @@ def test_lockstep_matches_reference_bit_for_bit(c, nu, iterations):
         assert _state_bits(astate) == _state_bits(want)
 
 
+def test_analytic_step_matches_reference_from_random_states(inst9, inst25):
+    # states drawn from the box step as the reference does, bit for bit,
+    # down to the middle block's pairwise sum, and the given state's c_mid
+    # is not written to
+    rng = np.random.default_rng(7)
+    for inst in (inst9, inst25, construct(6.0)):
+        for draw in range(300):
+            c_mid = rng.uniform(size=inst.n - inst.s) ** rng.integers(1, 4)
+            state = AnalyticState(c_mid, float(rng.uniform()), draw)
+            nu = 0.1 * (1 + draw % 10)
+            want = _state_bits(_reference_analytic_step(state, inst, nu))
+            before = c_mid.tobytes()
+            assert _state_bits(analytic_step(state, inst, nu)) == want
+            assert c_mid.tobytes() == before
+
+
 def test_analytic_noop_matches_reference(inst9):
     # a saturated state has all-zero correlations: both steps are no-ops
     state = AnalyticState(c_mid=np.ones(inst9.n - inst9.s), c_p=1.0, k=7)
     assert _state_bits(analytic_step(state, inst9, 0.5)) == _state_bits(
         _reference_analytic_step(state, inst9, 0.5)
     )
+
+
+def test_analytic_step_reads_any_vector_as_floats(inst9):
+    # three undamped steps from an integer or list zero state track the
+    # float steps bit for bit: the mixed column, then columns 3 and 4, each
+    # moving its c_mid entry to c_p = 0.976, where an integer c_mid once
+    # truncated the entry to 0 and column 3 won every later step
+    def three_steps(c_mid):
+        state = AnalyticState(c_mid, 0.0, 0)
+        for _ in range(3):
+            state = analytic_step(state, inst9, 1.0)
+        return state
+
+    want = three_steps(np.zeros(6))
+    assert want.j == inst9.s + 1
+    assert want.c_mid.tolist() == [want.c_p] * 2 + [0.0] * 4
+    assert 0.97 < want.c_p < 0.98
+    for start in (np.zeros(6, dtype=np.int64), [0] * 6):
+        assert _state_bits(three_steps(start)) == _state_bits(want)
