@@ -65,7 +65,6 @@ def cmd_reproduce(args) -> int:
         c=args.c,
         nu=args.nu,
         iterations=args.iters,
-        seed=args.seed,
         lambda_min_factor=args.lambda_min_factor,
     )
     summary = rep.summary
@@ -102,7 +101,6 @@ def _certificate(args) -> dict:
     certifier's result record."""
     # each flag is checked whichever property reads it
     positive("c", args.c)
-    integer("enumeration_budget", args.budget, 1)
     X = files.read_matrix(args.matrix)
     for flag, low in (("t", 1), ("s", 0)):
         if getattr(args, flag) is not None:
@@ -115,20 +113,20 @@ def _certificate(args) -> dict:
     if name == "rn":
         T = tuple(range(args.t))
         params.update({"T": T, "c": args.c})
-        result = properties.rn_check(X, T, args.c, args.budget)
+        result = properties.rn_check(X, T, args.c)
     elif name == "rn_uniform":
         params.update({"t": args.t, "c": args.c})
-        result = properties.rn_uniform(X, args.t, args.c, args.budget)
+        result = properties.rn_uniform(X, args.t, args.c)
     elif name == "rip":
         params["t"] = args.t
-        result = properties.rip_constant(X, args.t, args.budget)
+        result = properties.rip_constant(X, args.t)
     elif name == "spark":
-        result = properties.spark(X, args.budget)
+        result = properties.spark(X)
     elif name == "unique_sparsest":
         if Y is None or args.s is None:
             raise ValueError("property unique_sparsest requires --y and --s")
         params.update({"y": args.y, "s": args.s})
-        result = properties.unique_sparsest(X, Y, args.s, args.budget)
+        result = properties.unique_sparsest(X, Y, args.s)
     else:
         raise ValueError(f"unknown property {name!r}")
     fields = {k: v for k, v in result._asdict().items() if k not in params}
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--c", type=float, required=True)
     p_rep.add_argument("--nu", type=float, default=1.0)
     p_rep.add_argument("--iters", type=int, default=2000)
-    p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--out", default=None, help="directory for CSV/JSON artifacts")
     p_rep.add_argument(
         "--lambda-min-factor",
@@ -218,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--c", type=float, default=1.0)
     p_cert.add_argument("--s", type=int, default=None)
     p_cert.add_argument("--y", default=None, help="response vector file")
-    p_cert.add_argument("--budget", type=int, default=properties.ENUMERATION_BUDGET)
     p_cert.add_argument("--out", default=None, help="certificate JSON path")
     p_cert.set_defaults(func=cmd_certify)
 

@@ -159,10 +159,11 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
 
     Only two selections can occur: the mixed column (which advances c_p
     by nu * Delta) or a middle column (which averages its coordinate
-    toward c_p).  A leading-block selection, or a coordinate of the new
-    state outside [0, 1] by more than COORD_SLACK (the moved one, then all:
-    the given state need not lie in the box), raises InvariantViolation,
-    as it would falsify the form invariant the construction is built on.
+    toward c_p).  A leading-block selection, or a coordinate of the given
+    state or of the moved one outside [0, 1] by more than COORD_SLACK,
+    raises InvariantViolation, as it would falsify the form invariant the
+    construction is built on; from a state inside the box no coordinate
+    the step leaves alone can leave it.
     An all-zero correlation vector is a no-op, matching the matrix side.
     A c_mid that is not a finite vector of n - s entries, a c_p that is
     not a finite number or a k that is not a count is a ValueError.
@@ -173,8 +174,8 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     if not math.isfinite(c_p):
         raise ValueError(f"c_p must be finite, got {c_p!r}")
     k = integer("k", state.k, 0)
+    _check_box(c_mid, c_p, k)
     j, c_p = _step(c_mid, c_p, k, inst, nu, np.empty(inst.p))
-    _check_box(c_mid, c_p, k + 1)
     return AnalyticState(c_mid=c_mid, c_p=c_p, k=k + 1, j=j)
 
 

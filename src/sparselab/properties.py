@@ -8,12 +8,12 @@ certifier takes the design X; the nullspace certifiers compute
 ``nullspace(X)`` themselves.
 Every l1 mass on and off a support comes from ``_split``, which each
 public entry reaches after checking its own input once.
-Enumerating operations take an explicit subset budget and refuse loudly
-instead of silently subsampling; they walk each subset size in blocks of
-at most ENUMERATION_BLOCK subsets and give each block one stacked numpy
-call, so memory stays flat.  Each certifier returns a NamedTuple whose
-fields are its certificate: `sparselab certify` writes every field that
-is not one of its parameters.
+Enumerating operations share one subset budget, ENUMERATION_BUDGET, and
+refuse loudly instead of silently subsampling; they walk each subset
+size in blocks of at most ENUMERATION_BLOCK subsets and give each block
+one stacked numpy call, so memory stays flat.  Each certifier returns a
+NamedTuple whose fields are its certificate: `sparselab certify` writes
+every field that is not one of its parameters.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .linalg import (
     submatrices,
 )
 
+# Subsets (or rays) one enumeration may visit, read at call time; past
+# it a certifier refuses, and ``spark`` returns a partial certificate.
 ENUMERATION_BUDGET = 10_000_000
 
 # Subsets per stacked numpy call.  Larger blocks save little time but
@@ -108,11 +110,6 @@ def _blocks(p: int, size: int):
     while block := list(itertools.islice(subsets, ENUMERATION_BLOCK)):
         flat = itertools.chain.from_iterable(block)
         yield np.fromiter(flat, np.intp, len(block) * size).reshape(len(block), size)
-
-
-def _budget(enumeration_budget) -> int:
-    """The subset budget of every enumerator, as a positive int."""
-    return integer("enumeration_budget", enumeration_budget, 1)
 
 
 def _mask(name: str, T, p: int) -> np.ndarray:
@@ -201,23 +198,23 @@ def in_cone(b, T, c: float) -> bool:
     return _in_closed_cone(on, off, c)
 
 
-def _rays(ns: np.ndarray, budget: int):
+def _rays(ns: np.ndarray):
     """The extreme rays r = ns v of the arrangement {v : (ns v)_i = 0}, one
     of each pair +-r, in combination order.  On each cell the cone test
     c ||r_T||_1 - ||r_Tc||_1 is linear, so the rays decide it for every T
     and attain the least ratio ||r_Tc||_1 / ||r_T||_1.  With d = 1 the ray
     is the basis column; else v spans the null space of d - 1 rows of ns
     of full rank at DEFAULT_RANK_TOL, as ``spark`` applies it.  More than
-    ``budget`` row subsets are refused."""
+    ENUMERATION_BUDGET row subsets are refused."""
     p, d = ns.shape
     if d < 2:
         yield from ns.T
         return
     total = math.comb(p, d - 1)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetExceeded(
             f"cone check over {total} candidate rays ({d - 1}-row subsets) exceeds the "
-            f"budget of {budget}"
+            f"budget of {ENUMERATION_BUDGET}"
         )
     for block in _blocks(p, d - 1):
         A = ns[block]
@@ -226,7 +223,7 @@ def _rays(ns: np.ndarray, budget: int):
         yield from vh[full, -1] @ ns.T
 
 
-def rn_check(X, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET) -> RNVerdict:
+def rn_check(X, T, c: float) -> RNVerdict:
     """Does the nullspace of X meet the cone of support T and constant c
     only at zero?
 
@@ -234,9 +231,8 @@ def rn_check(X, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET) -> RN
     a trivial nullspace holds vacuously."""
     mask = _mask("T", T, design(X).shape[1])
     c = positive("c", c)
-    budget = _budget(enumeration_budget)
     critical, witness = math.inf, None
-    for r in _rays(nullspace(X), budget):
+    for r in _rays(nullspace(X)):
         on, off, ratio = _checked_split(np.abs(r), mask, _RAY_OVERFLOW)
         critical = min(critical, ratio)
         if witness is None and _in_closed_cone(on, off, c):
@@ -244,9 +240,7 @@ def rn_check(X, T, c: float, enumeration_budget: int = ENUMERATION_BUDGET) -> RN
     return RNVerdict(holds=witness is None, witness=witness, critical_c=critical)
 
 
-def rn_uniform(
-    X, t: int, c: float, enumeration_budget: int = ENUMERATION_BUDGET
-) -> RNUniformResult:
+def rn_uniform(X, t: int, c: float) -> RNUniformResult:
     """Uniform variant of ``rn_check``: the cone of every support of size t.
 
     Size-t supports suffice because growing T only makes the condition
@@ -256,9 +250,8 @@ def rn_uniform(
     p = design(X).shape[1]
     c = positive("c", c)
     t = integer("t", t, 1, p)
-    budget = _budget(enumeration_budget)
     holds, worst_T, critical = True, (), math.inf
-    for r in _rays(nullspace(X), budget):
+    for r in _rays(nullspace(X)):
         mags = np.abs(r)
         worst = np.zeros(p, dtype=bool)
         worst[np.argsort(-mags, kind="stable")[:t]] = True
@@ -269,7 +262,7 @@ def rn_uniform(
     return RNUniformResult(holds, worst_T, critical)
 
 
-def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIPResult:
+def rip_constant(X, t: int) -> RIPResult:
     """Restricted isometry constant by exhaustive size-t enumeration.
 
     delta_t = max over |T| = t of max(lmax(G_T) - 1, 1 - lmin(G_T), 0);
@@ -279,12 +272,11 @@ def rip_constant(X, t: int, enumeration_budget: int = ENUMERATION_BUDGET) -> RIP
     X = design(X)
     p = X.shape[1]
     t = integer("t", t, 1, p)
-    budget = _budget(enumeration_budget)
     total = math.comb(p, t)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetExceeded(
             f"restricted isometry scan over {total} subsets of size {t} "
-            f"exceeds the budget of {budget}"
+            f"exceeds the budget of {ENUMERATION_BUDGET}"
         )
     _refuse_gram_overflow(X)
     delta = 0.0
@@ -312,7 +304,7 @@ def _simplex_frame(n: int) -> np.ndarray:
     return F / np.sqrt(np.sum(F * F, axis=0))
 
 
-def rip_implies_rn_test(n: int, trials: int, t: int, seed: int = 0) -> dict:
+def rip_implies_rn_test(n: int, trials: int, t: int) -> dict:
     """Sampled check that delta_{2t} < 1/3 forces the uniform cone property.
 
     Draws unit-column n x (n+1) designs near a tight frame (the simplex
@@ -320,13 +312,14 @@ def rip_implies_rn_test(n: int, trials: int, t: int, seed: int = 0) -> dict:
     the threshold at n = 8) and an orthonormal basis plus a unit column
     (delta_2 >= 1/sqrt(n) >= 1/3 for n <= 9) would leave it vacuous.  Every
     applicable draw asserts rn_uniform(t, 1); violations are counted.
+    The draws come from seed 0; ``trials`` sets how many there are.
     """
     n = integer("n", n, 2)
     trials = integer("trials", trials, 1)
     # the isometry scan takes supports of size 2t among the n + 1 columns
     t = integer("t", t, 1, (n + 1) // 2)
     p = n + 1
-    rng = np.random.default_rng(integer("seed", seed, 0))
+    rng = np.random.default_rng(0)
     applicable, violations, min_delta = 0, 0, math.inf
     base_frame = _simplex_frame(n)
     for _ in range(trials):
@@ -349,7 +342,7 @@ def rip_implies_rn_test(n: int, trials: int, t: int, seed: int = 0) -> dict:
     }
 
 
-def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificate:
+def spark(X) -> SparsityCertificate:
     """Smallest dependent column subset by ascending-size enumeration.
 
     A subset is dependent when its numerical rank, at DEFAULT_RANK_TOL
@@ -357,10 +350,9 @@ def spark(X, enumeration_budget: int = ENUMERATION_BUDGET) -> SparsityCertificat
     """
     X = design(X)
     p = X.shape[1]
-    budget = _budget(enumeration_budget)
     tested = 0
     for size in range(1, p + 1):
-        if tested + math.comb(p, size) > budget:
+        if tested + math.comb(p, size) > ENUMERATION_BUDGET:
             return SparsityCertificate(
                 spark=None,
                 witness_columns=None,
@@ -423,9 +415,7 @@ def spark_from_nullspace(X) -> SparsityCertificate | None:
     return None
 
 
-def unique_sparsest(
-    X, Y, s: int, enumeration_budget: int = ENUMERATION_BUDGET
-) -> UniqueSparsestResult:
+def unique_sparsest(X, Y, s: int) -> UniqueSparsestResult:
     """Brute-force uniqueness of the sparsest exact fit up to size s.
 
     Supports are enumerated by ascending size; the first size with any
@@ -451,7 +441,6 @@ def unique_sparsest(
     X, Y = design(X, Y)
     n, p = X.shape
     s = integer("s", s, 0, p)
-    budget = _budget(enumeration_budget)
     _refuse_gram_overflow(X)
     with np.errstate(over="ignore", invalid="ignore"):
         y_sq = Y.dot(Y)
@@ -465,9 +454,9 @@ def unique_sparsest(
     pattern = (X[decisive] != 0.0).T
     tested = 0
     for size in range(0, min(s, n) + 1):
-        if tested + math.comb(p, size) > budget:
+        if tested + math.comb(p, size) > ENUMERATION_BUDGET:
             raise BudgetExceeded(
-                f"sparsest-solution scan exceeds the budget of {budget} at size {size}"
+                f"sparsest-solution scan exceeds the budget of {ENUMERATION_BUDGET} at size {size}"
             )
         fits: list[tuple[int, ...]] = []
         for block in _blocks(p, size):

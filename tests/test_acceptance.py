@@ -280,7 +280,7 @@ def test_criterion_08_energy_identity():
 
 def test_criterion_09_isometry_implies_cone_property():
     with _criterion(9, "isometry threshold forces cone property") as failures:
-        result = rip_implies_rn_test(n=8, trials=200, t=1, seed=0)
+        result = rip_implies_rn_test(n=8, trials=200, t=1)
         if result["violations"] != 0:
             failures.append(f"{result['violations']} draws violated the implication")
         if result["applicable"] < 1:

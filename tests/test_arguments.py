@@ -3,13 +3,15 @@
 Each row calls one entry with one bad argument.  The entry must raise
 the listed error with exactly the listed one-line message, which names
 the argument, and with no numpy warning first: a ValueError for a bad
-design, response, constant, count, support or step, and BudgetExceeded
-for an enumeration budget too small for the scan.
+design, response, constant, count, support or step, InvariantViolation
+for a reduced state outside the [0, 1] box, and BudgetExceeded for a scan
+past the enumeration budget.
 """
 
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sparselab import (
     AnalyticState,
     BoostingConfig,
     BudgetExceeded,
+    InvariantViolation,
     analytic_step,
     basis_pursuit,
     construct,
@@ -40,6 +43,7 @@ from sparselab import (
     spark_from_nullspace,
     unique_sparsest,
 )
+from sparselab import properties
 from sparselab.properties import cone_split
 from sparselab.report import detect_cone_exit
 
@@ -64,6 +68,22 @@ RAY_OVERFLOW = "the l1 mass of a nullspace ray overflows; rescale the columns of
 INST = construct(1.0)
 START = AnalyticState(np.zeros(INST.n - INST.s), 0.0, 0)
 CONFIG = BoostingConfig()
+
+
+def _box(lo: float, hi: float) -> str:
+    """The refusal of a reduced state at k = 0 whose range is [lo, hi]."""
+    return re.escape(f"reduced coordinate left [0, 1] at iteration 0: range [{lo!r}, {hi!r}]")
+
+
+def _at_budget(budget, call):
+    """``call`` run with the enumeration budget lowered to ``budget``."""
+
+    def lowered():
+        with mock.patch.object(properties, "ENUMERATION_BUDGET", budget):
+            return call()
+
+    return lowered
+
 
 SHAPES_1D = r"incompatible shapes: X \(3,\); X must be a matrix with at least one column"
 SHAPES_XY = (
@@ -189,40 +209,19 @@ CASES = [
      "n must be at least 2, got 1"),
     ("rip-implies-rn-trials", lambda: rip_implies_rn_test(3, 0, 1), ValueError,
      "trials must be at least 1, got 0"),
-    # seeds: non-negative integers, refused before any work
-    ("reproduce-seed-float", lambda: reproduce(1.0, 1.0, 200, seed=2.7), ValueError,
-     "seed must be an integer, got float"),
-    ("reproduce-seed-bool", lambda: reproduce(1.0, 1.0, 200, seed=True), ValueError,
-     "seed must be an integer, got bool"),
-    ("reproduce-seed-string", lambda: reproduce(1.0, 1.0, 200, seed="abc"), ValueError,
-     "seed must be an integer, got str"),
-    ("reproduce-seed-negative", lambda: reproduce(1.0, 1.0, 200, seed=-1), ValueError,
-     "seed must be at least 0, got -1"),
-    ("rip-implies-rn-seed-float", lambda: rip_implies_rn_test(3, 3, 1, seed=0.5), ValueError,
-     "seed must be an integer, got float"),
     ("cone-exit-window-zero", lambda: detect_cone_exit([0.0, 5.0], 1.0, 0), ValueError,
      "window must be at least 1, got 0"),
     ("cone-exit-window-negative", lambda: detect_cone_exit([5.0], 1.0, -2), ValueError,
      "window must be at least 1, got -2"),
     ("cone-exit-window-float", lambda: detect_cone_exit([5.0], 1.0, 1.0), ValueError,
      "window must be an integer, got float"),
-    # the enumeration budget: a positive integer, and large enough
-    ("spark-budget-bool", lambda: spark(X, True), ValueError,
-     "enumeration_budget must be an integer, got bool"),
-    ("rip-budget-float", lambda: rip_constant(X, 1, 2.0), ValueError,
-     "enumeration_budget must be an integer, got float"),
-    ("unique-budget-none", lambda: unique_sparsest(X, Y, 1, None), ValueError,
-     "enumeration_budget must be an integer, got NoneType"),
-    ("rn-check-budget-zero", lambda: rn_check(X, (0,), 1.0, 0), ValueError,
-     "enumeration_budget must be at least 1, got 0"),
-    # a basis in the place of the budget
-    ("rn-uniform-budget-array", lambda: rn_uniform(np.eye(4), 2, 1.0, nullspace(np.eye(4))),
-     ValueError, "enumeration_budget must be an integer, got ndarray"),
-    ("rip-budget-small", lambda: rip_constant(X, 2, 2), BudgetExceeded,
+    # a scan past the enumeration budget, lowered here to fit these designs
+    ("rip-budget-small", _at_budget(2, lambda: rip_constant(X, 2)), BudgetExceeded,
      "restricted isometry scan over 3 subsets of size 2 exceeds the budget of 2"),
-    ("unique-budget-small", lambda: unique_sparsest(X, Y, 2, 1), BudgetExceeded,
+    ("unique-budget-small", _at_budget(1, lambda: unique_sparsest(X, Y, 2)), BudgetExceeded,
      "sparsest-solution scan exceeds the budget of 1 at size 1"),
-    ("rn-check-budget-small", lambda: rn_check(X_PLANE, (0,), 1.0, 3), BudgetExceeded,
+    ("rn-check-budget-small", _at_budget(3, lambda: rn_check(X_PLANE, (0,), 1.0)),
+     BudgetExceeded,
      r"cone check over 4 candidate rays \(1-row subsets\) exceeds the budget of 3"),
     # the support T: non-empty, distinct, in range
     ("in-cone-T-empty", lambda: in_cone([1.0, 1.0], (), 1.0), ValueError, "T must be non-empty"),
@@ -287,6 +286,23 @@ CASES = [
     ("analytic-step-k-float",
      lambda: analytic_step(AnalyticState(np.zeros(6), 0.0, 1.0), INST, 1.0),
      ValueError, "k must be an integer, got float"),
+    # ... inside the [0, 1] box before the step, also where the step would
+    # land back inside it, and before a huge state can overflow
+    ("analytic-step-c-p-above-box",
+     lambda: analytic_step(AnalyticState(np.zeros(6), 2.0, 0), INST, 1.0),
+     InvariantViolation, _box(0.0, 2.0)),
+    ("analytic-step-c-p-below-box",
+     lambda: analytic_step(AnalyticState(np.zeros(6), -5.0, 0), INST, 1.0),
+     InvariantViolation, _box(-5.0, 0.0)),
+    ("analytic-step-c-p-1e300",
+     lambda: analytic_step(AnalyticState(np.zeros(6), 1e300, 0), INST, 1.0),
+     InvariantViolation, _box(0.0, 1e300)),
+    ("analytic-step-c-p-1e308",
+     lambda: analytic_step(AnalyticState(np.zeros(6), 1e308, 0), INST, 1.0),
+     InvariantViolation, _box(0.0, 1e308)),
+    ("analytic-step-c-mid-1e308",
+     lambda: analytic_step(AnalyticState(np.full(6, 1e308), 0.0, 0), INST, 1.0),
+     InvariantViolation, _box(0.0, 1e308)),
     ("equivalence-nu", lambda: equivalence_check(INST, 0.0, 10), ValueError,
      r"nu must lie in \(0, 1\], got 0\.0"),
     ("reproduce-nu", lambda: reproduce(1.0, 2.0, 200), ValueError,

@@ -135,6 +135,31 @@ def test_selection_invariant_under_column_rescale():
     assert hist_a.tolist() == hist_b.tolist()
 
 
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("nu", [1.0, 0.1])
+def test_power_of_two_column_scales_leave_every_bit(c, nu):
+    # scaling column j by a power of two D_j is exact in binary floating
+    # point: every normalized correlation, hence every selection, residual
+    # and rho, keeps its bits, and beta_j shrinks by exactly D_j.  The
+    # default floor of 1e-12 stops the nu = 1 runs (k = 57 on n = 9, 127
+    # on n = 25) before the residual goes subnormal, where the scaled
+    # products round differently (first at k = 1,331 and 2,920 with
+    # residual_stop = 0).
+    inst = construct(c)
+    D = 2.0 ** (np.arange(inst.p) - inst.p // 2)
+    config = BoostingConfig(nu=nu, max_iterations=3000)
+    plain = list(iterate(inst.X, inst.Y, config))
+    scaled = list(iterate(inst.X * D, inst.Y, config))
+    assert len(scaled) == len(plain)
+    for (k, j, _, beta, residual, rho), (_, js, _, beta_s, residual_s, rho_s) in zip(
+        plain, scaled
+    ):
+        assert js == j, k
+        assert residual_s.tobytes() == residual.tobytes(), k
+        assert rho_s.tobytes() == rho.tobytes(), k
+        assert (beta_s * D).tobytes() == beta.tobytes(), k
+
+
 def test_run_stops_on_residual_floor():
     X = np.eye(3)
     Y = np.array([2.0, 1.0, 0.5])

@@ -103,13 +103,12 @@ def test_analytic_step_rejects_bad_nu(inst9):
 
 
 def test_analytic_step_flags_box_escape(inst9):
-    # a state already past the top of the box drifts further out and the
-    # post-step range check refuses it
+    # a state already past the top of the box is refused before the step
     state = AnalyticState(c_mid=np.full(6, 1.1), c_p=1.1, k=0)
     with pytest.raises(InvariantViolation, match="left"):
         analytic_step(state, inst9, nu=1.0)
-    # a coordinate the step does not move is checked too: the mixed column
-    # moves c_p into the box, and c_mid[0] = 1.5 is still outside it
+    # a coordinate the step would not move is checked too: the mixed column
+    # would move c_p into the box, and c_mid[0] = 1.5 is outside it
     state = AnalyticState(c_mid=np.array([1.5, 0, 0, 0, 0, 0]), c_p=0.0, k=0)
     with pytest.raises(InvariantViolation, match=re.escape("range [0.0, 1.5]")):
         analytic_step(state, inst9, nu=1.0)

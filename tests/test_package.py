@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
 
 import sparselab
+from sparselab.cli import build_parser
 
 
 def test_all_names_resolve_and_star_import_works():
@@ -95,14 +97,7 @@ SETTABLE = {
     "BoostingConfig.nu",
     "BoostingConfig.max_iterations",
     "BoostingConfig.residual_stop",
-    "reproduce(seed)",
     "reproduce(lambda_min_factor)",
-    "rip_constant(enumeration_budget)",
-    "rip_implies_rn_test(seed)",
-    "rn_check(enumeration_budget)",
-    "rn_uniform(enumeration_budget)",
-    "spark(enumeration_budget)",
-    "unique_sparsest(enumeration_budget)",
 }
 
 
@@ -123,6 +118,45 @@ def test_public_settable_values_are_pinned():
                 if name.endswith("Config") or field.default is not dataclasses.MISSING
             }
     assert found == SETTABLE
+
+
+# Every command-line option, as (subcommand, flag); --help aside.  A new
+# flag must be added here on purpose.
+CLI_OPTIONS = {
+    ("construct", "--c"),
+    ("construct", "--out"),
+    ("reproduce", "--c"),
+    ("reproduce", "--nu"),
+    ("reproduce", "--iters"),
+    ("reproduce", "--out"),
+    ("reproduce", "--lambda-min-factor"),
+    ("certify", "--matrix"),
+    ("certify", "--property"),
+    ("certify", "--t"),
+    ("certify", "--c"),
+    ("certify", "--s"),
+    ("certify", "--y"),
+    ("certify", "--out"),
+    ("compare", "--matrix"),
+    ("compare", "--y"),
+    ("compare", "--nu"),
+    ("compare", "--lambda-min"),
+    ("compare", "--iters"),
+    ("compare", "--out"),
+}
+
+
+def test_cli_options_are_pinned():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        (command, flag)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert found == CLI_OPTIONS
 
 
 # The module attributes that sparsebench/worker.py's tracer (``instrument``

@@ -177,18 +177,21 @@ def test_rn_uniform_multidimensional_nullspace():
     assert worst_T == worst == (1,)
 
 
-def test_rn_uniform_budget_refusal(inst9):
+def test_rn_uniform_budget_refusal(inst9, monkeypatch):
     # the budget bounds the rays, one per row subset of size d - 1:
     # C(4, 1) = 4 here
     for certify in (
-        lambda budget: rn_uniform(X_DUP_PAIRS, 2, 1.0, enumeration_budget=budget),
-        lambda budget: rn_check(X_DUP_PAIRS, (0, 1), 1.0, enumeration_budget=budget),
+        lambda: rn_uniform(X_DUP_PAIRS, 2, 1.0),
+        lambda: rn_check(X_DUP_PAIRS, (0, 1), 1.0),
     ):
+        monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
-            certify(3)
-        assert certify(4).holds is False
+            certify()
+        monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 4)
+        assert certify().holds is False
     # a one-dimensional nullspace has one ray
-    assert rn_uniform(inst9.X, 3, 1.0, enumeration_budget=1).holds
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 1)
+    assert rn_uniform(inst9.X, 3, 1.0).holds
 
 
 def test_rn_uniform_rejects_bad_cone_constant(inst9):
@@ -285,14 +288,15 @@ def test_rip_pairs_match_dense_eigensolver(inst9):
     assert result.delta_t >= rip_constant(inst9.X, 1).delta_t
 
 
-def test_rip_budget_refusal(inst9):
+def test_rip_budget_refusal(inst9, monkeypatch):
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        rip_constant(inst9.X, 3, enumeration_budget=10)
+        rip_constant(inst9.X, 3)
 
 
 def test_rip_implies_rn_is_deterministic():
-    a = rip_implies_rn_test(6, trials=20, t=1, seed=1)
-    b = rip_implies_rn_test(6, trials=20, t=1, seed=1)
+    a = rip_implies_rn_test(6, trials=20, t=1)
+    b = rip_implies_rn_test(6, trials=20, t=1)
     assert a == b
     assert a["violations"] == 0
     # every draw is near the tight frame, so none leaves the premise unmet
@@ -334,12 +338,28 @@ def test_spark_is_scale_invariant(inst9):
         assert spark(1e-12 * X) == spark(X)
 
 
-def test_spark_budget_partial_certificate(inst9):
-    cert = spark(inst9.X, enumeration_budget=4)
+def test_spark_budget_partial_certificate(inst9, monkeypatch):
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 4)
+    cert = spark(inst9.X)
     assert cert.budget_exhausted
     assert cert.spark is None
     assert cert.lower_bound == 1
     assert cert.subsets_tested == 0
+
+
+def test_spark_partial_certificate_at_the_real_budget():
+    # one row of 4,472 ones: the 4,472 single columns and C(4472, 2) =
+    # 9,997,156 pairs pass ENUMERATION_BUDGET by 1,628, so no pair is tried;
+    # one column fewer and the first pair is dependent
+    assert properties.ENUMERATION_BUDGET == 10_000_000
+    assert spark(np.ones((1, 4472))) == SparsityCertificate(
+        spark=None,
+        witness_columns=None,
+        subsets_tested=4472,
+        lower_bound=2,
+        budget_exhausted=True,
+    )
+    assert spark(np.ones((1, 4471))).spark == 2
 
 
 def test_spark_from_nullspace_cases(inst25):
@@ -399,9 +419,10 @@ def test_unique_sparsest_scans_no_size_above_the_rows():
     assert (result.size, result.supports_tested) == (3, 1 + 4 + 6 + 4)
 
 
-def test_unique_sparsest_budget_refusal(inst9):
+def test_unique_sparsest_budget_refusal(inst9, monkeypatch):
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 5)
     with pytest.raises(BudgetExceeded):
-        unique_sparsest(inst9.X, inst9.Y, 3, enumeration_budget=5)
+        unique_sparsest(inst9.X, inst9.Y, 3)
 
 
 # --- batched enumeration against the one-subset-at-a-time scans ---------------
@@ -603,9 +624,10 @@ def test_unique_sparsest_solves_only_the_supports_the_screen_keeps(inst9, inst25
         assert sum(solved) == kept
 
 
-def test_budget_cutting_off_a_later_size(inst9):
+def test_budget_cutting_off_a_later_size(inst9, monkeypatch):
     # sizes 1 and 2 (10 + 45 subsets) fit a budget of 60; size 3 does not
-    cert = spark(inst9.X, enumeration_budget=60)
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 60)
+    cert = spark(inst9.X)
     assert cert == SparsityCertificate(
         spark=None,
         witness_columns=None,
@@ -614,4 +636,4 @@ def test_budget_cutting_off_a_later_size(inst9):
         budget_exhausted=True,
     )
     with pytest.raises(BudgetExceeded, match="budget of 60 at size 3"):
-        unique_sparsest(inst9.X, inst9.Y, 3, enumeration_budget=60)
+        unique_sparsest(inst9.X, inst9.Y, 3)

@@ -26,6 +26,7 @@ from sparselab import (
     write_matrix,
     write_vector,
 )
+from sparselab import properties
 from sparselab.cli import build_parser, main
 from sparselab.report import (
     PATH_HEADER,
@@ -371,7 +372,8 @@ CERTIFY_ARGS = {
     "rn_uniform": ["--property", "rn_uniform", "--t", "2", "--c", "1.5"],
     "rip": ["--property", "rip", "--t", "2"],
     "spark": ["--property", "spark"],
-    "spark_budget": ["--property", "spark", "--budget", "20"],
+    # at an enumeration budget of 20: a partial certificate
+    "spark_budget": ["--property", "spark"],
     "unique_sparsest": ["--property", "unique_sparsest", "--y", "Y.txt", "--s", "3"],
 }
 
@@ -402,6 +404,8 @@ CERTIFY_GAUSSIAN_DIGESTS = {
 
 def _certify_digest(directory, monkeypatch, X, Y, case):
     monkeypatch.chdir(directory)
+    if case == "spark_budget":
+        monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 20)
     write_matrix("X.txt", X)
     write_vector("Y.txt", Y)
     argv = ["certify", "--matrix", "X.txt", *CERTIFY_ARGS[case], "--out", "cert.json"]
@@ -463,9 +467,11 @@ def test_cli_certify_unique_sparsest_needs_inputs(tmp_path, capsys, inst9):
     assert "requires --y and --s" in capsys.readouterr().err
 
 
-def test_cli_certify_budget_refusal(tmp_path, capsys, inst9):
+def test_cli_certify_budget_refusal(tmp_path, monkeypatch, capsys, inst9):
     matrix = str(tmp_path / "X.txt")
     write_matrix(matrix, inst9.X)
+    # C(10, 3) = 120 subsets
+    monkeypatch.setattr(properties, "ENUMERATION_BUDGET", 10)
     rc = main(
         [
             "certify",
@@ -475,8 +481,6 @@ def test_cli_certify_budget_refusal(tmp_path, capsys, inst9):
             "rip",
             "--t",
             "3",
-            "--budget",
-            "10",
         ]
     )
     assert rc == 3
@@ -568,6 +572,12 @@ BOUNDARY_FILES = {
     "y_comma.txt": "1,2\n",
     "huge.txt": "2 3\n1 0 1e200\n0 1 1\n",
     "huge_first.txt": "2 3\n1e200 0 1\n0 1 1\n",
+    # four copies of the 10 x 10 identity: C(40, 8) = 76,904,685 size-8
+    # subsets, and a 30-dimensional nullspace with C(40, 29) candidate
+    # rays, both past the enumeration budget
+    "wide40.txt": "10 40\n" + "".join(
+        " ".join("1" if j % 10 == i else "0" for j in range(40)) + "\n" for i in range(10)
+    ),
     # X_NEAR of test_arguments: a nullspace vector fails the residual check
     "near.txt": "10 2\n1 1\n" + "0 9.9e-11\n" * 9,
     # a pivot tiny next to the rest of its row: the row reduction overflows
@@ -583,7 +593,6 @@ BOUNDARY_FILES = {
     "count.txt": "2 3\n1 0 1\n",
     "token.txt": "2 3\n1 0 x\n0 1 1\n",
     "zero_cols.txt": "2 0\n",
-    "wide.txt": "1 4\n1 1 1 1\n",
     "empty.txt": "",
 }
 
@@ -627,8 +636,8 @@ def _address_space_cap():
         (CERTIFY + ["zero_cols.txt", "--property", "spark"], 2),
         (CERTIFY + ["empty.txt", "--property", "spark"], 2),
         (CERTIFY + ["X.txt", "--property", "spark", "--budget", "0"], 2),
-        (CERTIFY + ["X.txt", "--property", "rip", "--t", "2", "--budget", "1"], 3),
-        (CERTIFY + ["wide.txt", "--property", "rn", "--t", "1", "--budget", "5"], 3),
+        (CERTIFY + ["wide40.txt", "--property", "rip", "--t", "8"], 3),
+        (CERTIFY + ["wide40.txt", "--property", "rn", "--t", "1"], 3),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "0"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "-1e-4"], 2),
         (["compare", "--matrix", "X.txt", "--y", "y.txt", "--lambda-min", "nan"], 2),
@@ -755,12 +764,12 @@ def test_cli_bad_input_exits_without_traceback(tmp_path, argv, code):
             assert " n = " in lines[0] and " p = " in lines[0], proc.stderr
     # a retired flag is unrecognized, a retired property is an invalid
     # choice, and a bad value is refused by name, whichever property reads it
-    retired = {"reproduce": ("--window",), "certify": ("--samples", "--seed")}
-    named = {("--seed", "-1"): "error: seed must be at least 0, got -1",
-             ("--c", "-1"): "error: c must be positive and finite, got -1.0",
-             ("--budget", "0"): "error: enumeration_budget must be at least 1, got 0",
+    retired = {"reproduce": ("--window", "--seed"), "certify": ("--samples", "--seed", "--budget")}
+    named = {("--c", "-1"): "error: c must be positive and finite, got -1.0",
              ("--t", "-5"): "error: t must lie in [1, 3], got -5",
              ("--t", "9"): "error: t must lie in [1, 3], got 9",
+             ("--t", "8"): "error: restricted isometry scan over 76904685 subsets of size 8 "
+                           "exceeds the budget of 10000000",
              ("--s", "-3"): "error: s must lie in [0, 3], got -3",
              ("--s", "-1"): "error: s must lie in [0, 3], got -1",
              ("--y", "nonexistent.txt"):
