@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import column_sq, design, integer, real
+from .linalg import column_sq, design, integer, real, real_array
 
 # Relative window for declaring two |rho| values tied.  The stall designs
 # produce exact ties across a whole block that floating point may perturb;
@@ -83,11 +83,18 @@ def select_index(rho) -> int:
     the smallest tied index wins.  An all-zero vector selects index 0; the
     caller is expected to apply a zero step in that case.  A vector with
     an infinite or NaN magnitude anywhere, the mark of overflowing data,
-    is refused with a ValueError.
+    is refused with a ValueError, and so is a complex vector.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = real_array("rho", rho)
     if rho.ndim != 1 or rho.size == 0:
         raise ValueError("rho must be a non-empty vector")
+    return _select(rho)
+
+
+def _select(rho: np.ndarray) -> int:
+    """``select_index``'s rule on a non-empty float vector, its argument
+    unchecked: the engine and the reduced lockstep call it once per step on
+    the correlations they computed themselves."""
     mags = abs(rho)
     # argmax stops at the first nan, so the peak is nan when any
     # magnitude is, and inf when one is
@@ -135,7 +142,7 @@ def iterate(X, Y, config: BoostingConfig):
         floor == 0.0 or sqrt(residual.dot(residual)) > floor
     ):
         k += 1
-        j = select_index(rho)
+        j = _select(rho)
         rho_j = rho.item(j)
         beta = beta.copy()
         if rho_j == 0.0:

@@ -139,7 +139,7 @@ def _step(c_mid, c_p: float, k: int, inst: SparseInstance, nu: float, rho) -> tu
     rho[:s] = g * (1.0 - c_p)
     rho[s:n] = mid
     rho[n] = mixed / math.sqrt((g * g - 1.0) * s + n)
-    j = boosting.select_index(rho)
+    j = boosting._select(rho)
     if rho.item(j) == 0.0:
         return j, c_p
     if j < s:

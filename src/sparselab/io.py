@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .counterexample import SparseInstance
-from .linalg import design
+from .linalg import design, real_array
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -78,7 +78,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def write_vector(path: str, v) -> None:
     """One repr-formatted decimal per line, no header."""
-    v = np.asarray(v, dtype=float)
+    v = real_array("v", v)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     _atomic_write_text(path, "\n".join(repr(float(x)) for x in v) + "\n")

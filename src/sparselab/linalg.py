@@ -8,9 +8,9 @@ exactly.  Least squares solves a whole block of equal-size supports
 in stacked numpy calls: the normal equations where they are well posed,
 the minimum-norm solution where they are numerically singular.  Every
 rank decision uses the one tolerance DEFAULT_RANK_TOL, and every "exact
-fit" test the one tolerance EXACT_FIT_RTOL.  ``design``, ``coefficients``,
-``column_sq``, ``real``, ``positive`` and ``integer`` are the argument
-checks every module shares.
+fit" test the one tolerance EXACT_FIT_RTOL.  ``real_array``, ``design``,
+``coefficients``, ``column_sq``, ``real``, ``positive`` and ``integer`` are
+the argument checks every module shares.
 """
 
 import math
@@ -27,16 +27,25 @@ DEFAULT_RANK_TOL = 1e-10
 EXACT_FIT_RTOL = 1e-8
 
 
+def real_array(name: str, a) -> np.ndarray:
+    """a as a float array, as ``np.asarray(a, dtype=float)`` gives it: no
+    copy of a float array, the same memory order.  A complex array is
+    refused with a one-line ValueError, not cast to its real part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex entries")
+    return a.astype(float, copy=False)
+
+
 def design(X, Y=None):
-    """X as a finite float matrix with at least one column, or (X, Y) with
-    Y a finite vector of one entry per row of X; else a one-line
-    ValueError naming the shapes or the argument that is not finite.
-    The arrays are ``np.asarray(..., dtype=float)``: no copy, the same
-    memory order."""
-    X = np.asarray(X, dtype=float)
+    """X as a finite real matrix with at least one column, or (X, Y) with
+    Y a finite real vector of one entry per row of X; else a one-line
+    ValueError naming the shapes or the argument that is not finite or
+    not real.  The arrays come from ``real_array``."""
+    X = real_array("X", X)
     shapes, needs = f"X {X.shape}", "X must be a matrix with at least one column"
     if Y is not None:
-        Y = np.asarray(Y, dtype=float)
+        Y = real_array("Y", Y)
         shapes, needs = f"{shapes}, Y {Y.shape}", f"{needs} and a row per entry of Y"
     if X.ndim != 2 or X.shape[1] == 0 or Y is not None and Y.shape != X.shape[:1]:
         raise ValueError(f"incompatible shapes: {shapes}; {needs}")
@@ -50,8 +59,8 @@ def design(X, Y=None):
 
 
 def coefficients(name: str, b, p: int) -> np.ndarray:
-    """b as a finite float vector of length p, or a one-line ValueError."""
-    b = np.asarray(b, dtype=float)
+    """b as a finite real vector of length p, or a one-line ValueError."""
+    b = real_array(name, b)
     if b.shape != (p,):
         raise ValueError(f"{name} has shape {b.shape}, expected {(p,)}")
     if not np.isfinite(b).all():

@@ -33,6 +33,7 @@ from .linalg import (
     least_squares_batch,
     nullspace,
     positive,
+    real_array,
     submatrices,
 )
 
@@ -112,11 +113,21 @@ def _blocks(p: int, size: int):
         yield np.fromiter(flat, np.intp, len(block) * size).reshape(len(block), size)
 
 
+def _indices(name: str, T) -> tuple:
+    """The support T, the caller's argument ``name``, as a tuple; a T that
+    is no collection (an int, None) is refused with a one-line ValueError."""
+    try:
+        return tuple(T)
+    except TypeError:
+        kind = type(T).__name__
+        raise ValueError(f"{name} must be a collection of indices, got {kind}") from None
+
+
 def _mask(name: str, T, p: int) -> np.ndarray:
     """The support T, the caller's argument ``name``, as a length-p boolean
     mask.  T must be a non-empty collection of distinct integer indices in
     [0, p); anything else is refused with a one-line ValueError."""
-    T = tuple(T)
+    T = _indices(name, T)
     if not T:
         raise ValueError(f"{name} must be non-empty")
     if not all(isinstance(j, (int, np.integer)) and 0 <= j < p for j in T):
@@ -164,7 +175,7 @@ def cone_split(delta, T):
     """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T, by
     the rule of ``_split``, over delta's last axis.  delta must be a
     finite, non-empty vector or stack of vectors of finite l1 mass."""
-    mags = np.abs(np.asarray(delta, dtype=float))
+    mags = np.abs(real_array("delta", delta))
     if mags.ndim == 0 or not np.isfinite(mags).all():
         raise ValueError("delta must be a finite vector or stack of vectors")
     if not mags.shape[-1]:

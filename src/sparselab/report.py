@@ -110,6 +110,7 @@ def boosting_trajectory(
     a truth is refused before the engine runs.
     """
     X, Y = design(X, Y)
+    S = properties._indices("S", S)
     if truth is not None:
         truth = coefficients("truth", truth, X.shape[1])
         if not S:

@@ -3,7 +3,7 @@
 Each row calls one entry with one bad argument.  The entry must raise
 the listed error with exactly the listed one-line message, which names
 the argument, and with no numpy warning first: a ValueError for a bad
-design, response, constant, count, support or step, InvariantViolation
+(or complex) design, response, constant, count, support or step, InvariantViolation
 for a reduced state outside the [0, 1] box, and BudgetExceeded for a scan
 past the enumeration budget.
 """
@@ -42,10 +42,11 @@ from sparselab import (
     spark,
     spark_from_nullspace,
     unique_sparsest,
+    write_vector,
 )
 from sparselab import properties
 from sparselab.properties import cone_split
-from sparselab.report import detect_cone_exit
+from sparselab.report import boosting_trajectory, detect_cone_exit
 
 # a 2 x 3 design whose nullspace is the ray (-1, -1, 1)
 X = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -231,6 +232,21 @@ CASES = [
      r"T must hold indices in \[0, 2\], got \(3,\)"),
     ("rn-check-T-negative", lambda: rn_check(X, (-1,), 1.0), ValueError,
      r"T must hold indices in \[0, 2\], got \(-1,\)"),
+    # ... and a collection at all: an int or None is no support
+    ("rn-check-T-none", lambda: rn_check(X, None, 1.0), ValueError,
+     "T must be a collection of indices, got NoneType"),
+    ("rn-check-T-int", lambda: rn_check(X, 3, 1.0), ValueError,
+     "T must be a collection of indices, got int"),
+    ("cone-split-T-int", lambda: cone_split(np.ones(4), 2), ValueError,
+     "T must be a collection of indices, got int"),
+    ("in-cone-T-none", lambda: in_cone([1.0, 1.0], None, 1.0), ValueError,
+     "T must be a collection of indices, got NoneType"),
+    ("trajectory-S-int",
+     lambda: boosting_trajectory(INST.X, INST.Y, CONFIG, truth=INST.beta, S=5), ValueError,
+     "S must be a collection of indices, got int"),
+    ("trajectory-S-int-without-truth",
+     lambda: boosting_trajectory(INST.X, INST.Y, CONFIG, S=5), ValueError,
+     "S must be a collection of indices, got int"),
     # the boosting step, iteration cap and floor
     ("config-nu-nan", lambda: BoostingConfig(nu=math.nan), ValueError,
      r"nu must lie in \(0, 1\], got nan"),
@@ -335,6 +351,23 @@ CASES = [
     ("cone-split-empty", lambda: cone_split([], (0,)), ValueError, "delta must be non-empty"),
     ("cone-split-empty-rows", lambda: cone_split(np.zeros((2, 0)), (0,)), ValueError,
      "delta must be non-empty"),
+    # complex input is refused, not computed on its real part after a ComplexWarning
+    ("run-complex", lambda: run(np.eye(3) * (1 + 2j), np.ones(3), CONFIG), ValueError,
+     "X must be real, got complex entries"),
+    ("lasso-path-complex", lambda: lasso_path(np.eye(3) * (1 + 2j), np.ones(3), 1e-3),
+     ValueError, "X must be real, got complex entries"),
+    ("rn-check-complex", lambda: rn_check(np.eye(3) * (1 + 2j), (0,), 1.0), ValueError,
+     "X must be real, got complex entries"),
+    ("lasso-complex-y", lambda: lasso(np.eye(3), np.ones(3) * 1j, 1.0), ValueError,
+     "Y must be real, got complex entries"),
+    ("select-index-complex", lambda: select_index([1 + 2j, 3]), ValueError,
+     "rho must be real, got complex entries"),
+    ("in-cone-complex", lambda: in_cone([1j, 1.0], (0,), 1.0), ValueError,
+     "b must be real, got complex entries"),
+    ("kkt-complex-b", lambda: kkt_residual(X, Y, np.zeros(3, dtype=complex), 1.0), ValueError,
+     "b must be real, got complex entries"),
+    ("cone-split-complex", lambda: cone_split([1j, 1.0], (0,)), ValueError,
+     "delta must be real, got complex entries"),
     # the coefficient vector of the lasso's stationarity check
     ("kkt-b-shape", lambda: kkt_residual(X, Y, np.zeros(2), 1.0), ValueError,
      r"b has shape \(2,\), expected \(3,\)"),
@@ -375,3 +408,12 @@ def test_ray_ratio_past_the_float_range_is_inf():
         verdict = rn_check([[1.0, -4e-309]], (0,), 1.0)
     assert verdict.holds and verdict.witness is None
     assert verdict.critical_c == math.inf
+
+
+def test_complex_vector_is_not_written(tmp_path):
+    path = tmp_path / "v.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^v must be real, got complex entries$"):
+            write_vector(str(path), [1.0, 2j])
+    assert not path.exists()

@@ -2,6 +2,12 @@ import argparse
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import sparselab
 from sparselab.cli import build_parser
@@ -14,6 +20,89 @@ def test_all_names_resolve_and_star_import_works():
     namespace: dict = {}
     exec("from sparselab import *", namespace)
     assert set(sparselab.__all__) <= set(namespace)
+
+
+def _fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter that imports
+    sparselab from the same source tree as these tests."""
+    src = os.path.dirname(os.path.dirname(sparselab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_construct_and_nullspace_load_only_their_modules():
+    # the benchmark's set-up probe: the certifiers, the report, the file
+    # formats and the CLI are not compiled for it
+    loaded = _fresh(
+        "import json, sys, sparselab\n"
+        "sparselab.nullspace(sparselab.construct(4.0).X)\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "sparselab.linalg" in loaded and "sparselab.counterexample" in loaded
+    for module in ("properties", "report", "io", "cli"):
+        assert f"sparselab.{module}" not in loaded
+
+
+def test_every_public_name_is_its_home_modules_object():
+    wrong = _fresh(
+        "import importlib, json, sparselab\n"
+        "wrong = []\n"
+        "for home, names in sparselab._PUBLIC.items():\n"
+        "    module = importlib.import_module('sparselab.' + home)\n"
+        "    for name in names:\n"
+        "        obj = getattr(sparselab, name)\n"
+        "        if obj is not getattr(module, name) or obj.__module__ != module.__name__:\n"
+        "            wrong.append(name)\n"
+        "print(json.dumps(wrong))"
+    )
+    assert wrong == []
+    assert sorted(name for names in sparselab._PUBLIC.values() for name in names) == \
+        sparselab.__all__
+
+
+@pytest.mark.parametrize(
+    "first", ["import sparselab.lasso", "from sparselab.report import reproduce"]
+)
+def test_lasso_stays_the_function_after_its_module_is_imported(first):
+    # importing the submodule sets the package attribute to the module; the
+    # package binds the function before that can happen
+    kind = _fresh(
+        f"import json\n{first}\nimport sparselab\n"
+        "print(json.dumps([callable(sparselab.lasso), type(sparselab.lasso).__name__]))"
+    )
+    assert kind == [True, "function"]
+
+
+def test_submodules_resolve_after_a_bare_import():
+    kinds = _fresh(
+        "import json, sparselab\n"
+        "print(json.dumps({m: type(getattr(sparselab, m)).__name__ for m in sparselab._PUBLIC}))"
+    )
+    assert kinds == {"boosting": "module", "counterexample": "module", "io": "module",
+                     "lasso": "function", "linalg": "module", "properties": "module",
+                     "report": "module"}
+
+
+def test_unknown_name_is_an_attribute_error():
+    message = _fresh(
+        "import json, sparselab\n"
+        "try:\n"
+        "    sparselab.x\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))"
+    )
+    assert message == "module 'sparselab' has no attribute 'x'"
+
+
+def test_dir_covers_the_public_names_before_they_load():
+    missing = _fresh(
+        "import json, sparselab\n"
+        "print(json.dumps(sorted(set(sparselab.__all__) - set(dir(sparselab)))))"
+    )
+    assert missing == []
 
 
 # The public names.  A new export must be added here on purpose.

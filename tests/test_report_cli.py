@@ -189,6 +189,19 @@ def test_trajectory_refuses_a_bad_support_before_the_engine(inst9, monkeypatch, 
         boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta, S)
 
 
+def test_trajectory_takes_a_numpy_support(inst9):
+    # S is judged by its length, as a tuple is: a one-entry array is a
+    # support, and a longer one is no ambiguous truth value
+    config = BoostingConfig(nu=0.5, max_iterations=40, residual_stop=0.0)
+    for S in ((0,), (0, 1, 2), inst9.S):
+        rows = boosting_trajectory(inst9.X, inst9.Y, config, truth=inst9.beta, S=np.array(S))
+        assert rows == boosting_trajectory(inst9.X, inst9.Y, config, truth=inst9.beta, S=S)
+    with pytest.raises(ValueError, match=r"^S must be empty when truth is None$"):
+        boosting_trajectory(inst9.X, inst9.Y, config, None, np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"^S must be non-empty when truth is given$"):
+        boosting_trajectory(inst9.X, inst9.Y, config, inst9.beta, np.array([], dtype=int))
+
+
 def test_trajectory_without_truth(inst9):
     config = BoostingConfig(nu=1.0, max_iterations=2, residual_stop=0.0)
     rows = boosting_trajectory(inst9.X, inst9.Y, config)
