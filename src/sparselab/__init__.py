@@ -19,25 +19,20 @@ import importlib
 # sets the package attribute "lasso" to the module, which would shadow the function.
 from .lasso import lasso
 
-# Each public name, keyed by the module that defines it.
+# Each public name, keyed by the module that defines it: the experiment's
+# entries, the certifiers' result types and their budget refusal.  Every
+# other name is imported from its module (sparselab.io, sparselab.report, ...).
 _PUBLIC = {
-    "boosting": ("BoostingConfig", "BoostingState", "iterate", "run", "select_index"),
-    "counterexample": (
-        "AnalyticState", "InvariantViolation", "SparseInstance", "analytic_step", "construct",
-        "equivalence_check",
-    ),
-    "io": (
-        "jsonable", "read_matrix", "read_vector", "write_csv", "write_instance", "write_json",
-        "write_matrix", "write_vector",
-    ),
-    "lasso": ("PathPoint", "basis_pursuit", "kkt_residual", "lambda_max", "lasso", "lasso_path"),
+    "boosting": ("BoostingConfig", "run"),
+    "counterexample": ("construct",),
+    "lasso": ("lambda_max", "lasso", "lasso_path"),
     "linalg": ("nullspace",),
     "properties": (
         "BudgetExceeded", "RIPResult", "RNUniformResult", "RNVerdict", "SparsityCertificate",
-        "UniqueSparsestResult", "in_cone", "rip_constant", "rip_implies_rn_test", "rn_check",
-        "rn_uniform", "spark", "spark_from_nullspace", "unique_sparsest",
+        "UniqueSparsestResult", "rip_constant", "rn_check", "rn_uniform", "spark",
+        "unique_sparsest",
     ),
-    "report": ("RecoveryReport", "reproduce", "verdict_failures"),
+    "report": ("reproduce",),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting
-from .linalg import coefficients, integer, positive, real
+from .linalg import positive
 
 # Tolerance for the [0, 1] box on reduced coordinates; violations beyond
 # this would falsify the form invariant, not just accumulate roundoff.
@@ -139,7 +139,7 @@ def _step(c_mid, c_p: float, k: int, inst: SparseInstance, nu: float, rho) -> tu
     rho[:s] = g * (1.0 - c_p)
     rho[s:n] = mid
     rho[n] = mixed / math.sqrt((g * g - 1.0) * s + n)
-    j = boosting._select(rho)
+    j = boosting.select_index(rho)
     if rho.item(j) == 0.0:
         return j, c_p
     if j < s:
@@ -165,18 +165,13 @@ def analytic_step(state: AnalyticState, inst: SparseInstance, nu: float) -> Anal
     construction is built on; from a state inside the box no coordinate
     the step leaves alone can leave it.
     An all-zero correlation vector is a no-op, matching the matrix side.
-    A c_mid that is not a finite vector of n - s entries, a c_p that is
-    not a finite number or a k that is not a count is a ValueError.
+    The state (c_mid of n - s numbers, read as floats, a number c_p and a
+    count k) and nu in (0, 1] are taken as given.
     """
-    nu = boosting.step_length(nu)
-    c_mid = coefficients("c_mid", state.c_mid, inst.n - inst.s).copy()
-    c_p = real("c_p", state.c_p)
-    if not math.isfinite(c_p):
-        raise ValueError(f"c_p must be finite, got {c_p!r}")
-    k = integer("k", state.k, 0)
-    _check_box(c_mid, c_p, k)
-    j, c_p = _step(c_mid, c_p, k, inst, nu, np.empty(inst.p))
-    return AnalyticState(c_mid=c_mid, c_p=c_p, k=k + 1, j=j)
+    c_mid, c_p = np.array(state.c_mid, dtype=float), float(state.c_p)
+    _check_box(c_mid, c_p, state.k)
+    j, c_p = _step(c_mid, c_p, state.k, inst, float(nu), np.empty(inst.p))
+    return AnalyticState(c_mid=c_mid, c_p=c_p, k=state.k + 1, j=j)
 
 
 def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float:
@@ -193,9 +188,8 @@ def equivalence_check(inst: SparseInstance, nu: float, iterations: int) -> float
     moved, so by induction all lie in the box, and no other entry of
     beta + shift (beta minus (0, ..., 0, -c_{s+1}, ..., -c_n, c_p)) moved.
     """
-    iterations = integer("iterations", iterations, 0)
     config = boosting.BoostingConfig(nu=nu, max_iterations=iterations)
-    nu = boosting.step_length(nu)
+    nu = float(config.nu)
     s, n = inst.s, inst.n
     c_mid, c_p, rho = np.zeros(n - s), 0.0, np.empty(inst.p)
     deviation = 0.0

@@ -76,11 +76,12 @@ def read_matrix(path: str) -> np.ndarray:
     return _finite(path, np.array(values).reshape(n, p))
 
 
+# Nothing in sparselab calls this; it stays because the benchmark's tracer wraps it.
 def write_vector(path: str, v) -> None:
     """One repr-formatted decimal per line, no header."""
     v = real_array("v", v)
     if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
+        raise ValueError(f"v must be a vector, got shape {v.shape}")
     _atomic_write_text(path, "\n".join(repr(float(x)) for x in v) + "\n")
 
 

@@ -1,10 +1,10 @@
 """Certifiers for the sparsity property zoo.
 
-Cone membership, restricted nullspace and its uniform variant (both exact
-in every nullspace dimension: decided at the extreme rays of the
-nullspace's coordinate arrangement), restricted isometry constants by
-subset enumeration, spark, and sparsest-solution uniqueness.  Every
-certifier takes the design X; the nullspace certifiers compute
+Restricted nullspace and its uniform variant (both exact in every
+nullspace dimension: decided at the extreme rays of the nullspace's
+coordinate arrangement), restricted isometry constants by subset
+enumeration, spark, and sparsest-solution uniqueness.  Every certifier
+takes the design X; the nullspace certifiers compute
 ``nullspace(X)`` themselves.
 Every l1 mass on and off a support comes from ``_split``, which each
 public entry reaches after checking its own input once.
@@ -27,13 +27,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_RANK_TOL,
     EXACT_FIT_RTOL,
-    coefficients,
     design,
     integer,
     least_squares_batch,
     nullspace,
     positive,
-    real_array,
     submatrices,
 )
 
@@ -171,19 +169,6 @@ def _checked_split(mags: np.ndarray, mask: np.ndarray, refusal: str):
 _RAY_OVERFLOW = "the l1 mass of a nullspace ray overflows; rescale the columns of X"
 
 
-def cone_split(delta, T):
-    """(on-mass, off-mass, ratio) of the l1 mass of delta on and off T, by
-    the rule of ``_split``, over delta's last axis.  delta must be a
-    finite, non-empty vector or stack of vectors of finite l1 mass."""
-    mags = np.abs(real_array("delta", delta))
-    if mags.ndim == 0 or not np.isfinite(mags).all():
-        raise ValueError("delta must be a finite vector or stack of vectors")
-    if not mags.shape[-1]:
-        raise ValueError("delta must be non-empty")
-    mask = _mask("T", T, mags.shape[-1])
-    return _checked_split(mags, mask, "the l1 mass of delta overflows; rescale delta")
-
-
 def _refuse_gram_overflow(X: np.ndarray) -> None:
     """Refuse, in one line, a design whose Gram matrix X'X overflows: the
     certifiers that form X_T'X_T would read its inf or nan as a verdict."""
@@ -195,18 +180,6 @@ def _refuse_gram_overflow(X: np.ndarray) -> None:
 def _in_closed_cone(on: float, off: float, c: float) -> bool:
     """The closed-cone rule on a computed split: off-mass <= c * on-mass."""
     return off <= c * on
-
-
-def in_cone(b, T, c: float) -> bool:
-    """Exact membership of b, a finite non-empty vector of finite l1 mass,
-    in the cone of support T and constant c: off-mass <= c * on-mass."""
-    c = positive("c", c)
-    if not np.size(b):
-        raise ValueError("b must be non-empty")
-    b = coefficients("b", b, np.size(b))
-    mask = _mask("T", T, b.size)
-    on, off, _ = _checked_split(np.abs(b), mask, "the l1 mass of b overflows; rescale b")
-    return _in_closed_cone(on, off, c)
 
 
 def _rays(ns: np.ndarray):
@@ -238,8 +211,8 @@ def rn_check(X, T, c: float) -> RNVerdict:
     """Does the nullspace of X meet the cone of support T and constant c
     only at zero?
 
-    Exactly when no ray of ``_rays`` lies in the closed cone (``in_cone``);
-    a trivial nullspace holds vacuously."""
+    Exactly when no ray of ``_rays`` lies in the closed cone
+    (``_in_closed_cone``); a trivial nullspace holds vacuously."""
     mask = _mask("T", T, design(X).shape[1])
     c = positive("c", c)
     critical, witness = math.inf, None
@@ -323,12 +296,10 @@ def rip_implies_rn_test(n: int, trials: int, t: int) -> dict:
     the threshold at n = 8) and an orthonormal basis plus a unit column
     (delta_2 >= 1/sqrt(n) >= 1/3 for n <= 9) would leave it vacuous.  Every
     applicable draw asserts rn_uniform(t, 1); violations are counted.
-    The draws come from seed 0; ``trials`` sets how many there are.
+    The draws come from seed 0; ``trials`` sets how many there are.  The
+    counts are taken as given: n >= 2, trials >= 1 and 1 <= t with
+    2t <= n + 1, so the isometry scan has supports of size 2t.
     """
-    n = integer("n", n, 2)
-    trials = integer("trials", trials, 1)
-    # the isometry scan takes supports of size 2t among the n + 1 columns
-    t = integer("t", t, 1, (n + 1) // 2)
     p = n + 1
     rng = np.random.default_rng(0)
     applicable, violations, min_delta = 0, 0, math.inf

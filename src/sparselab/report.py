@@ -83,14 +83,17 @@ class RecoveryReport(NamedTuple):
     path_rows: list[PathRow]
 
 
-def _error_columns(betas, truth, S) -> list[list[float]]:
-    """Per-row l1 distance, on-mass, off-mass and cone ratio about S of the
-    stacked betas minus truth; all nan without a truth vector.  Each row
-    reduces alone, so every value has the bits of its own 1-D sum."""
+def _error_columns(betas, truth, mask) -> list[list[float]]:
+    """Per-row l1 distance, on-mass, off-mass and cone ratio about the
+    support ``mask`` marks of the stacked betas minus truth; all nan
+    without a truth vector.  Each row reduces alone, so every value has the
+    bits of its own 1-D sum."""
     if truth is None:
         return [[math.nan] * len(betas)] * 4
     mags = abs(np.subtract(np.array(betas), truth))
-    split = properties.cone_split(mags, S)
+    split = properties._checked_split(
+        mags, mask, "the l1 mass of beta - truth overflows; rescale truth"
+    )
     return [mags.sum(axis=1).tolist(), *(column.tolist() for column in split)]
 
 
@@ -110,12 +113,12 @@ def boosting_trajectory(
     a truth is refused before the engine runs.
     """
     X, Y = design(X, Y)
-    S = properties._indices("S", S)
+    S, mask = properties._indices("S", S), None
     if truth is not None:
         truth = coefficients("truth", truth, X.shape[1])
         if not S:
             raise ValueError("S must be non-empty when truth is given")
-        properties._mask("S", S, X.shape[1])
+        mask = properties._mask("S", S, X.shape[1])
     elif S:
         raise ValueError("S must be empty when truth is None")
     rows: list[TrajectoryRow] = []
@@ -124,13 +127,14 @@ def boosting_trajectory(
         ks, js, _, betas, residuals, rhos = zip(*block)
         rho_max = abs(np.array(rhos)).max(axis=1).tolist()
         resid_l2 = [math.sqrt(r.dot(r)) for r in residuals]
-        dist, _, _, ratio = _error_columns(betas, truth, S)
+        dist, _, _, ratio = _error_columns(betas, truth, mask)
         rows.extend(map(TrajectoryRow, ks, js, rho_max, resid_l2, dist, ratio))
     return rows
 
 
 def path_rows_from_points(points, truth, S) -> list[PathRow]:
-    errors = _error_columns([point.beta for point in points], truth, S)
+    mask = None if truth is None else properties._mask("S", S, len(truth))
+    errors = _error_columns([point.beta for point in points], truth, mask)
     return [
         PathRow(point.lam, float(abs(point.beta).sum()), point.kkt, dist, ratio, on, off)
         for point, dist, on, off, ratio in zip(points, *errors)
@@ -138,8 +142,8 @@ def path_rows_from_points(points, truth, S) -> list[PathRow]:
 
 
 def detect_cone_exit(ratios: list[float], threshold: float, window: int) -> int | None:
-    """First index whose next ``window`` ratios all clear the threshold."""
-    window = integer("window", window, 1)
+    """First index whose next ``window`` ratios (window >= 1, not checked)
+    all clear the threshold."""
     run = 0
     for idx, ratio in enumerate(ratios):
         if ratio > threshold:

@@ -15,24 +15,21 @@ import numpy as np
 import pytest
 
 from sparselab import (
-    AnalyticState,
     BoostingConfig,
-    analytic_step,
-    basis_pursuit,
-    equivalence_check,
-    iterate,
     lambda_max,
     lasso,
     lasso_path,
     nullspace,
-    rip_implies_rn_test,
     rn_check,
     rn_uniform,
     run,
     spark,
     unique_sparsest,
 )
-from sparselab.properties import cone_split
+from sparselab.boosting import iterate
+from sparselab.counterexample import AnalyticState, analytic_step, equivalence_check
+from sparselab.lasso import basis_pursuit
+from sparselab.properties import _mask, _split, rip_implies_rn_test
 from sparselab.report import detect_cone_exit
 
 
@@ -136,7 +133,8 @@ def test_criterion_03_recursion_matches_matrix(inst9, inst25):
 def test_criterion_04_cone_exit(stall_runs, inst25):
     with _criterion(4, "sustained cone exit on n=25") as failures:
         states, _ = stall_runs[1.0]
-        ratios = [cone_split(beta - inst25.beta, inst25.S)[2] for _, beta in states]
+        mask = _mask("S", inst25.S, inst25.p)
+        ratios = [_split(np.abs(beta - inst25.beta), mask)[2] for _, beta in states]
         exit_k = detect_cone_exit(ratios, threshold=2.1, window=100)
         if exit_k is None:
             failures.append("no 100-iteration window stayed above 21/10")
@@ -193,7 +191,7 @@ def test_criterion_06_uniform_cone_constant(inst25):
         _, _, crit_fast = rn_uniform(inst25.X, inst25.s, 4.0)
         # the full scan: the least off/on ratio over every support of size s
         crit_slow = min(
-            cone_split(ns[:, 0], T)[2]
+            _split(np.abs(ns[:, 0]), _mask("T", T, inst25.p))[2]
             for T in itertools.combinations(range(inst25.p), inst25.s)
         )
         for name, crit in (("closed form", crit_fast), ("enumeration", crit_slow)):

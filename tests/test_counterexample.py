@@ -4,18 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from sparselab import (
+from sparselab import BoostingConfig, construct, run
+from sparselab.boosting import iterate, select_index
+from sparselab.counterexample import (
+    COORD_SLACK,
     AnalyticState,
-    BoostingConfig,
     InvariantViolation,
+    _block_size,
+    _step,
     analytic_step,
-    construct,
     equivalence_check,
-    iterate,
-    run,
-    select_index,
 )
-from sparselab.counterexample import COORD_SLACK, _block_size, _step
 
 
 def _counting_block_size(c):
@@ -93,13 +92,6 @@ def test_first_analytic_step_closed_form(inst25):
     assert after.k == 1
     # the step records its selection: the mixed column
     assert state.j is None and after.j == inst25.n
-
-
-def test_analytic_step_rejects_bad_nu(inst9):
-    state = AnalyticState(np.zeros(6), 0.0, 0)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            analytic_step(state, inst9, nu=bad)
 
 
 def test_analytic_step_flags_box_escape(inst9):

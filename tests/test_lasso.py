@@ -6,15 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sparselab import (
-    basis_pursuit,
-    construct,
-    kkt_residual,
-    lambda_max,
-    lasso,
-    lasso_path,
-)
-from sparselab.lasso import PathPoint, _kkt, _slack
+from sparselab import construct, lambda_max, lasso, lasso_path
+from sparselab.lasso import PathPoint, _kkt, _slack, basis_pursuit, kkt_residual
 from sparselab.report import LAMBDA_MIN_FACTOR
 
 # the package exports the function lasso under the module's name

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import sparselab
-from sparselab import (
-    BoostingConfig,
+from sparselab import BoostingConfig, lasso_path
+from sparselab import properties
+from sparselab.cli import build_parser, main
+from sparselab.io import (
     jsonable,
-    lasso_path,
     read_matrix,
     read_vector,
     write_csv,
@@ -26,8 +27,6 @@ from sparselab import (
     write_matrix,
     write_vector,
 )
-from sparselab import properties
-from sparselab.cli import build_parser, main
 from sparselab.report import (
     PATH_HEADER,
     TRAJECTORY_HEADER,
@@ -37,7 +36,6 @@ from sparselab.report import (
     verdict_failures,
 )
 from sparselab.boosting import thin
-from sparselab.properties import cone_split
 
 # the package exports the function lasso under the module's name
 LASSO = importlib.import_module("sparselab.lasso")
@@ -90,6 +88,12 @@ def test_json_conventions(tmp_path):
 
 
 # --- report helpers ---------------------------------------------------------
+
+
+def cone_split(delta, T):
+    """The error columns' split of |delta| about T, over the last axis."""
+    delta = np.asarray(delta, dtype=float)
+    return properties._split(np.abs(delta), properties._mask("T", T, delta.shape[-1]))
 
 
 def test_cone_split_conventions():
